@@ -13,7 +13,7 @@ The package has three layers:
   CLI (``cli``) around them.
 """
 
-from .fields import QQ, PrimeField, PrimeFieldElement, Rational, coefficient_field
+from .fields import QQ, PrimeField, coefficient_field
 from .orders import GRLEX, LEX, Block, order_from_name
 from .rings import Polynomial, Ring, cast, parse_polynomial
 from .groebner import (Budget, DivisionResult, GroebnerBasis, buchberger,
@@ -24,7 +24,7 @@ from .verify import (CHECK_NAMES, DEFAULT_SUITE, CheckResult, ChartReport,
                      EngineConfig, SuiteReport, run_suite, verify_check)
 
 __all__ = [
-    "QQ", "PrimeField", "PrimeFieldElement", "Rational", "coefficient_field",
+    "QQ", "PrimeField", "coefficient_field",
     "GRLEX", "LEX", "Block", "order_from_name",
     "Polynomial", "Ring", "cast", "parse_polynomial",
     "Budget", "DivisionResult", "GroebnerBasis", "buchberger",

@@ -262,8 +262,7 @@ class Chart:
         B1, A, B2, _ = self._blocks(X)
         Je = antidiag(ring, self.e)
         Jm = antidiag(ring, self.mid_size)
-        half = Fraction(1, 2) if ring.field.characteristic == 0 \
-            else ring.field.div(1, 2)
+        half = ring.field.coerce(Fraction(1, 2))
         d, e = self.d, self.e
         top = list(range(1, e + 1))
         bottom = list(range(d - e + 1, d + 1))
@@ -344,8 +343,7 @@ class Chart:
         core = B2 @ Je @ B1.T
         if self.same_parity:
             return (core @ Jm).trace()
-        half = Fraction(1, 2) if ring.field.characteristic == 0 \
-            else ring.field.div(1, 2)
+        half = ring.field.coerce(Fraction(1, 2))
         Q = PolyMatrix(ring, [[band_var(i, self.center)] for i in self.mid])
         qq = (Q @ Q.T).scale(half)
         tr = ((core + qq) @ Jm).trace()
@@ -377,8 +375,7 @@ class Chart:
                              for i in range(len(self.rows))])
         Je = antidiag(rr, e)
         Jm = antidiag(rr, m)
-        half = Fraction(1, 2) if rr.field.characteristic == 0 \
-            else rr.field.div(1, 2)
+        half = rr.field.coerce(Fraction(1, 2))
         A_img = B2 @ Je @ B1.T @ Jm
         E1 = (Je @ B2.T @ Jm @ B1).scale(-half)
         E2 = (Je @ B2.T @ Jm @ B2).scale(-half)
@@ -463,8 +460,7 @@ class Chart:
 
     def _build_components(self):
         ring = self.fiber_ring
-        half = Fraction(1, 2) if ring.field.characteristic == 0 \
-            else ring.field.div(1, 2)
+        half = ring.field.coerce(Fraction(1, 2))
         var = lambda i, j: ring.var(xname(i, j))
         low_rows, self_rows = self._row_pairing()
         low_cols, self_cols = self._col_pairing()

@@ -9,10 +9,6 @@ class DivisionByZero(OlmError, ZeroDivisionError):
     """Division or inversion by the zero element of a coefficient field."""
 
 
-class ModulusMismatch(OlmError):
-    """Prime field operands with different moduli."""
-
-
 class TableMismatch(OlmError):
     """Operation mixing polynomials from different rings."""
 

@@ -1,22 +1,17 @@
 """Exact coefficient fields: arbitrary-precision rationals and odd prime fields.
 
-Two layers live here.  ``Rational`` and ``PrimeFieldElement`` are the
-self-contained element types with operator overloading; they are what user
-code and tests manipulate directly.  ``RationalField`` and ``PrimeField`` are
-lightweight field descriptors used by the polynomial engine, which stores raw
-coefficient values (``Fraction`` for the rationals, ``int`` residues for a
-prime field) and calls the descriptor for arithmetic.  Both layers compute
-the same thing; the raw layer exists because the Groebner inner loops cannot
-afford per-element object dispatch.
+``RationalField`` (the instance ``QQ``) and ``PrimeField`` are lightweight
+field descriptors.  Polynomials store raw coefficient values (``Fraction``
+for the rationals, ``int`` residues in [0, p) for a prime field) and call the
+descriptor for arithmetic, so the inner loops never pay for per-element
+object dispatch.
 
 Characteristic 2 is rejected everywhere: the chart equations divide by 2.
 """
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, ModulusMismatch
-
-Rational = Fraction
+from .errors import DivisionByZero
 
 
 def _is_odd_prime(p):
@@ -28,92 +23,6 @@ def _is_odd_prime(p):
             return False
         f += 2
     return True
-
-
-class PrimeFieldElement:
-    """A residue in F_p for an odd prime p."""
-
-    __slots__ = ("residue", "modulus")
-
-    def __init__(self, residue, modulus):
-        if not _is_odd_prime(modulus):
-            raise ValueError("modulus must be an odd prime >= 3, got %r" % (modulus,))
-        self.residue = residue % modulus
-        self.modulus = modulus
-
-    def _coerce(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    "mixed moduli %d and %d" % (self.modulus, other.modulus))
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PrimeFieldElement(self.residue + o.residue, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PrimeFieldElement(self.residue - o.residue, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return PrimeFieldElement(self.residue * o.residue, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.residue, self.modulus)
-
-    def inverse(self):
-        if self.residue == 0:
-            raise DivisionByZero("inverse of 0 in F_%d" % self.modulus)
-        return PrimeFieldElement(pow(self.residue, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.modulus == other.modulus and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.residue, self.modulus))
-
-    def __bool__(self):
-        return self.residue != 0
-
-    def __repr__(self):
-        return "PrimeFieldElement(%d, %d)" % (self.residue, self.modulus)
 
 
 class RationalField:
@@ -228,9 +137,6 @@ class PrimeField:
             num, den = text.split("/")
             return self.div(int(num) % self.p, int(den) % self.p)
         return int(text) % self.p
-
-    def element(self, n):
-        return PrimeFieldElement(n, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

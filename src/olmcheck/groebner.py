@@ -1,13 +1,17 @@
 """Division, S-polynomials, Buchberger's algorithm, reduced Groebner bases.
 
-The public surface works with ``Polynomial`` values.  Internally the
-computation runs on raw ``{packed monomial: coefficient}`` dicts with two
-coefficient strategies:
+The public surface works with ``Polynomial`` values.  Internally one engine,
+``_Engine``, runs every computation on raw ``{packed monomial: int}`` dicts;
+its single reduction loop serves Buchberger, the final auto-reduction and
+``GroebnerBasis.normal_form`` alike.  The field characteristic p picks one of
+two coefficient strategies:
 
-* prime field: coefficients are ints in [0, p), basis elements kept monic;
-* rationals: coefficients are ints, every polynomial kept primitive
-  (content-free) and reductions are fraction-free, so no Fraction ever enters
-  the hot loop.  Content is stripped after each full reduction.
+* prime field (p > 0): coefficients are residues in [0, p), basis elements
+  kept monic;
+* rationals (p == 0): coefficients are integers, every polynomial kept
+  primitive (content-free, positive lead) and reductions are fraction-free,
+  so no Fraction ever enters the hot loop.  The reduction returns the
+  scaling it applied, which turns its result into the exact remainder.
 
 Pair management is Gebauer-Moeller: the coprime-leading-monomial skip plus
 the chain criteria, with the normal selection strategy (smallest lcm degree
@@ -144,59 +148,100 @@ def s_polynomial(f, g):
 
 
 # ---------------------------------------------------------------------------
-# raw engines
+# raw engine
 # ---------------------------------------------------------------------------
 
-def _strip_content(d):
-    """Divide an integer-coefficient dict by its content, positive lead."""
-    if not d:
-        return d
-    g = 0
-    for c in d.values():
+def _content(values, g=0):
+    """gcd of g and the values, stopping early at 1."""
+    for c in values:
         g = gcd(g, c)
         if g == 1:
             break
-    if d[max(d)] < 0:
-        g = -g
-    if g != 1:
-        return {m: c // g for m, c in d.items()}
-    return d
+    return g
 
 
-class _RationalEngine:
-    """Fraction-free arithmetic on primitive integer-coefficient dicts."""
+def _split(d):
+    """Leading monomial, leading coefficient and tail of a raw dict."""
+    lt = max(d)
+    return lt, d[lt], tuple((m, c) for m, c in d.items() if m != lt)
+
+
+def _add(arrays, d):
+    """Append d to the parallel (lts, lcs, tails) lists that reduce reads."""
+    for col, v in zip(arrays, _split(d)):
+        col.append(v)
+
+
+class _Engine:
+    """Arithmetic on raw int-coefficient dicts for one ring.
+
+    ``p`` is the field characteristic: over F_p (p > 0) coefficients are
+    residues and basis elements are monic; over Q (p == 0) coefficients are
+    integers, basis elements are primitive with a positive lead, and
+    reductions are fraction-free.
+    """
 
     def __init__(self, ring):
-        self.ring = ring
+        self.guard = ring.guard_mask
+        self.p = ring.field.characteristic
 
     def prepare(self, poly_dict):
+        """Normalised raw dict of a Polynomial's coefficient dict."""
+        p = self.p
+        if p:
+            return self.normalise({m: c % p for m, c in poly_dict.items() if c % p})
         den = 1
         for c in poly_dict.values():
             den = den * c.denominator // gcd(den, c.denominator)
-        return _strip_content({m: int(c * den) for m, c in poly_dict.items()})
+        return self.normalise({m: int(c * den) for m, c in poly_dict.items()})
 
-    def finish(self, d):
+    def normalise(self, d):
+        """Monic over F_p; primitive with a positive lead over Q."""
+        if not d:
+            return d
+        p = self.p
         lead = d[max(d)]
-        return {m: Fraction(c, lead) for m, c in d.items()}
+        if p:
+            inv = pow(lead, -1, p)
+            return {m: c * inv % p for m, c in d.items()} if inv != 1 else d
+        g = _content(d.values())
+        if lead < 0:
+            g = -g
+        return {m: c // g for m, c in d.items()} if g != 1 else d
 
-    def reduce(self, f, lts, lcs, tails, budget=None, skip=-1):
-        """Full normal form of f (destroyed) against the basis arrays.
+    def finish(self, d, k=None):
+        """Field coefficients of d times k; by default k makes d monic."""
+        p = self.p
+        if p:
+            if k is None:
+                k = pow(d[max(d)], -1, p)
+            return {m: c * k % p for m, c in d.items()} if k != 1 else d
+        if k is None:
+            k = Fraction(1, d[max(d)])
+        return {m: c * k for m, c in d.items()}
 
-        Returns a primitive integer dict equal to the true normal form up to
-        a positive rational factor.
+    def reduce(self, f, lts, lcs, tails, budget=None):
+        """Full reduction of f (destroyed) against the basis arrays.
+
+        Returns ``(out, mult)`` with ``out == mult * NF(f)``.  Over F_p the
+        basis is monic and mult is 1.  Over Q every step first scales the
+        remainder by the divisor's leading coefficient, and every 64 steps
+        the joint content of the remainder is stripped; mult follows both.
         """
-        guard = self.ring.guard_mask
+        p = self.p
+        guard = self.guard
         out = {}
+        num = den = 1
         nb = len(lts)
         steps = 0
         while f:
             t = max(f)
             c = f.pop(t)
-            if c == 0:
+            if not c:
                 continue
             hit = -1
             for i in range(nb):
-                if i != skip and not (t - lts[i]) & guard:
+                if not (t - lts[i]) & guard:
                     hit = i
                     break
             if hit < 0:
@@ -211,125 +256,44 @@ class _RationalEngine:
                     f[k] *= a
                 for k in out:
                     out[k] *= a
+                num *= a
             for m, cv in tails[hit]:
                 key = m + shift
                 v = f.get(key, 0) - c * cv
+                if p:
+                    v %= p
                 if v:
                     f[key] = v
                 else:
                     f.pop(key, None)
             steps += 1
-            if steps % 64 == 0 and f:
+            if not p and steps % 64 == 0 and f:
                 # joint content strip keeps the integers small mid-reduction
-                g = 0
-                for c2 in f.values():
-                    g = gcd(g, c2)
-                    if g == 1:
-                        break
+                g = _content(f.values())
                 if g != 1:
-                    for c2 in out.values():
-                        g = gcd(g, c2)
-                        if g == 1:
-                            break
+                    g = _content(out.values(), g)
                 if g > 1:
                     f = {m: c2 // g for m, c2 in f.items()}
                     out = {m: c2 // g for m, c2 in out.items()}
-        return _strip_content(out)
+                    den *= g
+        return out, (num if den == 1 else Fraction(num, den))
 
     def spair(self, i, j, lts, lcs, tails, lcm):
-        f = {lcm: lcs[i]}
-        si = lcm - lts[i]
-        for m, c in tails[i]:
-            f[m + si] = c
-        # now f = (lcm/lt_i) * g_i up to the leading coefficient layout
-        sj = lcm - lts[j]
+        """lc_j (lcm/lt_i) g_i - lc_i (lcm/lt_j) g_j, leads cancelled."""
+        p = self.p
         a, b = lcs[j], lcs[i]
-        # a*f_i_part - b*g_j aligned at lcm; leads cancel by construction
-        out = {}
-        for m, c in f.items():
-            out[m] = a * c
-        out.pop(lcm)
+        si, sj = lcm - lts[i], lcm - lts[j]
+        out = {m + si: a * c for m, c in tails[i]}
         for m, c in tails[j]:
             key = m + sj
             v = out.get(key, 0) - b * c
+            if p:
+                v %= p
             if v:
                 out[key] = v
             else:
                 out.pop(key, None)
-        return _strip_content(out)
-
-
-class _PrimeEngine:
-    """Monic arithmetic on int dicts mod p."""
-
-    def __init__(self, ring, p):
-        self.ring = ring
-        self.p = p
-
-    def prepare(self, poly_dict):
-        p = self.p
-        d = {m: c % p for m, c in poly_dict.items() if c % p}
-        if not d:
-            return d
-        inv = pow(d[max(d)], -1, p)
-        if inv != 1:
-            d = {m: c * inv % p for m, c in d.items()}
-        return d
-
-    def finish(self, d):
-        return d
-
-    def reduce(self, f, lts, lcs, tails, budget=None, skip=-1):
-        p = self.p
-        guard = self.ring.guard_mask
-        out = {}
-        nb = len(lts)
-        while f:
-            t = max(f)
-            c = f.pop(t)
-            if not c:
-                continue
-            hit = -1
-            for i in range(nb):
-                if i != skip and not (t - lts[i]) & guard:
-                    hit = i
-                    break
-            if hit < 0:
-                out[t] = c
-                continue
-            if budget is not None:
-                budget.reduction_step()
-            shift = t - lts[hit]
-            for m, cv in tails[hit]:
-                key = m + shift
-                v = (f.get(key, 0) - c * cv) % p
-                if v:
-                    f[key] = v
-                else:
-                    f.pop(key, None)
-        return out
-
-    def spair(self, i, j, lts, lcs, tails, lcm):
-        p = self.p
-        out = {}
-        si = lcm - lts[i]
-        for m, c in tails[i]:
-            out[m + si] = c
-        sj = lcm - lts[j]
-        for m, c in tails[j]:
-            key = m + sj
-            v = (out.get(key, 0) - c) % p
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return out
-
-
-def _engine_for(ring):
-    if ring.field.characteristic == 0:
-        return _RationalEngine(ring)
-    return _PrimeEngine(ring, ring.field.characteristic)
+        return out if p else self.normalise(out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,30 +303,17 @@ def _engine_for(ring):
 def _interreduce(engine, ding):
     """One ascending pass of input cleanup: each generator is fully reduced
     against the ones already kept.  Safe (never loses the ideal) and cheap;
-    the final auto-reduction happens after Buchberger terminates."""
+    the final auto-reduction happens after Buchberger terminates.  Returns
+    the kept dicts and their (lts, lcs, tails) arrays."""
     ding = sorted((d for d in ding if d), key=max)
-    kept, lts, lcs, tails = [], [], [], []
+    kept, arrays = [], ([], [], [])
     for d in ding:
         if kept:
-            d = engine.reduce(dict(d), lts, lcs, tails)
-            d = _renorm(engine, d)
+            d = engine.normalise(engine.reduce(dict(d), *arrays)[0])
         if d:
             kept.append(d)
-            lts.append(max(d))
-            lcs.append(d[max(d)])
-            tails.append(tuple((m, c) for m, c in d.items() if m != max(d)))
-    return kept
-
-
-def _renorm(engine, d):
-    if not d:
-        return d
-    if isinstance(engine, _PrimeEngine):
-        inv = pow(d[max(d)], -1, engine.p)
-        if inv != 1:
-            return {m: c * inv % engine.p for m, c in d.items()}
-        return d
-    return _strip_content(d)
+            _add(arrays, d)
+    return kept, arrays
 
 
 def buchberger(generators, budget=None):
@@ -379,7 +330,7 @@ def buchberger(generators, budget=None):
     for g in gens:
         if g.ring is not ring:
             raise InvalidInput("generators from different rings")
-    engine = _engine_for(ring)
+    engine = _Engine(ring)
 
     basis = []
     seen = set()
@@ -390,13 +341,10 @@ def buchberger(generators, budget=None):
             if key not in seen:
                 seen.add(key)
                 basis.append(d)
-    basis = _interreduce(engine, basis)
+    basis, arrays = _interreduce(engine, basis)
     if not basis:
         return GroebnerBasis(ring, ())
-
-    lts = [max(d) for d in basis]
-    lcs = [d[max(d)] for d in basis]
-    tails = [tuple((m, c) for m, c in d.items() if m != max(d)) for d in basis]
+    lts, lcs, tails = arrays
     lcm_of = ring.mono_lcm
     mono_deg = ring.mono_degree
 
@@ -452,14 +400,11 @@ def buchberger(generators, budget=None):
         s = engine.spair(i, j, lts, lcs, tails, l)
         if not s:
             continue
-        r = engine.reduce(s, lts, lcs, tails, budget)
+        r = engine.normalise(engine.reduce(s, lts, lcs, tails, budget)[0])
         if not r:
             continue
-        r = _renorm(engine, r)
         basis.append(r)
-        lts.append(max(r))
-        lcs.append(r[max(r)])
-        tails.append(tuple((m, c) for m, c in r.items() if m != max(r)))
+        _add(arrays, r)
         push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
@@ -475,11 +420,11 @@ def buchberger(generators, budget=None):
     mtails = [tails[i] for i in minimal]
     reduced = []
     for k, i in enumerate(minimal):
-        r = engine.reduce(dict(basis[i]), mlts, mlcs, mtails, budget, skip=k)
-        r = _renorm(engine, r)
+        mlts[k] = guard     # divides no monomial, so g_k skips itself
+        r = engine.normalise(
+            engine.reduce(dict(basis[i]), mlts, mlcs, mtails, budget)[0])
         reduced.append(r)
-        mlcs[k] = r[max(r)]
-        mtails[k] = tuple((m, c) for m, c in r.items() if m != max(r))
+        mlts[k], mlcs[k], mtails[k] = _split(r)
     reduced.sort(key=max, reverse=True)
     polys = tuple(Polynomial(ring, engine.finish(d)) for d in reduced)
     return GroebnerBasis(ring, polys)
@@ -491,16 +436,12 @@ class GroebnerBasis:
     def __init__(self, ring, polys):
         self.ring = ring
         self.polys = tuple(polys)
-        self._lts = tuple(p.lm() for p in self.polys)
-        if ring.field.characteristic == 0:
-            self._red = [_strip_content(
-                {m: int(c * _common_den(p._d)) for m, c in p._d.items()})
-                for p in self.polys]
-        else:
-            self._red = [dict(p._d) for p in self.polys]
-        self._lcs = [d[max(d)] for d in self._red]
-        self._tails = [tuple((m, c) for m, c in d.items() if m != max(d))
-                       for d in self._red]
+        self._engine = _Engine(ring)
+        arrays = ([], [], [])
+        for p in self.polys:
+            _add(arrays, self._engine.prepare(p._d))
+        lts, self._lcs, self._tails = arrays
+        self._lts = tuple(lts)
 
     @property
     def order(self):
@@ -529,65 +470,20 @@ class GroebnerBasis:
         """Unique remainder of f against the reduced basis."""
         if f.ring is not self.ring:
             raise InvalidInput("polynomial from a different ring")
-        if not self.polys:
+        if not self.polys or f.is_zero():
             return f
-        if self.ring.field.characteristic == 0:
-            den = _common_den(f._d)
-            work = {m: int(c * den) for m, c in f._d.items()}
-            out, mult = self._reduce_tracking(work, Fraction(den))
-            return Polynomial(self.ring,
-                              {m: Fraction(c) / mult for m, c in out.items()})
-        engine = _engine_for(self.ring)
-        work = {m: c for m, c in f._d.items()}
-        out = engine.reduce(work, list(self._lts), self._lcs, self._tails)
-        return Polynomial(self.ring, out)
-
-    def _reduce_tracking(self, f, mult):
-        guard = self.ring.guard_mask
-        lts = self._lts
-        lcs = self._lcs
-        tails = self._tails
-        nb = len(lts)
-        out = {}
-        while f:
-            t = max(f)
-            c = f.pop(t)
-            if not c:
-                continue
-            hit = -1
-            for i in range(nb):
-                if not (t - lts[i]) & guard:
-                    hit = i
-                    break
-            if hit < 0:
-                out[t] = c
-                continue
-            a = lcs[hit]
-            if a != 1:
-                for k in f:
-                    f[k] *= a
-                for k in out:
-                    out[k] *= a
-                mult *= a
-            shift = t - lts[hit]
-            for m, cv in tails[hit]:
-                key = m + shift
-                v = f.get(key, 0) - c * cv
-                if v:
-                    f[key] = v
-                else:
-                    f.pop(key, None)
-        return out, mult
+        engine = self._engine
+        field = self.ring.field
+        work = engine.prepare(f._d)
+        t = max(work)
+        lead = work[t]
+        out, mult = engine.reduce(work, self._lts, self._lcs, self._tails)
+        # work = (lead / lc(f)) * f and out = mult * NF(work)
+        k = field.div(f._d[t], field.coerce(mult * lead))
+        return Polynomial(self.ring, engine.finish(out, k))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
-
-
-def _common_den(d):
-    den = 1
-    for c in d.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return den
 
 
 def normal_form_membership(f, gb):

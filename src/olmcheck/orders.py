@@ -13,8 +13,9 @@ bit, so
     m1 divides m2   iff   ((m2 - m1) & guard_mask) == 0
 
 because any per-field underflow in the subtraction sets that field's guard
-bit.  Products of monomials are integer additions; they assume the factors
-leave headroom, which holds for anything resembling the chart workloads.
+bit.  Products of monomials are integer additions, and an overflowing field
+shows as a set guard bit in the sum; polynomial multiplication raises
+ValueError on it.
 """
 
 FIELD_BITS = 16

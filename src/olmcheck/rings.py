@@ -237,10 +237,13 @@ class Polynomial:
         a, b = self._d, other._d
         if len(a) > len(b):
             a, b = b, a
+        guard = self.ring.guard_mask
         out = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = m1 + m2
+                if m & guard:
+                    raise ValueError("product exponent overflows the packed field")
                 acc = field.add(out.get(m, field.zero), field.mul(c1, c2))
                 if field.is_zero(acc):
                     out.pop(m, None)

@@ -34,7 +34,6 @@ LEMMA_CHECKS = (
     "A-relations",
     "minors-reduce",
 )
-CHECK_NAMES = LEMMA_CHECKS + ("reduction", "dimensions", "flatness", "special-fiber")
 
 PRIMALITY_NOTE = ("component primality is checked only through the "
                   "leading-term criterion and the structural checks, "
@@ -99,27 +98,13 @@ class SuiteReport:
     note: str | None = None
 
 
-def _finish(name, t0, status, witness=None):
-    return CheckResult(name, status, witness, (time.monotonic() - t0) * 1000.0)
-
-
-def _run(name, t0, thunk):
-    """Run a check body, mapping budget exhaustion to a timeout result."""
-    try:
-        return thunk()
-    except BudgetExceeded as exc:
-        return _finish(name, t0, "timeout", {"budget": str(exc)})
-    except NotApplicable as exc:
-        return _finish(name, t0, "not-applicable", {"reason": str(exc)})
-
-
-def _membership_check(name, t0, targets, ideal, budget, label):
-    for tag, g in targets:
-        if not ideal.contains(g, budget):
-            return _finish(name, t0, "fail",
-                           {"target": label, "offending": tag,
-                            "generator": _clip(g)})
-    return _finish(name, t0, "pass")
+def _extra_element(ia, ib, budget):
+    """A reduced-basis element of one ideal that the other's basis lacks."""
+    gA = ia.groebner(budget)
+    gB = ib.groebner(budget)
+    extra = [p for p in gA if p not in gB.polys] or \
+            [p for p in gB if p not in gA.polys]
+    return _clip(extra[0])
 
 
 def _clip(g, limit=180):
@@ -198,26 +183,19 @@ def _lemma_data(chart, name):
     raise ValueError("unknown lemma check %r" % (name,))
 
 
-def verify_lemma(name, chart, cfg):
+def _lemma(name):
     """One of the seven reduction lemmas as a membership check."""
-    t0 = time.monotonic()
-    if name not in LEMMA_CHECKS:
-        raise ValueError("unknown lemma check %r" % (name,))
-    if not chart.same_parity:
-        return _finish(name, t0, "not-applicable",
-                       {"reason": "lemma suite is for same-parity charts"})
-    if chart.d > cfg.full_matrix_limit:
-        return _finish(name, t0, "not-applicable",
-                       {"reason": "full-matrix checks gated to d <= %d"
-                                  % cfg.full_matrix_limit})
-
-    def body():
+    def body(chart, budget):
         targets, ideal = _lemma_data(chart, name)
-        return _membership_check(name, t0, targets, ideal, cfg.budget(), name)
-    return _run(name, t0, body)
+        for tag, g in targets:
+            if not ideal.contains(g, budget):
+                return "fail", {"target": name, "offending": tag,
+                                "generator": _clip(g)}
+        return "pass", None
+    return body
 
 
-def verify_reduction(chart, cfg):
+def _reduction(chart, budget):
     """The chart ideal presents the quadric-in-determinantal ring.
 
     (a) the intermediate ideal equals the full one; (b) the substitution
@@ -225,97 +203,53 @@ def verify_reduction(chart, cfg):
     lift into the full ideal; (d) the substitution is a section, i.e.
     x - phi(x) lies in the full ideal for every matrix variable.
     """
-    t0 = time.monotonic()
-    if not chart.same_parity:
-        return _finish("reduction", t0, "not-applicable",
-                       {"reason": "substitution map is printed for "
-                                  "same-parity charts only"})
-    if chart.d > cfg.full_matrix_limit:
-        return _finish("reduction", t0, "not-applicable",
-                       {"reason": "full-matrix checks gated to d <= %d"
-                                  % cfg.full_matrix_limit})
-
-    def body():
-        budget = cfg.budget()
-        full = chart.full_ideal()
-        inter = chart.intermediate_ideal()
-        if not full.equals(inter, budget):
-            gA = full.groebner(budget)
-            gB = inter.groebner(budget)
-            extra = [p for p in gA if p not in gB.polys] or \
-                    [p for p in gB if p not in gA.polys]
-            return _finish("reduction", t0, "fail",
-                           {"subcheck": "intermediate-equality",
-                            "witness": _clip(extra[0])})
-        red = chart.reduced_ideal()
-        phi = chart.substitution_map()
-        red_gb = red.groebner(budget)
-        for g in full.gens:
-            if not red_gb.contains(g.substitute(phi, chart.reduced_ring)):
-                return _finish("reduction", t0, "fail",
-                               {"subcheck": "phi-image", "generator": _clip(g)})
-        full_gb = full.groebner(budget)
-        for g in red.gens:
-            if not full_gb.contains(cast(g, chart.ring)):
-                return _finish("reduction", t0, "fail",
-                               {"subcheck": "reduced-lift", "generator": _clip(g)})
-        for nm in chart.ring.names:
-            if nm == "pi":
-                continue
-            diff = chart.ring.var(nm) - cast(phi[nm], chart.ring)
-            if not full_gb.contains(diff):
-                return _finish("reduction", t0, "fail",
-                               {"subcheck": "section", "variable": nm})
-        return _finish("reduction", t0, "pass")
-    return _run("reduction", t0, body)
+    full = chart.full_ideal()
+    inter = chart.intermediate_ideal()
+    if not full.equals(inter, budget):
+        return "fail", {"subcheck": "intermediate-equality",
+                        "witness": _extra_element(full, inter, budget)}
+    red = chart.reduced_ideal()
+    phi = chart.substitution_map()
+    red_gb = red.groebner(budget)
+    for g in full.gens:
+        if not red_gb.contains(g.substitute(phi, chart.reduced_ring)):
+            return "fail", {"subcheck": "phi-image", "generator": _clip(g)}
+    full_gb = full.groebner(budget)
+    for g in red.gens:
+        if not full_gb.contains(cast(g, chart.ring)):
+            return "fail", {"subcheck": "reduced-lift", "generator": _clip(g)}
+    for nm in chart.ring.names:
+        if nm == "pi":
+            continue
+        diff = chart.ring.var(nm) - cast(phi[nm], chart.ring)
+        if not full_gb.contains(diff):
+            return "fail", {"subcheck": "section", "variable": nm}
+    return "pass", None
 
 
-def verify_dimensions(chart, cfg):
+def _dimensions(chart, budget):
     """Special and generic fibers of the reduced ideal have dimension d-2."""
-    t0 = time.monotonic()
-    if chart.d > cfg.reduced_limit:
-        return _finish("dimensions", t0, "not-applicable",
-                       {"reason": "reduced-ring checks gated to d <= %d"
-                                  % cfg.reduced_limit})
-
-    def body():
-        want = chart.d - 2
-        ds = chart.special_fiber_ideal().dimension(cfg.budget())
-        dg = chart.generic_fiber_ideal().dimension(cfg.budget())
-        if ds == want and dg == want:
-            return _finish("dimensions", t0, "pass")
-        return _finish("dimensions", t0, "fail",
-                       {"expected": want, "special": ds, "generic": dg})
-    return _run("dimensions", t0, body)
+    want = chart.d - 2
+    ds = chart.special_fiber_ideal().dimension(budget)
+    dg = chart.generic_fiber_ideal().dimension(budget)
+    if ds == want and dg == want:
+        return "pass", None
+    return "fail", {"expected": want, "special": ds, "generic": dg}
 
 
-def verify_flatness_proxy(chart, cfg):
+def _flatness(chart, budget):
     """pi is a non-zerodivisor: (I'' : pi) = I'', exactly, over Q[pi]."""
-    t0 = time.monotonic()
-    if chart.d > cfg.reduced_limit:
-        return _finish("flatness", t0, "not-applicable",
-                       {"reason": "reduced-ring checks gated to d <= %d"
-                                  % cfg.reduced_limit})
-
-    def body():
-        cq = chart if chart.field == QQ else Chart(chart.d, chart.l, QQ)
-        red = cq.reduced_ideal()
-        budget = cfg.budget()
-        pi = cq.reduced_ring.var("pi")
-        colon = red.quotient(pi, budget)
-        if colon.equals(red, budget):
-            return _finish("flatness", t0, "pass")
-        gA = colon.groebner(budget)
-        gB = red.groebner(budget)
-        extra = [p for p in gA if p not in gB.polys] or \
-                [p for p in gB if p not in gA.polys]
-        return _finish("flatness", t0, "fail",
-                       {"witness": _clip(extra[0]),
-                        "note": "(I:pi) differs from I"})
-    return _run("flatness", t0, body)
+    cq = chart if chart.field == QQ else Chart(chart.d, chart.l, QQ)
+    red = cq.reduced_ideal()
+    pi = cq.reduced_ring.var("pi")
+    colon = red.quotient(pi, budget)
+    if colon.equals(red, budget):
+        return "pass", None
+    return "fail", {"witness": _extra_element(colon, red, budget),
+                    "note": "(I:pi) differs from I"}
 
 
-def verify_special_fiber(chart, cfg):
+def _special_fiber(chart, budget):
     """Decomposition and reducedness of the special fiber.
 
     (i) I_s equals the intersection of the component ideals; (ii) the
@@ -324,54 +258,70 @@ def verify_special_fiber(chart, cfg):
     variable of each component is not a pure power in its leading-term
     ideal.
     """
-    t0 = time.monotonic()
-    if chart.d > cfg.reduced_limit:
-        return _finish("special-fiber", t0, "not-applicable",
-                       {"reason": "reduced-ring checks gated to d <= %d"
-                                  % cfg.reduced_limit})
+    fiber = chart.special_fiber_ideal()
+    comps = chart.component_ideals()
+    expected = expected_component_count(chart)
+    if len(comps) != expected:
+        return "fail", {"subcheck": "component-count",
+                        "expected": expected, "got": len(comps)}
+    inter = None
+    for _, ideal, _ in comps:
+        inter = ideal if inter is None else inter.intersect(ideal, budget)
+    if not fiber.equals(inter, budget):
+        return "fail", {"subcheck": "intersection-equality",
+                        "witness": _extra_element(fiber, inter, budget)}
+    want = chart.d - 2
+    for label, ideal, _ in comps:
+        dim = ideal.dimension(budget)
+        if dim != want:
+            return "fail", {"subcheck": "component-dimension",
+                            "component": label, "expected": want, "got": dim}
+    for la, ia, _ in comps:
+        for lb, ib, _ in comps:
+            if la != lb and all(ib.contains(g, budget) for g in ia.gens):
+                return "fail", {"subcheck": "incomparability",
+                                "contained": la, "in": lb}
+    for label, ideal, v in comps:
+        if not pure_power_free(ideal.groebner(budget), v):
+            return "fail", {"subcheck": "pure-power-free",
+                            "component": label, "variable": v}
+    return "pass", {"components": comps.labels()}
 
-    def body():
-        budget = cfg.budget()
-        fiber = chart.special_fiber_ideal()
-        comps = chart.component_ideals()
-        expected = expected_component_count(chart)
-        if len(comps) != expected:
-            return _finish("special-fiber", t0, "fail",
-                           {"subcheck": "component-count",
-                            "expected": expected, "got": len(comps)})
-        inter = None
-        for _, ideal, _ in comps:
-            inter = ideal if inter is None else inter.intersect(ideal, budget)
-        if not fiber.equals(inter, budget):
-            gA = fiber.groebner(budget)
-            gB = inter.groebner(budget)
-            extra = [p for p in gA if p not in gB.polys] or \
-                    [p for p in gB if p not in gA.polys]
-            return _finish("special-fiber", t0, "fail",
-                           {"subcheck": "intersection-equality",
-                            "witness": _clip(extra[0])})
-        want = chart.d - 2
-        for label, ideal, _ in comps:
-            dim = ideal.dimension(budget)
-            if dim != want:
-                return _finish("special-fiber", t0, "fail",
-                               {"subcheck": "component-dimension",
-                                "component": label,
-                                "expected": want, "got": dim})
-        for la, ia, _ in comps:
-            for lb, ib, _ in comps:
-                if la != lb and all(ib.contains(g, budget) for g in ia.gens):
-                    return _finish("special-fiber", t0, "fail",
-                                   {"subcheck": "incomparability",
-                                    "contained": la, "in": lb})
-        for label, ideal, v in comps:
-            if not pure_power_free(ideal.groebner(budget), v):
-                return _finish("special-fiber", t0, "fail",
-                               {"subcheck": "pure-power-free",
-                                "component": label, "variable": v})
-        return _finish("special-fiber", t0, "pass",
-                       {"components": comps.labels()})
-    return _run("special-fiber", t0, body)
+
+def _full_ring_gate(parity_reason):
+    """Checks on the full d*d ring: same-parity charts with d at most
+    ``full_matrix_limit``.  The default listing leaves out charts this gate
+    rejects."""
+    def gate(chart, cfg):
+        if not chart.same_parity:
+            return parity_reason
+        if chart.d > cfg.full_matrix_limit:
+            return "full-matrix checks gated to d <= %d" % cfg.full_matrix_limit
+        return None
+    return gate
+
+
+def _reduced_ring_gate(chart, cfg):
+    """Checks on the reduced ring: d at most ``reduced_limit``.  The default
+    listing keeps charts this gate rejects, as not-applicable."""
+    if chart.d > cfg.reduced_limit:
+        return "reduced-ring checks gated to d <= %d" % cfg.reduced_limit
+    return None
+
+
+# name -> (gate, body), in report order.  A gate returns None when the check
+# applies to the chart and the not-applicable reason otherwise; a body
+# (chart, budget) returns (status, witness).
+_lemma_gate = _full_ring_gate("lemma suite is for same-parity charts")
+_CHECKS = {name: (_lemma_gate, _lemma(name)) for name in LEMMA_CHECKS}
+_CHECKS.update({
+    "reduction": (_full_ring_gate("substitution map is printed for "
+                                  "same-parity charts only"), _reduction),
+    "dimensions": (_reduced_ring_gate, _dimensions),
+    "flatness": (_reduced_ring_gate, _flatness),
+    "special-fiber": (_reduced_ring_gate, _special_fiber),
+})
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def expected_component_count(chart):
@@ -387,29 +337,37 @@ def expected_component_count(chart):
     return 2
 
 
+def _run(name, chart, cfg):
+    """Gate, then body under the check's single budget; budget exhaustion
+    maps to a timeout result."""
+    t0 = time.monotonic()
+    gate, body = _CHECKS[name]
+    reason = gate(chart, cfg)
+    if reason is not None:
+        status, witness = "not-applicable", {"reason": reason}
+    else:
+        try:
+            status, witness = body(chart, cfg.budget())
+        except BudgetExceeded as exc:
+            status, witness = "timeout", {"budget": str(exc)}
+        except NotApplicable as exc:
+            status, witness = "not-applicable", {"reason": str(exc)}
+    return CheckResult(name, status, witness, (time.monotonic() - t0) * 1000.0)
+
+
 def verify_check(name, chart, cfg):
-    """Dispatch a named check."""
-    if name in LEMMA_CHECKS:
-        return verify_lemma(name, chart, cfg)
-    if name == "reduction":
-        return verify_reduction(chart, cfg)
-    if name == "dimensions":
-        return verify_dimensions(chart, cfg)
-    if name == "flatness":
-        return verify_flatness_proxy(chart, cfg)
-    if name == "special-fiber":
-        return verify_special_fiber(chart, cfg)
-    raise ValueError("unknown check %r (choose from %s)"
-                     % (name, ", ".join(CHECK_NAMES)))
+    """Run a named check."""
+    if name not in _CHECKS:
+        raise ValueError("unknown check %r (choose from %s)"
+                         % (name, ", ".join(CHECK_NAMES)))
+    return _run(name, chart, cfg)
 
 
 def applicable_checks(chart, cfg):
-    names = []
-    if chart.same_parity and chart.d <= cfg.full_matrix_limit:
-        names.extend(LEMMA_CHECKS)
-        names.append("reduction")
-    names.extend(["dimensions", "flatness", "special-fiber"])
-    return names
+    """The default check list: every check whose gate admits the chart, and
+    the reduced-ring checks in any case."""
+    return [name for name, (gate, _) in _CHECKS.items()
+            if gate is _reduced_ring_gate or gate(chart, cfg) is None]
 
 
 def chart_report(chart, cfg, checks=None):

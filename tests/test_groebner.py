@@ -1,13 +1,15 @@
 """Division algorithm, S-polynomials, Buchberger, normal forms."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from olmcheck.errors import BudgetExceeded, InvalidDivisor, InvalidInput
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.groebner import (Budget, buchberger, multivariate_division,
-                               normal_form_membership, s_polynomial)
+from olmcheck.groebner import (Budget, GroebnerBasis, buchberger,
+                               multivariate_division, normal_form_membership,
+                               s_polynomial)
 from olmcheck.orders import GRLEX, LEX
 from olmcheck.rings import Ring
 from oracles import member_up_to_degree, random_poly
@@ -163,6 +165,23 @@ def test_normal_form_is_canonical_representative():
     # f = (x^2)^2 + x^2 y = (y)^2 + y*y = 2y^2 -> 4 modulo the ideal
     assert nf == R.const(4)
     assert gb.normal_form(f - R.const(4)).is_zero()
+
+
+def test_long_normal_form_is_exact_remainder():
+    # non-monic generators and a non-integer input whose reduction takes
+    # more than 64 steps, so over Q the remainder passes through
+    # leading-coefficient scalings and mid-reduction content strips
+    for field in (QQ, PrimeField(32003)):
+        R = Ring(["x", "y", "z"], field, GRLEX)
+        x, y, z = R.gens()
+        gb = buchberger([3 * x**2 - 2 * y * z + z, 2 * y**2 + 5 * x * z - 1,
+                         7 * z**3 - x * y + 4])
+        f = (x.scale(Fraction(1, 3)) + y.scale(Fraction(2, 5)) + z - 1) ** 7
+        res = multivariate_division(f, list(gb))
+        assert sum(len(q) for q in res.quotients) > 64
+        assert not res.remainder.is_zero()
+        assert gb.normal_form(f) == res.remainder
+        assert GroebnerBasis(R, list(gb)).normal_form(f) == res.remainder
 
 
 def test_budget_exhaustion_raises():

@@ -83,6 +83,22 @@ def test_packed_divisibility_near_field_bounds():
         G.monomial([MAX_EXPONENT, MAX_EXPONENT])  # degree field would overflow
 
 
+def test_exponent_overflow_raises():
+    from olmcheck.ideals import Ideal
+    from olmcheck.orders import MAX_EXPONENT
+    R = Ring(["x", "y"], QQ, GRLEX)
+    x, y = R.gens()
+    assert Ideal(R, [x]).contains(x**MAX_EXPONENT)
+    # unchecked, these wrap into the neighbouring field: a false non-member
+    # and a power printed as x^4464
+    with pytest.raises(ValueError, match="overflows"):
+        Ideal(R, [x]).contains(x**40000)
+    with pytest.raises(ValueError, match="overflows"):
+        str(x**70000)
+    with pytest.raises(ValueError, match="overflows"):
+        x**20000 * (x**20000 + y)
+
+
 def test_packed_lcm_and_degree():
     R = Ring(["a", "b", "c"], QQ, GRLEX)
     m1 = R.monomial([3, 0, 1])

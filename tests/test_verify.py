@@ -10,9 +10,9 @@ import pytest
 from olmcheck.charts import Chart
 from olmcheck.fields import PrimeField, QQ
 from olmcheck.ideals import Ideal
-from olmcheck.verify import (EngineConfig, LEMMA_CHECKS, PRIMALITY_NOTE,
-                             chart_report, expected_component_count, run_suite,
-                             verify_check)
+from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
+                             PRIMALITY_NOTE, chart_report,
+                             expected_component_count, run_suite, verify_check)
 
 CFG = EngineConfig(modulus=32003)
 
@@ -181,6 +181,39 @@ def test_gates_and_not_applicable():
     tiny_gate = EngineConfig(modulus=32003, reduced_limit=7)
     res = verify_check("dimensions", big, tiny_gate)
     assert res.status == "not-applicable"
+
+
+def test_applicable_checks_listing_rule():
+    from olmcheck.verify import applicable_checks
+    reduced = ["dimensions", "flatness", "special-fiber"]
+    assert applicable_checks(_chart(6, 2), CFG) == \
+        list(LEMMA_CHECKS) + ["reduction"] + reduced
+    # opposite parity, and same parity above full_matrix_limit: the
+    # full-ring checks are left out
+    assert applicable_checks(_chart(6, 3), CFG) == reduced
+    big = _chart(9, 3)
+    assert applicable_checks(big, CFG) == reduced
+    # above reduced_limit the reduced-ring checks stay listed
+    report = chart_report(big, CFG)
+    assert [c.status for c in report.checks] == ["not-applicable"] * 3
+    assert report.checks[0].witness == \
+        {"reason": "reduced-ring checks gated to d <= 8"}
+
+
+def test_each_check_makes_one_budget(monkeypatch):
+    calls = []
+    real = EngineConfig.budget
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(EngineConfig, "budget", counting)
+    chart = _chart(6, 2)
+    for name in CHECK_NAMES:
+        calls.clear()
+        assert verify_check(name, chart, CFG).status == "pass"
+        assert len(calls) <= 1, name
 
 
 def test_timeout_is_reported_not_passed():
