@@ -60,6 +60,20 @@ class Budget:
 # public textbook operations
 # ---------------------------------------------------------------------------
 
+def _hull(ring, monomials):
+    """Per-field max of the monomials: a shift that keeps the hull inside
+    the packed fields keeps every one of them inside."""
+    hull = 0
+    for m in monomials:
+        hull = ring.mono_max(hull, m)
+    return hull
+
+
+def _check_shift(ring, hull, shift):
+    if (hull + shift) & ring.guard_mask:
+        raise ValueError("shifted exponent overflows the packed field")
+
+
 class DivisionResult:
     """Quotients and remainder with f = sum(q_i * f_i) + r."""
 
@@ -89,6 +103,7 @@ def multivariate_division(f, divisors):
         if g.ring is not ring:
             raise InvalidDivisor("divisor from a different ring")
     lts = [g.lt() for g in divisors]
+    hulls = [_hull(ring, g._d) for g in divisors]
     quotients = [dict() for _ in divisors]
     remainder = {}
     work = dict(f._d)
@@ -99,6 +114,7 @@ def multivariate_division(f, divisors):
         for i, (lm, lc) in enumerate(lts):
             if divides(lm, t):
                 shift = t - lm
+                _check_shift(ring, hulls[i], shift)
                 q = field.div(c, lc)
                 acc = field.add(quotients[i].get(shift, field.zero), q)
                 if field.is_zero(acc):
@@ -132,6 +148,8 @@ def s_polynomial(f, g):
     mf, cf = f.lt()
     mg, cg = g.lt()
     lcm = ring.mono_lcm(mf, mg)
+    _check_shift(ring, _hull(ring, f._d), lcm - mf)
+    _check_shift(ring, _hull(ring, g._d), lcm - mg)
     d = {}
     inv_cf = field.inv(cf)
     for m, c in f._d.items():
@@ -160,18 +178,6 @@ def _content(values, g=0):
     return g
 
 
-def _split(d):
-    """Leading monomial, leading coefficient and tail of a raw dict."""
-    lt = max(d)
-    return lt, d[lt], tuple((m, c) for m, c in d.items() if m != lt)
-
-
-def _add(arrays, d):
-    """Append d to the parallel (lts, lcs, tails) lists that reduce reads."""
-    for col, v in zip(arrays, _split(d)):
-        col.append(v)
-
-
 class _Engine:
     """Arithmetic on raw int-coefficient dicts for one ring.
 
@@ -184,6 +190,20 @@ class _Engine:
     def __init__(self, ring):
         self.guard = ring.guard_mask
         self.p = ring.field.characteristic
+        self.ring = ring
+
+    def split(self, d):
+        """Leading monomial, leading coefficient, tail and tail hull of a
+        raw dict."""
+        lt = max(d)
+        tail = tuple((m, c) for m, c in d.items() if m != lt)
+        return lt, d[lt], tail, _hull(self.ring, (m for m, _ in tail))
+
+    def add(self, arrays, d):
+        """Append d to the parallel (lts, lcs, tails, hulls) lists that
+        reduce reads."""
+        for col, v in zip(arrays, self.split(d)):
+            col.append(v)
 
     def prepare(self, poly_dict):
         """Normalised raw dict of a Polynomial's coefficient dict."""
@@ -220,13 +240,14 @@ class _Engine:
             k = Fraction(1, d[max(d)])
         return {m: c * k for m, c in d.items()}
 
-    def reduce(self, f, lts, lcs, tails, budget=None):
+    def reduce(self, f, lts, lcs, tails, hulls, budget=None):
         """Full reduction of f (destroyed) against the basis arrays.
 
         Returns ``(out, mult)`` with ``out == mult * NF(f)``.  Over F_p the
         basis is monic and mult is 1.  Over Q every step first scales the
         remainder by the divisor's leading coefficient, and every 64 steps
         the joint content of the remainder is stripped; mult follows both.
+        Raises ValueError when a shifted tail would overflow a packed field.
         """
         p = self.p
         guard = self.guard
@@ -250,6 +271,7 @@ class _Engine:
             if budget is not None:
                 budget.reduction_step()
             shift = t - lts[hit]
+            _check_shift(self.ring, hulls[hit], shift)
             a = lcs[hit]
             if a != 1:
                 for k in f:
@@ -278,11 +300,13 @@ class _Engine:
                     den *= g
         return out, (num if den == 1 else Fraction(num, den))
 
-    def spair(self, i, j, lts, lcs, tails, lcm):
+    def spair(self, i, j, lts, lcs, tails, hulls, lcm):
         """lc_j (lcm/lt_i) g_i - lc_i (lcm/lt_j) g_j, leads cancelled."""
         p = self.p
         a, b = lcs[j], lcs[i]
         si, sj = lcm - lts[i], lcm - lts[j]
+        _check_shift(self.ring, hulls[i], si)
+        _check_shift(self.ring, hulls[j], sj)
         out = {m + si: a * c for m, c in tails[i]}
         for m, c in tails[j]:
             key = m + sj
@@ -304,15 +328,15 @@ def _interreduce(engine, ding):
     """One ascending pass of input cleanup: each generator is fully reduced
     against the ones already kept.  Safe (never loses the ideal) and cheap;
     the final auto-reduction happens after Buchberger terminates.  Returns
-    the kept dicts and their (lts, lcs, tails) arrays."""
+    the kept dicts and their (lts, lcs, tails, hulls) arrays."""
     ding = sorted((d for d in ding if d), key=max)
-    kept, arrays = [], ([], [], [])
+    kept, arrays = [], ([], [], [], [])
     for d in ding:
         if kept:
             d = engine.normalise(engine.reduce(dict(d), *arrays)[0])
         if d:
             kept.append(d)
-            _add(arrays, d)
+            engine.add(arrays, d)
     return kept, arrays
 
 
@@ -344,7 +368,7 @@ def buchberger(generators, budget=None):
     basis, arrays = _interreduce(engine, basis)
     if not basis:
         return GroebnerBasis(ring, ())
-    lts, lcs, tails = arrays
+    lts, lcs, tails, hulls = arrays
     lcm_of = ring.mono_lcm
     mono_deg = ring.mono_degree
 
@@ -379,7 +403,7 @@ def buchberger(generators, budget=None):
         stale = []
         for (i, j), l in pairs.items():
             if not (l - lt_t) & ring.guard_mask \
-                    and lcm_of(lts[i], lt_t) != l and lcm_of(lts[j], lt_t) != l:
+                    and cand[i] != l and cand[j] != l:
                 stale.append((i, j))
         for key in stale:
             del pairs[key]
@@ -397,14 +421,14 @@ def buchberger(generators, budget=None):
         del pairs[(i, j)]
         if budget is not None:
             budget.pair()
-        s = engine.spair(i, j, lts, lcs, tails, l)
+        s = engine.spair(i, j, lts, lcs, tails, hulls, l)
         if not s:
             continue
-        r = engine.normalise(engine.reduce(s, lts, lcs, tails, budget)[0])
+        r = engine.normalise(engine.reduce(s, *arrays, budget)[0])
         if not r:
             continue
         basis.append(r)
-        _add(arrays, r)
+        engine.add(arrays, r)
         push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
@@ -418,13 +442,14 @@ def buchberger(generators, budget=None):
     mlts = [lts[i] for i in minimal]
     mlcs = [lcs[i] for i in minimal]
     mtails = [tails[i] for i in minimal]
+    mhulls = [hulls[i] for i in minimal]
     reduced = []
     for k, i in enumerate(minimal):
         mlts[k] = guard     # divides no monomial, so g_k skips itself
-        r = engine.normalise(
-            engine.reduce(dict(basis[i]), mlts, mlcs, mtails, budget)[0])
+        r = engine.normalise(engine.reduce(
+            dict(basis[i]), mlts, mlcs, mtails, mhulls, budget)[0])
         reduced.append(r)
-        mlts[k], mlcs[k], mtails[k] = _split(r)
+        mlts[k], mlcs[k], mtails[k], mhulls[k] = engine.split(r)
     reduced.sort(key=max, reverse=True)
     polys = tuple(Polynomial(ring, engine.finish(d)) for d in reduced)
     return GroebnerBasis(ring, polys)
@@ -437,10 +462,10 @@ class GroebnerBasis:
         self.ring = ring
         self.polys = tuple(polys)
         self._engine = _Engine(ring)
-        arrays = ([], [], [])
+        arrays = ([], [], [], [])
         for p in self.polys:
-            _add(arrays, self._engine.prepare(p._d))
-        lts, self._lcs, self._tails = arrays
+            self._engine.add(arrays, self._engine.prepare(p._d))
+        lts, self._lcs, self._tails, self._hulls = arrays
         self._lts = tuple(lts)
 
     @property
@@ -477,7 +502,8 @@ class GroebnerBasis:
         work = engine.prepare(f._d)
         t = max(work)
         lead = work[t]
-        out, mult = engine.reduce(work, self._lts, self._lcs, self._tails)
+        out, mult = engine.reduce(work, self._lts, self._lcs, self._tails,
+                                  self._hulls)
         # work = (lead / lc(f)) * f and out = mult * NF(work)
         k = field.div(f._d[t], field.coerce(mult * lead))
         return Polynomial(self.ring, engine.finish(out, k))

@@ -16,6 +16,30 @@ because any per-field underflow in the subtraction sets that field's guard
 bit.  Products of monomials are integer additions, and an overflowing field
 shows as a set guard bit in the sum; polynomial multiplication raises
 ValueError on it.
+
+The same guard bits give the per-field max of two words in a few word
+operations (Monagan & Pearce, CASC 2007):
+
+    ge  = ((m1 | guard_mask) - m2) & guard_mask   # guard set where m1 >= m2
+    sel = ge - (ge >> 15)                         # 0x7fff in those fields
+    max = m2 ^ ((m1 ^ m2) & sel)
+
+The lcm takes this max over the exponent fields only and then refills each
+degree field with the sum of its block's exponent fields.  As 2**16 is 1
+modulo 2**16 - 1, that sum is the block's fields taken as one integer
+modulo 2**16 - 1; it is exact because the lcm's block degree is at most
+the sum of two valid block degrees, 2 * MAX_EXPONENT < 2**16 - 1.  A refilled
+degree above MAX_EXPONENT raises ValueError.  Under grlex the degree is then
+the top field, read with one shift.
+
+Reduction adds a shift to every tail monomial of a basis element.  Under
+grlex no field of the result can exceed the degree of the term being
+reduced, but under lex and block orders it can.  Each basis element keeps a
+tail hull, the per-field max of its tail monomials (degree fields
+included), and a step tests ``(hull + shift) & guard_mask`` once: it is
+nonzero exactly when some shifted tail monomial overflows a field, and the
+reduction raises ValueError.  S-pairs, the textbook division and
+``s_polynomial`` test their shifts the same way.
 """
 
 FIELD_BITS = 16

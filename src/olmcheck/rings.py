@@ -15,6 +15,9 @@ from .errors import TableMismatch, MissingImage
 from .fields import QQ
 from .orders import GRLEX, FIELD_BITS, MAX_EXPONENT
 
+# 2**16 is 1 modulo this, so a word taken mod it is the sum of its fields
+_FIELD_FOLD = (1 << FIELD_BITS) - 1
+
 
 class Ring:
     """Polynomial ring with a fixed variable precedence and monomial order."""
@@ -33,19 +36,40 @@ class Ring:
 
         layout = order.layout(self.nvars)
         nfields = len(layout)
+        field_mask = (1 << FIELD_BITS) - 1
         self._exp_shift = [0] * self.nvars
         self._deg_fields = []
+        exp_mask = (1 << (nfields * FIELD_BITS)) - 1
         for pos, field_spec in enumerate(layout):
             shift = (nfields - 1 - pos) * FIELD_BITS
             if field_spec[0] == "exp":
                 self._exp_shift[field_spec[1]] = shift
             else:
                 self._deg_fields.append((shift, field_spec[1], field_spec[2]))
+                exp_mask ^= field_mask << shift
         guard = 0
         for pos in range(nfields):
             guard |= 1 << (pos * FIELD_BITS + FIELD_BITS - 1)
         self.guard_mask = guard
         self._one_mono = 0
+        # word-parallel lcm: per-field max over the exponent fields, then
+        # each degree field refilled with the sum of its block's fields,
+        # read as (block's exponent fields) mod 2**16 - 1
+        self._exp_mask = exp_mask
+        refill = []
+        for k, (shift, lo, hi) in enumerate(self._deg_fields):
+            if hi == lo:
+                continue        # a zero-variable ring's empty degree block
+            if k == 0:          # the top block: shift the fields below out
+                refill.append((shift - (hi - lo) * FIELD_BITS, 0, shift))
+            else:               # the bottom block: mask the fields above off
+                refill.append((0, (1 << shift) - 1, shift))
+        self._refill = tuple(refill)
+        # direct degree read: the top field is a degree field under grlex
+        # and block orders; block orders add the second one
+        deg_shifts = [shift for shift, _, _ in self._deg_fields]
+        self._top_deg = deg_shifts[0] if deg_shifts else None
+        self._low_deg = deg_shifts[1] if len(deg_shifts) > 1 else None
 
     def __repr__(self):
         return "Ring(%d vars, %r, %r)" % (self.nvars, self.field, self.order)
@@ -85,18 +109,41 @@ class Ring:
         return tuple((m >> s) & mask for s in self._exp_shift)
 
     def mono_degree(self, m):
-        if self._deg_fields:
-            mask = (1 << FIELD_BITS) - 1
-            return sum((m >> s) & mask for s, _, _ in self._deg_fields)
-        return sum(self.exponents(m))
+        top = self._top_deg
+        if top is None:
+            return sum(self.exponents(m))
+        low = self._low_deg
+        if low is None:
+            return m >> top
+        return (m >> top) + ((m >> low) & ((1 << FIELD_BITS) - 1))
 
     def mono_divides(self, m1, m2):
         return not (m2 - m1) & self.guard_mask
 
+    def mono_max(self, m1, m2):
+        """Per-field max of two packed words, degree fields included.
+
+        The result bounds both words field by field; it is a monomial only
+        when the order has no degree field.
+        """
+        guard = self.guard_mask
+        ge = ((m1 | guard) - m2) & guard     # guard bit set where m1 >= m2
+        sel = ge - (ge >> (FIELD_BITS - 1))  # all ones below those guards
+        return m2 ^ ((m1 ^ m2) & sel)
+
     def mono_lcm(self, m1, m2):
-        e1 = self.exponents(m1)
-        e2 = self.exponents(m2)
-        return self.monomial([a if a > b else b for a, b in zip(e1, e2)])
+        """lcm of two packed monomials, computed on the whole word.
+
+        Raises ValueError when a degree of the lcm overflows its field.
+        """
+        e = self.mono_max(m1, m2) & self._exp_mask
+        m = e
+        for low, mask, shift in self._refill:
+            deg = (e & mask if mask else e >> low) % _FIELD_FOLD
+            if deg > MAX_EXPONENT:
+                raise ValueError("lcm degree %d overflows the packed field" % deg)
+            m |= deg << shift
+        return m
 
     def compare(self, m1, m2):
         """Total order on packed monomials: -1, 0 or 1."""

@@ -7,7 +7,7 @@ import pytest
 
 from olmcheck.errors import BudgetExceeded, InvalidDivisor, InvalidInput
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.groebner import (Budget, GroebnerBasis, buchberger,
+from olmcheck.groebner import (Budget, GroebnerBasis, _Engine, buchberger,
                                multivariate_division, normal_form_membership,
                                s_polynomial)
 from olmcheck.orders import GRLEX, LEX
@@ -193,6 +193,61 @@ def test_budget_exhaustion_raises():
         buchberger(gens, Budget(max_pairs=1))
     with pytest.raises(BudgetExceeded):
         buchberger(gens, Budget(max_reductions=1))
+
+
+def test_lex_tail_shift_overflow_raises():
+    # x -> y^30000 rewrites x^3 to y^90000, past the packed field; the
+    # shifted tail used to wrap silently and give x*y^60000
+    R = Ring(["x", "y"], QQ, LEX)
+    x, y = R.gens()
+    gb = buchberger([x - y**30000])
+    assert gb.normal_form(x) == y**30000
+    with pytest.raises(ValueError, match="overflows"):
+        gb.normal_form(x**3)
+    # the S-pair of these shifts the tail z^15000 by z^20000
+    S = Ring(["x", "y", "z"], QQ, LEX)
+    x, y, z = S.gens()
+    f, g = x * z**20000 - z**20000, x**2 * y - z**15000
+    with pytest.raises(ValueError, match="overflows"):
+        buchberger([f, g])
+    engine = _Engine(S)
+    arrays = ([], [], [], [])
+    for h in (f, g):
+        engine.add(arrays, engine.prepare(h._d))
+    lcm = S.mono_lcm(f.lm(), g.lm())
+    for i, j in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="overflows"):
+            engine.spair(i, j, *arrays, lcm)
+    # the textbook operations guard their shifts the same way
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="overflows"):
+            s_polynomial(a, b)
+    with pytest.raises(ValueError, match="overflows"):
+        multivariate_division(x**3, [x - z**30000])
+
+
+class _CountingBudget(Budget):
+    """A limit-free budget that counts pairs and reduction steps."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = self.steps = 0
+
+    def pair(self):
+        self.pairs += 1
+
+    def reduction_step(self):
+        self.steps += 1
+
+
+def test_full_ideal_work_counters_are_fixed():
+    # the pair criteria and the reduction decide exactly this much work;
+    # any change to pair selection, pruning or reduction moves a counter
+    from olmcheck.charts import Chart
+    gens = Chart(6, 2, PrimeField(32003)).full_ideal().gens
+    budget = _CountingBudget()
+    gb = buchberger(gens, budget)
+    assert (budget.pairs, budget.steps, len(gb)) == (4329, 20936, 286)
 
 
 def test_prime_field_gb_matches_rational_staircase():

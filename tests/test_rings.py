@@ -109,6 +109,53 @@ def test_packed_lcm_and_degree():
     assert R.mono_degree(m1 + m2) == 8  # product adds degrees
 
 
+def _random_exponents(rng, nvars):
+    """Exponent vectors that are mostly small, sometimes near the field cap."""
+    from olmcheck.orders import MAX_EXPONENT
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [rng.randint(0, 3) for _ in range(nvars)]
+    if kind == 1 and nvars:
+        # one or two large exponents whose sum is near MAX_EXPONENT
+        vec = [0] * nvars
+        total = rng.randint(MAX_EXPONENT // 2, MAX_EXPONENT)
+        first = rng.randint(0, total)
+        vec[rng.randrange(nvars)] += first
+        vec[rng.randrange(nvars)] += total - first
+        return vec
+    return [rng.choice([0, MAX_EXPONENT, MAX_EXPONENT - 1, MAX_EXPONENT // 2,
+                        rng.randint(0, MAX_EXPONENT)]) for _ in range(nvars)]
+
+
+@pytest.mark.parametrize("nvars,order", [
+    (0, GRLEX), (0, LEX), (1, GRLEX), (4, GRLEX), (37, GRLEX), (4, LEX),
+    (3, Block(1)), (6, Block(1)), (6, Block(3)), (6, Block(5))])
+def test_packed_lcm_and_degree_match_exponent_vectors(nvars, order):
+    rng = random.Random(nvars * 31 + len(repr(order)))
+    R = Ring(["v%d" % i for i in range(nvars)], QQ, order)
+    raised = 0
+    for _ in range(400):
+        e1, e2 = _random_exponents(rng, nvars), _random_exponents(rng, nvars)
+        try:
+            m1, m2 = R.monomial(e1), R.monomial(e2)
+        except ValueError:
+            continue
+        assert R.mono_degree(m1) == sum(e1)
+        assert R.mono_degree(m2) == sum(e2)
+        top = [max(a, b) for a, b in zip(e1, e2)]
+        try:
+            want = R.monomial(top)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="overflows"):
+                R.mono_lcm(m1, m2)
+            continue
+        assert R.mono_lcm(m1, m2) == want
+        assert R.mono_lcm(m2, m1) == want
+    if order != LEX and nvars > 1:
+        assert raised       # the overflow branch was exercised
+
+
 def test_poly_arith_examples():
     R = Ring(["x", "y"], QQ, GRLEX)
     x, y = R.gens()
