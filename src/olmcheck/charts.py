@@ -33,13 +33,14 @@ what produces the three-component boundary cases.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import InvalidChart, InvalidUnit, NotApplicable
 from .fields import QQ
 from .ideals import Ideal
-from .matrices import PolyMatrix, antidiag, constant_matrix
+from .matrices import PolyMatrix, antidiag, constant_matrix, diagonal
 from .orders import GRLEX
-from .rings import Ring, cast
+from .rings import Ring
 
 
 def xname(i, j):
@@ -111,8 +112,18 @@ class ComponentFamily:
     def labels(self):
         return [label for label, _, _ in self.components]
 
-    def ideals(self):
-        return [ideal for _, ideal, _ in self.components]
+
+def _solve_expressions(B1, A, B2, Je, Jm):
+    """What E1, E2, E3, E4, O1, O2 equal on the chart: -1/2 Je Bk^t Jm M.
+
+    ``solve_relations`` subtracts them from the blocks of X; the substitution
+    map reads them with A replaced by its image B2 Je B1^t Jm.
+    """
+    half = B1.ring.field.coerce(Fraction(1, 2))
+    L1 = Je @ B1.T @ Jm
+    L2 = Je @ B2.T @ Jm
+    return [(L @ M).scale(-half)
+            for L, M in ((L2, B1), (L2, B2), (L1, B1), (L1, B2), (L2, A), (L1, A))]
 
 
 class Chart:
@@ -124,16 +135,16 @@ class Chart:
         self.l = l
         self.field = field
         self.n = d // 2
-        self.r = l // 2
-        self.rprime = self.r if l % 2 == 0 else self.r + 1
         self.same_parity = d % 2 == l % 2
         self.case = ("E" if d % 2 == 0 else "O") + ("E" if l % 2 == 0 else "O")
         self.mid_size = l if self.same_parity else l + 1
         self.e = (d - self.mid_size) // 2
-        self.mid_lo = self.e + 1
-        self.mid_hi = d - self.e
         self.center = self.n + 1
-        self.mid = list(range(self.mid_lo, self.mid_hi + 1))
+        self.mid = list(range(self.e + 1, d - self.e + 1))
+        # the outer e columns on each side; the same indices are the top and
+        # bottom rows of the E and O blocks
+        self._left = list(range(1, self.e + 1))
+        self._right = list(range(d - self.e + 1, d + 1))
         if self.same_parity:
             self.rows = list(self.mid)
         else:
@@ -168,85 +179,81 @@ class Chart:
 
     def _blocks(self, X):
         """B1, A, B2 (and Q for opposite parity) from the band rows of X."""
-        d, e = self.d, self.e
-        left = list(range(1, e + 1))
-        right = list(range(d - e + 1, d + 1))
-        B1 = self._sub(X, self.mid, left)
-        B2 = self._sub(X, self.mid, right)
+        B1 = self._sub(X, self.mid, self._left)
+        B2 = self._sub(X, self.mid, self._right)
         A = self._sub(X, self.mid, self.mid)
         Q = None if self.same_parity else self._sub(X, self.mid, [self.center])
         return B1, A, B2, Q
+
+    def _solve_blocks(self):
+        """(rows, cols) of E1, E2, E3, E4, O1, O2, in the order of
+        ``_solve_expressions``."""
+        lo, hi = self._left, self._right
+        return ((lo, lo), (lo, hi), (hi, lo), (hi, hi), (lo, self.mid), (hi, self.mid))
+
+    def _equations(self):
+        """The chart's matrix system in the full ring, built once: X, its
+        blocks, pi, the J matrices, and every relation family that more than
+        one generator list or lemma reads."""
+        return self._cached("equations", self._build_equations)
+
+    def _build_equations(self):
+        ring = self.ring
+        X = self.x_matrix()
+        B1, A, B2, Q = self._blocks(X)
+        pi = self.pi()
+        G0, G1 = self.gram()
+        S0X = constant_matrix(ring, G0) @ X
+        S1X = constant_matrix(ring, G1) @ X
+        lin = S0X + S1X.scale(pi)          # (S0 + pi S1) X
+        Je = antidiag(ring, self.e)
+        Jm = antidiag(ring, self.mid_size)
+        AJm = A @ Jm
+        return SimpleNamespace(
+            X=X, B1=B1, A=A, B2=B2, Q=Q, pi=pi, Je=Je, Jm=Jm,
+            square=X @ X,
+            minors=X.minors2(),
+            trace=X.trace(),
+            trace_A=A.trace() + pi.scale(2),
+            antisym=AJm - (Jm @ A.T),
+            band=(B2 @ Je @ B1.T) - AJm,
+            rel0=(X.T @ S0X) - lin.scale(pi.scale(2)),
+            rel1=(X.T @ S1X) + lin.scale(2))
 
     # -- generator families ---------------------------------------------------------
 
     def naive_generators(self):
         """Raw entries of the four matrix relations (before dedup)."""
-        ring = self.ring
-        X = self.x_matrix()
-        G0, G1 = self.gram()
-        S0 = constant_matrix(ring, G0)
-        S1 = constant_matrix(ring, G1)
-        pi = self.pi()
-        two_pi = pi.scale(2)
-        SX = S0 @ X
-        S1X = S1 @ X
-        lin = SX + S1X.scale(pi)          # (S0 + pi S1) X
-        rel_sq = X @ X
-        rel0 = (X.T @ SX) - lin.scale(two_pi)
-        rel1 = (X.T @ S1X) + lin.scale(2)
-        return (rel_sq.entries() + X.minors2() + rel0.entries() + rel1.entries())
+        eq = self._equations()
+        return (eq.square.entries() + eq.minors + eq.rel0.entries()
+                + eq.rel1.entries())
 
     def additional_generators(self):
-        ring = self.ring
-        X = self.x_matrix()
-        B1, A, B2, Q = self._blocks(X)
-        pi = self.pi()
-        m = self.mid_size
-        gens = [X.trace()]
+        eq = self._equations()
         if self.same_parity:
-            Jm = antidiag(ring, m)
-            Je = antidiag(ring, self.e)
-            gens.append(A.trace() + pi.scale(2))
-            gens += ((A @ Jm) - (Jm @ A.T)).entries()
-            gens += ((B2 @ Je @ B1.T) - (A @ Jm)).entries()
-        else:
-            c = self.mid.index(self.center)
-            keep = [k for k in range(m) if k != c]
-            Aprime = PolyMatrix(ring, [[A[i, j] for j in keep] for i in keep])
-            Jl = antidiag(ring, m - 1)
-            Je = antidiag(ring, self.e)
-            Jm = antidiag(ring, m)
-            Hvals = [ring.zero() if k == c else ring.one() for k in range(m)]
-            H = PolyMatrix(ring, [[Hvals[i] if i == j else ring.zero()
-                                   for j in range(m)] for i in range(m)])
-            gens.append(Aprime.trace() + pi.scale(2))
-            gens += ((Aprime @ Jl) - (Jl @ Aprime.T)).entries()
-            core = (H @ B2 @ Je @ B1.T @ H).scale(2) \
-                + (H @ Q @ Q.T @ H) - (H @ A @ Jm @ H).scale(2)
-            gens += core.entries()
-        return gens
+            return ([eq.trace, eq.trace_A] + eq.antisym.entries()
+                    + eq.band.entries())
+        ring = self.ring
+        B1, A, B2, Q, Je, Jm = eq.B1, eq.A, eq.B2, eq.Q, eq.Je, eq.Jm
+        m = self.mid_size
+        c = self.mid.index(self.center)
+        keep = [k for k in range(m) if k != c]
+        Aprime = PolyMatrix(ring, [[A[i, j] for j in keep] for i in keep])
+        Jl = antidiag(ring, m - 1)
+        H = diagonal(ring, [ring.zero() if k == c else ring.one() for k in range(m)])
+        gens = [eq.trace, Aprime.trace() + eq.pi.scale(2)]
+        gens += ((Aprime @ Jl) - (Jl @ Aprime.T)).entries()
+        core = (H @ B2 @ Je @ B1.T @ H).scale(2) \
+            + (H @ Q @ Q.T @ H) - (H @ A @ Jm @ H).scale(2)
+        return gens + core.entries()
 
     def intermediate_generators(self):
         """The halfway ideal I' of the same-parity reduction."""
         if not self.same_parity:
             raise NotApplicable("I' is defined for same-parity charts only")
-        ring = self.ring
-        X = self.x_matrix()
-        B1, A, B2, _ = self._blocks(X)
-        pi = self.pi()
-        G0, G1 = self.gram()
-        S0 = constant_matrix(ring, G0)
-        S1 = constant_matrix(ring, G1)
-        lin = (S0 @ X) + (S1 @ X).scale(pi)
-        rel1 = (X.T @ (S1 @ X)) + lin.scale(2)
-        Jm = antidiag(ring, self.mid_size)
-        Je = antidiag(ring, self.e)
-        gens = X.minors2()
-        gens.append(X.trace())
-        gens.append(A.trace() + pi.scale(2))
-        gens += ((B2 @ Je @ B1.T) - (A @ Jm)).entries()
-        gens += rel1.entries()
-        return gens
+        eq = self._equations()
+        return (eq.minors + [eq.trace, eq.trace_A] + eq.band.entries()
+                + eq.rel1.entries())
 
     def solve_relations(self):
         """The six matrix relations expressing E and O blocks through B1, B2, A.
@@ -257,30 +264,11 @@ class Chart:
         """
         if not self.same_parity:
             raise NotApplicable("the printed solve relations assume same parity")
-        ring = self.ring
-        X = self.x_matrix()
-        B1, A, B2, _ = self._blocks(X)
-        Je = antidiag(ring, self.e)
-        Jm = antidiag(ring, self.mid_size)
-        half = ring.field.coerce(Fraction(1, 2))
-        d, e = self.d, self.e
-        top = list(range(1, e + 1))
-        bottom = list(range(d - e + 1, d + 1))
-        left = list(range(1, e + 1))
-        right = list(range(d - e + 1, d + 1))
-        E1 = self._sub(X, top, left)
-        E2 = self._sub(X, top, right)
-        E3 = self._sub(X, bottom, left)
-        E4 = self._sub(X, bottom, right)
-        O1 = self._sub(X, top, self.mid)
-        O2 = self._sub(X, bottom, self.mid)
+        eq = self._equations()
+        exprs = _solve_expressions(eq.B1, eq.A, eq.B2, eq.Je, eq.Jm)
         rel = []
-        rel += (E1 + (Je @ B2.T @ Jm @ B1).scale(half)).entries()
-        rel += (E2 + (Je @ B2.T @ Jm @ B2).scale(half)).entries()
-        rel += (E3 + (Je @ B1.T @ Jm @ B1).scale(half)).entries()
-        rel += (E4 + (Je @ B1.T @ Jm @ B2).scale(half)).entries()
-        rel += (O1 + (Je @ B2.T @ Jm @ A).scale(half)).entries()
-        rel += (O2 + (Je @ B1.T @ Jm @ A).scale(half)).entries()
+        for (rows, cols), expr in zip(self._solve_blocks(), exprs):
+            rel += (self._sub(eq.X, rows, cols) - expr).entries()
         return rel
 
     # -- the named ideals ------------------------------------------------------------
@@ -306,14 +294,14 @@ class Chart:
         k[band variables, pi]."""
         return self._cached("reduced", self._build_reduced)
 
-    def _band_matrix(self, ring):
-        return PolyMatrix(ring, [[ring.var(xname(i, j)) for j in self.cols]
+    def _band_matrix(self, ring, cols):
+        """The band rows of X restricted to ``cols``, over a band ring."""
+        return PolyMatrix(ring, [[ring.var(xname(i, j)) for j in cols]
                                  for i in self.rows])
 
     def _build_reduced(self):
         rr = self.reduced_ring
-        band = self._band_matrix(rr)
-        gens = band.minors2()
+        gens = self._band_matrix(rr, self.cols).minors2()
         gens.append(self.trace_quadric(rr) + rr.var("pi").scale(2))
         return Ideal(rr, _dedup(gens))
 
@@ -327,19 +315,16 @@ class Chart:
         it; on rank-one matrices the result factors as 2 q_u q_w either way).
         """
         zero = ring.zero()
-        e, m, d = self.e, self.mid_size, self.d
 
         def band_var(i, j):
             if i in set(self.rows):
                 return ring.var(xname(i, j))
             return zero
 
-        left = list(range(1, e + 1))
-        right = list(range(d - e + 1, d + 1))
-        B1 = PolyMatrix(ring, [[band_var(i, j) for j in left] for i in self.mid])
-        B2 = PolyMatrix(ring, [[band_var(i, j) for j in right] for i in self.mid])
-        Je = antidiag(ring, e)
-        Jm = antidiag(ring, m)
+        B1 = PolyMatrix(ring, [[band_var(i, j) for j in self._left] for i in self.mid])
+        B2 = PolyMatrix(ring, [[band_var(i, j) for j in self._right] for i in self.mid])
+        Je = antidiag(ring, self.e)
+        Jm = antidiag(ring, self.mid_size)
         core = B2 @ Je @ B1.T
         if self.same_parity:
             return (core @ Jm).trace()
@@ -365,38 +350,23 @@ class Chart:
 
     def _build_substitution(self):
         rr = self.reduced_ring
-        d, e, m = self.d, self.e, self.mid_size
-        band = self._band_matrix(rr)
-        left_cols = [self.cols.index(j) for j in range(1, e + 1)]
-        right_cols = [self.cols.index(j) for j in range(d - e + 1, d + 1)]
-        B1 = PolyMatrix(rr, [[band[i, j] for j in left_cols]
-                             for i in range(len(self.rows))])
-        B2 = PolyMatrix(rr, [[band[i, j] for j in right_cols]
-                             for i in range(len(self.rows))])
-        Je = antidiag(rr, e)
-        Jm = antidiag(rr, m)
-        half = rr.field.coerce(Fraction(1, 2))
+        band = self._band_matrix(rr, self.cols)
+        B1 = self._band_matrix(rr, self._left)
+        B2 = self._band_matrix(rr, self._right)
+        Je = antidiag(rr, self.e)
+        Jm = antidiag(rr, self.mid_size)
         A_img = B2 @ Je @ B1.T @ Jm
-        E1 = (Je @ B2.T @ Jm @ B1).scale(-half)
-        E2 = (Je @ B2.T @ Jm @ B2).scale(-half)
-        E3 = (Je @ B1.T @ Jm @ B1).scale(-half)
-        E4 = (Je @ B1.T @ Jm @ B2).scale(-half)
-        O1 = (Je @ B2.T @ Jm @ A_img).scale(-half)
-        O2 = (Je @ B1.T @ Jm @ A_img).scale(-half)
         images = {"pi": rr.var("pi")}
-        top = list(range(1, e + 1))
-        bottom = list(range(d - e + 1, d + 1))
         for bi, i in enumerate(self.rows):
             for bj, j in enumerate(self.cols):
                 images[xname(i, j)] = band[bi, bj]
             for bj, j in enumerate(self.mid):
                 images[xname(i, j)] = A_img[bi, bj]
-        for blocks, rows_, cols_ in ((E1, top, top), (E2, top, bottom),
-                                     (E3, bottom, top), (E4, bottom, bottom),
-                                     (O1, top, self.mid), (O2, bottom, self.mid)):
-            for bi, i in enumerate(rows_):
-                for bj, j in enumerate(cols_):
-                    images[xname(i, j)] = blocks[bi, bj]
+        exprs = _solve_expressions(B1, A_img, B2, Je, Jm)
+        for (rows, cols), expr in zip(self._solve_blocks(), exprs):
+            for bi, i in enumerate(rows):
+                for bj, j in enumerate(cols):
+                    images[xname(i, j)] = expr[bi, bj]
         return images
 
     # -- fibers and components ----------------------------------------------------------
@@ -444,52 +414,41 @@ class Chart:
     def _refl(self, i):
         return self.d + 1 - i
 
-    def _row_pairing(self):
-        rows = set(self.rows)
-        low = [a for a in self.rows if self._refl(a) in rows and a < self._refl(a)]
-        selfp = [a for a in self.rows
-                 if self._refl(a) == a or self._refl(a) not in rows]
-        return low, selfp
-
-    def _col_pairing(self):
-        cols = set(self.cols)
-        low = [s for s in self.cols if self._refl(s) in cols and s < self._refl(s)]
-        selfp = [s for s in self.cols
-                 if self._refl(s) == s or self._refl(s) not in cols]
+    def _pairing(self, indices):
+        """Split band rows or columns into the lower index of each pair
+        {a, d+1-a} inside the set, and the indices paired with themselves or
+        with nothing in the set."""
+        present = set(indices)
+        low = [a for a in indices if self._refl(a) in present and a < self._refl(a)]
+        selfp = [a for a in indices
+                 if self._refl(a) == a or self._refl(a) not in present]
         return low, selfp
 
     def _build_components(self):
         ring = self.fiber_ring
         half = ring.field.coerce(Fraction(1, 2))
         var = lambda i, j: ring.var(xname(i, j))
-        low_rows, self_rows = self._row_pairing()
-        low_cols, self_cols = self._col_pairing()
-        minors = self._band_matrix(ring).minors2()
+        low_rows, self_rows = self._pairing(self.rows)
+        low_cols, self_cols = self._pairing(self.cols)
+        minors = self._band_matrix(ring, self.cols).minors2()
 
-        def row_quadric_gens():
+        def quadric_gens(low, selfp, free, entry):
+            """q(f, g) for all free f, g: the pairing form on the paired index
+            a of entry(a, f) * entry(a', g), self-paired terms weighted 1/2."""
             out = []
-            for t in self.cols:
-                for s in self.cols:
-                    g = ring.zero()
-                    for a in low_rows:
-                        g = g + var(self._refl(a), t) * var(a, s)
-                    for a in self_rows:
-                        g = g + (var(a, t) * var(a, s)).scale(half)
-                    out.append(g)
+            for f in free:
+                for g in free:
+                    q = ring.zero()
+                    for a in low:
+                        q = q + entry(a, f) * entry(self._refl(a), g)
+                    for a in selfp:
+                        q = q + (entry(a, f) * entry(a, g)).scale(half)
+                    out.append(q)
             return out
 
-        def col_quadric_gens():
-            out = []
-            for i in self.rows:
-                for j in self.rows:
-                    g = ring.zero()
-                    for s in low_cols:
-                        g = g + var(i, s) * var(j, self._refl(s))
-                    for s in self_cols:
-                        g = g + (var(i, s) * var(j, s)).scale(half)
-                    out.append(g)
-            return out
-
+        row_quadric = lambda: quadric_gens(low_rows, self_rows, self.cols, var)
+        col_quadric = lambda: quadric_gens(low_cols, self_cols, self.rows,
+                                           lambda s, i: var(i, s))
         row_split = len(low_rows) == 1 and not self_rows
         col_split = len(low_cols) == 1 and not self_cols
         first_row = self.rows[0]
@@ -498,16 +457,16 @@ class Chart:
             a, b = low_rows[0], self._refl(low_rows[0])
             comps.append(("I1", [var(a, s) for s in self.cols], xname(b, 1)))
             comps.append(("I2", [var(b, s) for s in self.cols], xname(a, 1)))
-            comps.append(("I3", col_quadric_gens() + minors, xname(b, 1)))
+            comps.append(("I3", col_quadric() + minors, xname(b, 1)))
         elif col_split:
             comps.append(("I1", [var(i, 1) for i in self.rows],
                           xname(first_row, self.d)))
             comps.append(("I2", [var(i, self.d) for i in self.rows],
                           xname(first_row, 1)))
-            comps.append(("I3", row_quadric_gens() + minors, xname(first_row, 1)))
+            comps.append(("I3", row_quadric() + minors, xname(first_row, 1)))
         else:
-            comps.append(("I1", row_quadric_gens() + minors, xname(first_row, 1)))
-            comps.append(("I2", col_quadric_gens() + minors, xname(first_row, 1)))
+            comps.append(("I1", row_quadric() + minors, xname(first_row, 1)))
+            comps.append(("I2", col_quadric() + minors, xname(first_row, 1)))
         return ComponentFamily([(label, Ideal(ring, _dedup(gens)), v)
                                 for label, gens, v in comps])
 

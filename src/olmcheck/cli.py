@@ -218,10 +218,8 @@ def cmd_suite(args):
         sys.stderr.write("%s\n" % exc)
         return EXIT_USAGE
     suite = run_suite(charts, cfg)
-    note = suite.note
-    if not suite.reports:
-        note = note or "no checks run"
-    code = report_emit(suite.reports, args.format, args.out, aggregate_note=note)
+    code = report_emit(suite.reports, args.format, args.out,
+                       aggregate_note=suite.note)
     if code:
         return code
     if not suite.reports:

@@ -468,10 +468,6 @@ class GroebnerBasis:
         lts, self._lcs, self._tails, self._hulls = arrays
         self._lts = tuple(lts)
 
-    @property
-    def order(self):
-        return self.ring.order
-
     def __iter__(self):
         return iter(self.polys)
 

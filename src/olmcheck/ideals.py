@@ -72,15 +72,8 @@ class Ideal:
             return Ideal(sub, one)
         elim_names = [nm for nm in self.ring.names if nm in drop] + keep
         elim_ring = Ring(elim_names, self.ring.field, Block(len(drop)))
-        moved = [cast(g, elim_ring) for g in self.gens]
-        gb = buchberger(moved, budget)
-        dropped_idx = [elim_ring.index(nm) for nm in drop]
-        kept = []
-        for p in gb:
-            exps = [elim_ring.exponents(m) for m in p.monomials()]
-            if all(all(e[i] == 0 for i in dropped_idx) for e in exps):
-                kept.append(cast(p, sub))
-        return Ideal(sub, kept)
+        return _eliminate_first(
+            [cast(g, elim_ring) for g in self.gens], len(drop), sub, budget)
 
     def intersect(self, other, budget=None):
         """I cap J via the single auxiliary variable: eliminate t from
@@ -100,13 +93,7 @@ class Ideal:
         gens += [(one - t) * cast(g, ext) for g in other.gens]
         if not gens:
             return Ideal(ring, ())
-        gb = buchberger(gens, budget)
-        t_idx = ext.index(aux)
-        kept = []
-        for p in gb:
-            if all(ext.exponents(m)[t_idx] == 0 for m in p.monomials()):
-                kept.append(cast(p, ring))
-        return Ideal(ring, kept)
+        return _eliminate_first(gens, 1, ring, budget)
 
     def quotient(self, f, budget=None):
         """Colon ideal (I : f) = {g : g f in I}, via (1/f)(I cap (f))."""
@@ -127,6 +114,19 @@ class Ideal:
     def specialize(self, images, target):
         """Map the generators through a variable substitution."""
         return Ideal(target, [g.substitute(images, target) for g in self.gens])
+
+
+def _eliminate_first(gens, k, sub, budget):
+    """The ideal of ``gens`` cut down to the ring ``sub``.
+
+    ``gens`` live in a ring under ``Block(k)`` whose first k variables are
+    the ones eliminated.  Under a block order a basis element lies in the
+    subring exactly when its leading monomial does, so only that is tested.
+    """
+    gb = buchberger(gens, budget)
+    ring = gb.ring
+    return Ideal(sub, [cast(p, sub) for p in gb
+                       if not any(ring.exponents(p.lm())[:k])])
 
 
 def krull_dimension(ideal, budget=None):

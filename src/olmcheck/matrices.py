@@ -2,7 +2,8 @@
 
 Just enough linear algebra to write the chart relations the way they are
 stated: products, transposes, traces, antidiagonal units J_m, diagonal
-masks.  Sizes here are at most d x d with d <= 8, so nothing is tuned.
+masks.  Sizes are at most d x d for the chart's d, and charts up to d = 9
+are built in practice, so nothing is tuned.
 """
 
 

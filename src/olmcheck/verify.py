@@ -22,7 +22,6 @@ from .errors import BudgetExceeded, NotApplicable
 from .fields import QQ, coefficient_field
 from .groebner import Budget
 from .ideals import Ideal, pure_power_free
-from .matrices import antidiag, constant_matrix
 from .rings import cast
 
 LEMMA_CHECKS = (
@@ -127,59 +126,36 @@ def _tagged_entries(tag, mat, rows=None, cols=None):
 def _lemma_data(chart, name):
     """Target polynomials and the ideal they must belong to, per lemma."""
     ring = chart.ring
-    X = chart.x_matrix()
-    B1, A, B2, _ = chart._blocks(X)
-    pi = chart.pi()
-    Jm = antidiag(ring, chart.mid_size)
-    Je = antidiag(ring, chart.e)
-    G0, G1 = chart.gram()
-    S0 = constant_matrix(ring, G0)
-    S1 = constant_matrix(ring, G1)
-    lin = (S0 @ X) + (S1 @ X).scale(pi)
+    eq = chart._equations()
+    X, B1, A, B2, Je, Jm = eq.X, eq.B1, eq.A, eq.B2, eq.Je, eq.Jm
+    band_rels = [eq.trace_A] + eq.band.entries()
 
     if name == "X2-in-Iprime":
-        return _tagged_entries("X^2", X @ X), chart.intermediate_ideal()
+        return _tagged_entries("X^2", eq.square), chart.intermediate_ideal()
     if name == "antisym":
-        return (_tagged_entries("AJ-JAt", (A @ Jm) - (Jm @ A.T)),
-                chart.intermediate_ideal())
+        return _tagged_entries("AJ-JAt", eq.antisym), chart.intermediate_ideal()
     if name == "B1JB2-symmetric":
         theta = B1 @ Je @ B2.T
         return (_tagged_entries("theta-asym", theta - theta.T),
-                chart._cached("minors-ideal",
-                              lambda: Ideal(ring, X.minors2())))
+                chart._cached("minors-ideal", lambda: Ideal(ring, eq.minors)))
     if name == "S0-relation":
-        rel0 = (X.T @ (S0 @ X)) - lin.scale(pi.scale(2))
-        return _tagged_entries("S0-rel", rel0), chart.intermediate_ideal()
+        return _tagged_entries("S0-rel", eq.rel0), chart.intermediate_ideal()
     if name == "trace-in-ideal":
-        def build():
-            gens = X.minors2()
-            gens.append(A.trace() + pi.scale(2))
-            gens += ((B2 @ Je @ B1.T) - (A @ Jm)).entries()
-            gens += ((X.T @ (S1 @ X)) + lin.scale(2)).entries()
-            return Ideal(ring, gens)
-        return ([("Tr(X)", X.trace())],
-                chart._cached("iprime-sans-trace", build))
+        return ([("Tr(X)", eq.trace)],
+                chart._cached("iprime-sans-trace", lambda: Ideal(
+                    ring, eq.minors + band_rels + eq.rel1.entries())))
     if name == "A-relations":
-        def build():
-            gens = X.minors2()
-            gens.append(A.trace() + pi.scale(2))
-            gens += ((B2 @ Je @ B1.T) - (A @ Jm)).entries()
-            gens += chart.solve_relations()
-            return Ideal(ring, gens)
-        two_pi = pi.scale(2)
+        two_pi = eq.pi.scale(2)
         targets = _tagged_entries("AtJB1", (A.T @ Jm @ B1) + (Jm @ B1).scale(two_pi))
         targets += _tagged_entries("AtJB2", (A.T @ Jm @ B2) + (Jm @ B2).scale(two_pi))
         targets += _tagged_entries("AtJA", (A.T @ Jm @ A) + (Jm @ A).scale(two_pi))
-        return targets, chart._cached("solve-plus-band", build)
+        return targets, chart._cached("solve-plus-band", lambda: Ideal(
+            ring, eq.minors + band_rels + chart.solve_relations()))
     if name == "minors-reduce":
-        def build():
-            band = chart._sub(X, chart.rows, chart.cols)
-            gens = chart.solve_relations() + band.minors2()
-            gens.append(A.trace() + pi.scale(2))
-            gens += ((B2 @ Je @ B1.T) - (A @ Jm)).entries()
-            return Ideal(ring, gens)
-        targets = [("minor[%d]" % k, g) for k, g in enumerate(X.minors2())]
-        return targets, chart._cached("solve-plus-reduced", build)
+        targets = [("minor[%d]" % k, g) for k, g in enumerate(eq.minors)]
+        return targets, chart._cached("solve-plus-reduced", lambda: Ideal(
+            ring, chart.solve_relations()
+            + chart._sub(X, chart.rows, chart.cols).minors2() + band_rels))
     raise ValueError("unknown lemma check %r" % (name,))
 
 

@@ -7,7 +7,7 @@ import pytest
 from olmcheck.charts import Chart, gram_matrices, xname
 from olmcheck.errors import InvalidChart, InvalidUnit, NotApplicable
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.matrices import PolyMatrix, constant_matrix
+from olmcheck.matrices import PolyMatrix, antidiag, constant_matrix
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring
 from oracles import b2_j_b1t_entry
@@ -240,6 +240,23 @@ def test_substitution_examples():
     for (i1, j1), (i2, j2) in b2_j_b1t_entry(6, 2, 3, 4):
         oracle = oracle + rr.var(xname(i1, j1)) * rr.var(xname(i2, j2))
     assert phi["x[3][3]"] == oracle  # (B2 J B1^t J)[3][3] = (B2 J B1^t)[3][4]
+
+
+def test_substitution_kills_solve_relations_and_band_family():
+    # phi solves the E and O blocks and sends A to B2 J B1^t J, so every solve
+    # relation and every entry of B2 Je B1^t - A Jm maps to exactly zero
+    for d, l in [(5, 3), (6, 2), (6, 4), (7, 3), (7, 5)]:
+        for field in (QQ, PrimeField(32003)):
+            c = Chart(d, l, field)
+            phi = c.substitution_map()
+            X = c.x_matrix()
+            A = c._sub(X, c.mid, c.mid)
+            B1 = c._sub(X, c.mid, range(1, c.e + 1))
+            B2 = c._sub(X, c.mid, range(d - c.e + 1, d + 1))
+            Je, Jm = antidiag(c.ring, c.e), antidiag(c.ring, len(c.mid))
+            band = ((B2 @ Je @ B1.T) - (A @ Jm)).entries()
+            for g in c.solve_relations() + band:
+                assert g.substitute(phi, c.reduced_ring).is_zero(), (d, l, field, str(g))
 
 
 def test_substitution_not_applicable_for_opposite_parity():
