@@ -2,9 +2,11 @@
 
 The public surface works with ``Polynomial`` values.  Internally one engine,
 ``_Engine``, runs every computation on raw ``{packed monomial: int}`` dicts;
-its single reduction loop serves Buchberger, the final auto-reduction and
-``GroebnerBasis.normal_form`` alike.  The field characteristic p picks one of
-two coefficient strategies:
+its single reduction loop serves Buchberger, the auto-reduction and
+``GroebnerBasis.normal_form`` alike.  One auto-reduction pass,
+``_interreduce``, cleans the input generators and turns the minimal basis
+into the reduced one.  The field characteristic p picks one of two
+coefficient strategies:
 
 * prime field (p > 0): coefficients are residues in [0, p), basis elements
   kept monic;
@@ -16,7 +18,8 @@ two coefficient strategies:
 Pair management is Gebauer-Moeller: the coprime-leading-monomial skip plus
 the chain criteria, with the normal selection strategy (smallest lcm degree
 first, ties broken by the packed lcm, then by pair index) so runs are
-deterministic.
+deterministic.  The chain criterion visits the new pairs in packed-lcm
+order, which puts every strict divisor of an lcm before it.
 """
 
 import heapq
@@ -192,18 +195,17 @@ class _Engine:
         self.p = ring.field.characteristic
         self.ring = ring
 
-    def split(self, d):
-        """Leading monomial, leading coefficient, tail and tail hull of a
-        raw dict."""
+    def add(self, arrays, d):
+        """Append d's leading monomial, leading coefficient, tail and tail
+        hull to the parallel (lts, lcs, tails, hulls) lists that reduce
+        reads."""
+        lts, lcs, tails, hulls = arrays
         lt = max(d)
         tail = tuple((m, c) for m, c in d.items() if m != lt)
-        return lt, d[lt], tail, _hull(self.ring, (m for m, _ in tail))
-
-    def add(self, arrays, d):
-        """Append d to the parallel (lts, lcs, tails, hulls) lists that
-        reduce reads."""
-        for col, v in zip(arrays, self.split(d)):
-            col.append(v)
+        lts.append(lt)
+        lcs.append(d[lt])
+        tails.append(tail)
+        hulls.append(_hull(self.ring, (m for m, _ in tail)))
 
     def prepare(self, poly_dict):
         """Normalised raw dict of a Polynomial's coefficient dict."""
@@ -324,16 +326,18 @@ class _Engine:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _interreduce(engine, ding):
-    """One ascending pass of input cleanup: each generator is fully reduced
-    against the ones already kept.  Safe (never loses the ideal) and cheap;
-    the final auto-reduction happens after Buchberger terminates.  Returns
-    the kept dicts and their (lts, lcs, tails, hulls) arrays."""
-    ding = sorted((d for d in ding if d), key=max)
+def _interreduce(engine, ding, budget=None):
+    """Auto-reduce the nonzero dicts in ``ding``: each, in ascending lead
+    order, is fully reduced against the ones already kept, and a zero result
+    is dropped.  Every monomial of g is at most lt(g) and a divisor is at
+    most the monomial it divides, so only elements with smaller leads can
+    reduce g; on a minimal Groebner basis one pass therefore gives the
+    reduced basis.  Returns the kept dicts and their (lts, lcs, tails,
+    hulls) arrays."""
     kept, arrays = [], ([], [], [], [])
-    for d in ding:
+    for d in sorted(ding, key=max):
         if kept:
-            d = engine.normalise(engine.reduce(dict(d), *arrays)[0])
+            d = engine.normalise(engine.reduce(dict(d), *arrays, budget)[0])
         if d:
             kept.append(d)
             engine.add(arrays, d)
@@ -356,19 +360,11 @@ def buchberger(generators, budget=None):
             raise InvalidInput("generators from different rings")
     engine = _Engine(ring)
 
-    basis = []
-    seen = set()
-    for g in gens:
-        d = engine.prepare(g._d)
-        if d:
-            key = tuple(sorted(d.items()))
-            if key not in seen:
-                seen.add(key)
-                basis.append(d)
-    basis, arrays = _interreduce(engine, basis)
-    if not basis:
-        return GroebnerBasis(ring, ())
+    # repeated and scalar-multiple generators reduce to zero here; this pass
+    # takes no budget, so the step counter sees S-pairs and the final pass
+    basis, arrays = _interreduce(engine, [engine.prepare(g._d) for g in gens])
     lts, lcs, tails, hulls = arrays
+    guard = ring.guard_mask
     lcm_of = ring.mono_lcm
     mono_deg = ring.mono_degree
 
@@ -381,13 +377,14 @@ def buchberger(generators, budget=None):
         cand = {}
         for i in range(t):
             cand[i] = lcm_of(lts[i], lt_t)
-        # chain criterion among the new pairs
+        # chain criterion among the new pairs, in lcm order: every monomial
+        # order puts a strict divisor first
         keep = {}
-        for i in sorted(cand, key=lambda i: (mono_deg(cand[i]), cand[i], i)):
+        for i in sorted(cand, key=cand.__getitem__):
             li = cand[i]
             dominated = False
             for j, lj in keep.items():
-                if lj != li and not (li - lj) & ring.guard_mask:
+                if lj != li and not (li - lj) & guard:
                     dominated = True
                     break
             if not dominated:
@@ -402,7 +399,7 @@ def buchberger(generators, budget=None):
         # prune old pairs via the new leading term
         stale = []
         for (i, j), l in pairs.items():
-            if not (l - lt_t) & ring.guard_mask \
+            if not (l - lt_t) & guard \
                     and cand[i] != l and cand[j] != l:
                 stale.append((i, j))
         for key in stale:
@@ -432,26 +429,12 @@ def buchberger(generators, budget=None):
         push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    guard = ring.guard_mask
-    order_idx = sorted(range(len(basis)), key=lambda i: lts[i])
     minimal = []
-    for i in order_idx:
+    for i in sorted(range(len(basis)), key=lts.__getitem__):
         if not any(not (lts[i] - lts[j]) & guard for j in minimal):
             minimal.append(i)
-    # tail-reduce the minimal elements against each other
-    mlts = [lts[i] for i in minimal]
-    mlcs = [lcs[i] for i in minimal]
-    mtails = [tails[i] for i in minimal]
-    mhulls = [hulls[i] for i in minimal]
-    reduced = []
-    for k, i in enumerate(minimal):
-        mlts[k] = guard     # divides no monomial, so g_k skips itself
-        r = engine.normalise(engine.reduce(
-            dict(basis[i]), mlts, mlcs, mtails, mhulls, budget)[0])
-        reduced.append(r)
-        mlts[k], mlcs[k], mtails[k], mhulls[k] = engine.split(r)
-    reduced.sort(key=max, reverse=True)
-    polys = tuple(Polynomial(ring, engine.finish(d)) for d in reduced)
+    reduced, _ = _interreduce(engine, [basis[i] for i in minimal], budget)
+    polys = tuple(Polynomial(ring, engine.finish(d)) for d in reversed(reduced))
     return GroebnerBasis(ring, polys)
 
 

@@ -49,8 +49,6 @@ MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
 class GrLex:
     """Graded lexicographic: total degree first, then lex by precedence."""
 
-    kind = "grlex"
-
     def layout(self, nvars):
         return [("deg", 0, nvars)] + [("exp", i) for i in range(nvars)]
 
@@ -66,8 +64,6 @@ class GrLex:
 
 class Lex:
     """Pure lexicographic by variable precedence."""
-
-    kind = "lex"
 
     def layout(self, nvars):
         return [("exp", i) for i in range(nvars)]
@@ -89,8 +85,6 @@ class Block:
     monomial containing one of them dominates every monomial in the
     remaining variables.
     """
-
-    kind = "block"
 
     def __init__(self, k):
         if k < 1:

@@ -234,9 +234,6 @@ class Polynomial:
         deg = self.ring.mono_degree
         return max(deg(m) for m in self._d)
 
-    def coeff(self, m):
-        return self._d.get(m, self.ring.field.zero)
-
     def constant_term(self):
         return self._d.get(0, self.ring.field.zero)
 
@@ -419,14 +416,19 @@ class Polynomial:
 
 
 def cast(f, target):
-    """Move a polynomial to another ring by matching variable names."""
-    images = {}
-    ring = f.ring
-    for m, _ in f._d.items():
-        for i, e in enumerate(ring.exponents(m)):
-            if e and ring.names[i] not in images:
-                images[ring.names[i]] = target.var(ring.names[i])
-    return f.substitute(images, target)
+    """Move a polynomial to another ring by matching variable names.
+
+    Raises KeyError when a variable of f is missing from ``target`` and
+    ValueError when a monomial overflows the target's packed fields.
+    """
+    ring, field = f.ring, target.field
+    out = {}
+    for m, c in f._d.items():
+        c = field.coerce(c)
+        if not field.is_zero(c):
+            exps = {nm: e for nm, e in zip(ring.names, ring.exponents(m)) if e}
+            out[target.monomial(exps)] = c
+    return Polynomial(target, out)
 
 
 _TOKEN = re.compile(
@@ -486,7 +488,12 @@ def parse_polynomial(ring, text):
                 need_factor = True
                 continue
             if need_factor and kind == "num":
-                coeff = field.mul(coeff, field.parse(val))
+                try:
+                    value = field.parse(val)
+                except ZeroDivisionError:
+                    raise ValueError("zero denominator in coefficient %r of %r"
+                                     % (val, text)) from None
+                coeff = field.mul(coeff, value)
                 pos += 1
             elif need_factor and kind == "name":
                 e = 1

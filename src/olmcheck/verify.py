@@ -86,9 +86,6 @@ class ChartReport:
                    if c.status != "not-applicable") and \
             any(c.status == "pass" for c in self.checks)
 
-    def statuses(self):
-        return {c.name: c.status for c in self.checks}
-
 
 @dataclass
 class SuiteReport:

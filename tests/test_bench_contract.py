@@ -4,6 +4,8 @@
 ``SPANS`` and ``COUNTS``.  A rename in ``src/`` that drops one of them would
 break the traced run without failing any other test, so each name must
 resolve on a fresh import of the package, made here in a new interpreter.
+``perfbench/selftest.py`` feeds the bench's output checks real outputs of
+the program and corrupted copies; it runs here in a new interpreter too.
 """
 
 import json
@@ -37,3 +39,11 @@ def test_every_wrapped_name_resolves():
         [sys.executable, "-c", RESOLVE, str(ROOT / "perfbench" / "spans.py")],
         env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+def test_bench_selftest_passes():
+    out = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "perfbench" / "selftest.py")],
+        cwd=ROOT, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.rstrip().endswith("0 case(s) wrong")

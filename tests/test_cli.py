@@ -78,6 +78,15 @@ def test_gb_unparsable_input_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_gb_zero_denominator_is_usage_error(capsys, tmp_path):
+    for text, modulus in (("x + 1/0", "0"), ("x - 1/7", "7")):
+        f = tmp_path / "zero.txt"
+        f.write_text(text + "\n")
+        code, _, err = run(capsys, "gb", "--input", str(f), "--modulus", modulus)
+        assert code == 2
+        assert err.startswith("parse error:")
+
+
 def test_bad_flags_exit_two(capsys):
     assert run(capsys, "build", "--d", "6")[0] == 2          # missing --l
     assert run(capsys, "nonsense")[0] == 2

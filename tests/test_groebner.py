@@ -250,6 +250,35 @@ def test_full_ideal_work_counters_are_fixed():
     assert (budget.pairs, budget.steps, len(gb)) == (4329, 20936, 286)
 
 
+def test_block_and_lex_work_counters_are_fixed():
+    # the colon ideal runs Block(1) inside intersect; the lex run is the
+    # (8,4) reduced ideal on the same names
+    from olmcheck.charts import Chart
+    from olmcheck.rings import cast
+    chart = Chart(7, 3, QQ)
+    budget = _CountingBudget()
+    colon = chart.reduced_ideal().quotient(chart.reduced_ring.var("pi"), budget)
+    assert (budget.pairs, budget.steps, len(colon.gens)) == (299, 710, 24)
+    ideal = Chart(8, 4, PrimeField(32003)).reduced_ideal()
+    L = Ring(ideal.ring.names, ideal.ring.field, LEX)
+    gens = [cast(g, L) for g in ideal.gens]
+    budget = _CountingBudget()
+    gb = buchberger(gens, budget)
+    assert (budget.pairs, budget.steps, len(gb)) == (240, 625, 46)
+    # repeated and scaled generators change neither the basis nor the work
+    repeated = _CountingBudget()
+    again = buchberger(gens + [g.scale(3) for g in gens[::3]] + gens[:4],
+                       repeated)
+    assert again.polys == gb.polys
+    assert (repeated.pairs, repeated.steps) == (240, 625)
+    gens = list(chart.reduced_ideal().gens)
+    budget, repeated = _CountingBudget(), _CountingBudget()
+    gb = buchberger(gens, budget)
+    again = buchberger([g.scale(Fraction(-2, 3)) for g in gens] + gens, repeated)
+    assert again.polys == gb.polys
+    assert (repeated.pairs, repeated.steps) == (budget.pairs, budget.steps)
+
+
 def test_prime_field_gb_matches_rational_staircase():
     # same leading terms over Q and F_32003 for an ideal with small coefficients
     Rq = Ring(["x", "y", "z"], QQ, GRLEX)

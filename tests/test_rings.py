@@ -251,6 +251,16 @@ def test_parse_rejects_garbage():
             parse_polynomial(R, bad)
 
 
+def test_parse_rejects_zero_denominator():
+    # a denominator that is zero in the field is malformed input
+    cases = ((QQ, "x + 1/0"), (PrimeField(7), "x + 1/0"),
+             (PrimeField(7), "x - 1/7"), (PrimeField(7), "2/14*y"))
+    for field, bad in cases:
+        R = Ring(["x", "y"], field, GRLEX)
+        with pytest.raises(ValueError, match="zero denominator"):
+            R.parse(bad)
+
+
 def test_parse_round_trip_random():
     rng = random.Random(3)
     R = Ring(["x[1][1]", "x[1][2]", "x[2][1]", "pi"], QQ, GRLEX)
@@ -270,3 +280,23 @@ def test_cast_between_rings():
     g = cast(f, S)
     assert str(g) == str(f)
     assert cast(g, R) == f
+    # block-order and prime-field targets, on a 35-term polynomial checked
+    # term for term against the homomorphism sending each name to itself
+    for field, order in ((QQ, Block(2)), (PrimeField(7), GRLEX),
+                         (PrimeField(7), Block(2))):
+        A = Ring(["x", "y", "z"], field, GRLEX)
+        B = Ring(["w", "x", "y", "z"], field, order)
+        x, y, z = A.gens()
+        h = (x - 2 * y + z.scale(Fraction(1, 3)) + 1) ** 4
+        assert len(h) >= 30
+        ref = h.substitute({nm: B.var(nm) for nm in A.names}, B)
+        assert cast(h, B).terms() == ref.terms()
+        assert cast(cast(h, B), A) == h
+    # coefficients are coerced into the target field; 7 vanishes in F_7
+    P = Ring(["x", "y"], PrimeField(7), GRLEX)
+    assert cast(R.parse("7*x + 1/2*y"), P) == P.parse("4*y")
+    # a target may lack a variable f does not use, but not one it uses
+    T = Ring(["x", "y"], QQ, LEX)
+    assert cast(f, T) == T.parse("x*y - 2")
+    with pytest.raises(KeyError):
+        cast(R.var("z") + 1, T)
