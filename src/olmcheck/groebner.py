@@ -15,11 +15,21 @@ coefficient strategies:
   so no Fraction ever enters the hot loop.  The reduction returns the
   scaling it applied, which turns its result into the exact remainder.
 
+Divisor lookups go through one index, ``_DivisorIndex``: leading monomials
+bucketed by one nonzero exponent field each (Roune & Stillman, ISSAC 2012,
+section 3).  A query for t scans only the constant bucket and the buckets
+of t's nonzero fields and returns the smallest index whose monomial divides
+t, exactly what a linear scan returns.  It finds the reducer in ``reduce``,
+the dominating lcm in the chain criterion and the redundant leads in the
+minimalisation.
+
 Pair management is Gebauer-Moeller: the coprime-leading-monomial skip plus
 the chain criteria, with the normal selection strategy (smallest lcm degree
 first, ties broken by the packed lcm, then by pair index) so runs are
 deterministic.  The chain criterion visits the new pairs in packed-lcm
-order, which puts every strict divisor of an lcm before it.
+order, which puts every strict divisor of an lcm before it; the kept lcms,
+all multiples of the new lead, are indexed by their quotients by it, and an
+lcm equal to the one before it is dropped in the same pass.
 """
 
 import heapq
@@ -28,6 +38,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import BudgetExceeded, InvalidDivisor, InvalidInput
+from .orders import FIELD_BITS
 from .rings import Polynomial
 
 
@@ -181,6 +192,65 @@ def _content(values, g=0):
     return g
 
 
+class _DivisorIndex:
+    """Packed monomials bucketed by support, for first-divisor queries.
+
+    ``lts`` lists the monomials in insertion order.  Each nonzero monomial
+    is filed under one of its nonzero exponent fields, the one whose bucket
+    is smallest at insertion; the constant monomial goes into bucket 0,
+    which every query scans.  A divisor of t has its support inside t's, so
+    it sits in bucket 0 or in the bucket of one of t's nonzero fields.
+    The support is read word-parallel (see ``orders``); field k, counted
+    from the bottom, has its guard bit at bit length 16k + 16 and its
+    bucket at k + 1.
+    """
+
+    __slots__ = ("lts", "_buckets", "_guard", "_low", "_exp_guard")
+
+    def __init__(self, ring):
+        self.lts = []
+        self._guard = ring.guard_mask
+        self._low = ring._exp_low
+        self._exp_guard = ring._exp_guard
+        nfields = self._guard.bit_length() // FIELD_BITS
+        self._buckets = [[] for _ in range(nfields + 1)]
+
+    def append(self, m):
+        buckets = self._buckets
+        key = 0
+        s = (m + self._low) & self._exp_guard
+        while s:
+            n = s.bit_length()
+            s ^= 1 << (n - 1)
+            n //= FIELD_BITS
+            if not key or len(buckets[n]) < len(buckets[key]):
+                key = n
+        buckets[key].append(len(self.lts))
+        self.lts.append(m)
+
+    def first(self, t):
+        """Smallest index whose monomial divides t, or -1.
+
+        Indices ascend inside a bucket, so each bucket is scanned only up
+        to the best hit so far; every candidate takes the full test.
+        """
+        lts, guard, buckets = self.lts, self._guard, self._buckets
+        stop = best = len(lts)
+        key, s = 0, (t + self._low) & self._exp_guard
+        while True:
+            for i in buckets[key]:
+                if i >= best:
+                    break
+                if not (t - lts[i]) & guard:
+                    best = i
+                    break
+            if not s:
+                return best if best < stop else -1
+            key = s.bit_length()
+            s ^= 1 << (key - 1)
+            key //= FIELD_BITS
+
+
 class _Engine:
     """Arithmetic on raw int-coefficient dicts for one ring.
 
@@ -191,18 +261,22 @@ class _Engine:
     """
 
     def __init__(self, ring):
-        self.guard = ring.guard_mask
         self.p = ring.field.characteristic
         self.ring = ring
 
+    def arrays(self):
+        """Empty basis arrays (leads, lcs, tails, hulls): a divisor index
+        over the leading monomials, then parallel lists of the leading
+        coefficients, the tails and the tail hulls."""
+        return _DivisorIndex(self.ring), [], [], []
+
     def add(self, arrays, d):
         """Append d's leading monomial, leading coefficient, tail and tail
-        hull to the parallel (lts, lcs, tails, hulls) lists that reduce
-        reads."""
-        lts, lcs, tails, hulls = arrays
+        hull to the basis arrays that reduce reads."""
+        leads, lcs, tails, hulls = arrays
         lt = max(d)
         tail = tuple((m, c) for m, c in d.items() if m != lt)
-        lts.append(lt)
+        leads.append(lt)
         lcs.append(d[lt])
         tails.append(tail)
         hulls.append(_hull(self.ring, (m for m, _ in tail)))
@@ -242,7 +316,7 @@ class _Engine:
             k = Fraction(1, d[max(d)])
         return {m: c * k for m, c in d.items()}
 
-    def reduce(self, f, lts, lcs, tails, hulls, budget=None):
+    def reduce(self, f, leads, lcs, tails, hulls, budget=None):
         """Full reduction of f (destroyed) against the basis arrays.
 
         Returns ``(out, mult)`` with ``out == mult * NF(f)``.  Over F_p the
@@ -252,21 +326,17 @@ class _Engine:
         Raises ValueError when a shifted tail would overflow a packed field.
         """
         p = self.p
-        guard = self.guard
+        first = leads.first
+        lts = leads.lts
         out = {}
         num = den = 1
-        nb = len(lts)
         steps = 0
         while f:
             t = max(f)
             c = f.pop(t)
             if not c:
                 continue
-            hit = -1
-            for i in range(nb):
-                if not (t - lts[i]) & guard:
-                    hit = i
-                    break
+            hit = first(t)
             if hit < 0:
                 out[t] = c
                 continue
@@ -302,9 +372,10 @@ class _Engine:
                     den *= g
         return out, (num if den == 1 else Fraction(num, den))
 
-    def spair(self, i, j, lts, lcs, tails, hulls, lcm):
+    def spair(self, i, j, leads, lcs, tails, hulls, lcm):
         """lc_j (lcm/lt_i) g_i - lc_i (lcm/lt_j) g_j, leads cancelled."""
         p = self.p
+        lts = leads.lts
         a, b = lcs[j], lcs[i]
         si, sj = lcm - lts[i], lcm - lts[j]
         _check_shift(self.ring, hulls[i], si)
@@ -332,9 +403,8 @@ def _interreduce(engine, ding, budget=None):
     is dropped.  Every monomial of g is at most lt(g) and a divisor is at
     most the monomial it divides, so only elements with smaller leads can
     reduce g; on a minimal Groebner basis one pass therefore gives the
-    reduced basis.  Returns the kept dicts and their (lts, lcs, tails,
-    hulls) arrays."""
-    kept, arrays = [], ([], [], [], [])
+    reduced basis.  Returns the kept dicts and their basis arrays."""
+    kept, arrays = [], engine.arrays()
     for d in sorted(ding, key=max):
         if kept:
             d = engine.normalise(engine.reduce(dict(d), *arrays, budget)[0])
@@ -342,6 +412,34 @@ def _interreduce(engine, ding, budget=None):
             kept.append(d)
             engine.add(arrays, d)
     return kept, arrays
+
+
+def _new_pairs(ring, lts, t, cand):
+    """The pairs (i, t) kept by the chain criterion, the equal-lcm rule and
+    the coprime criterion, as {i: lcm}; ``cand[i]`` is lcm(lt_i, lt_t).
+
+    The candidates are visited in packed-lcm order, which puts every strict
+    divisor of an lcm first, and one is dropped when an lcm kept before it
+    divides it.  Every lcm is a multiple of lt_t, so the kept lcms are
+    indexed by their quotients by lt_t.  The sort is stable, so of a run of
+    equal lcms only the first, with the lowest index, is tested and kept.
+    The coprime criterion comes last: a coprime pair still dominates.
+    """
+    lt_t = lts[t]
+    kept = _DivisorIndex(ring)
+    survivors = {}
+    prev = None
+    for i in sorted(range(t), key=cand.__getitem__):
+        l = cand[i]
+        if l == prev:
+            continue
+        prev = l
+        q = l - lt_t
+        if kept.first(q) < 0:
+            kept.append(q)
+            if l != lts[i] + lt_t:
+                survivors[i] = l
+    return survivors
 
 
 def buchberger(generators, budget=None):
@@ -363,7 +461,7 @@ def buchberger(generators, budget=None):
     # repeated and scalar-multiple generators reduce to zero here; this pass
     # takes no budget, so the step counter sees S-pairs and the final pass
     basis, arrays = _interreduce(engine, [engine.prepare(g._d) for g in gens])
-    lts, lcs, tails, hulls = arrays
+    lts = arrays[0].lts
     guard = ring.guard_mask
     lcm_of = ring.mono_lcm
     mono_deg = ring.mono_degree
@@ -374,28 +472,7 @@ def buchberger(generators, budget=None):
     def push_pairs(t):
         """Gebauer-Moeller update for the arrival of basis element t."""
         lt_t = lts[t]
-        cand = {}
-        for i in range(t):
-            cand[i] = lcm_of(lts[i], lt_t)
-        # chain criterion among the new pairs, in lcm order: every monomial
-        # order puts a strict divisor first
-        keep = {}
-        for i in sorted(cand, key=cand.__getitem__):
-            li = cand[i]
-            dominated = False
-            for j, lj in keep.items():
-                if lj != li and not (li - lj) & guard:
-                    dominated = True
-                    break
-            if not dominated:
-                keep[i] = li
-        # drop duplicates of equal lcm (keep lowest index)
-        by_lcm = {}
-        for i in sorted(keep):
-            by_lcm.setdefault(keep[i], i)
-        survivors = {i: l for l, i in by_lcm.items()}
-        # coprime-leading-monomial criterion
-        survivors = {i: l for i, l in survivors.items() if l != lts[i] + lt_t}
+        cand = [lcm_of(lts[i], lt_t) for i in range(t)]
         # prune old pairs via the new leading term
         stale = []
         for (i, j), l in pairs.items():
@@ -404,7 +481,7 @@ def buchberger(generators, budget=None):
                 stale.append((i, j))
         for key in stale:
             del pairs[key]
-        for i, l in survivors.items():
+        for i, l in _new_pairs(ring, lts, t, cand).items():
             pairs[(i, t)] = l
             heapq.heappush(heap, (mono_deg(l), l, i, t))
 
@@ -418,7 +495,7 @@ def buchberger(generators, budget=None):
         del pairs[(i, j)]
         if budget is not None:
             budget.pair()
-        s = engine.spair(i, j, lts, lcs, tails, hulls, l)
+        s = engine.spair(i, j, *arrays, l)
         if not s:
             continue
         r = engine.normalise(engine.reduce(s, *arrays, budget)[0])
@@ -429,9 +506,10 @@ def buchberger(generators, budget=None):
         push_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another lead
-    minimal = []
+    minimal, leads = [], _DivisorIndex(ring)
     for i in sorted(range(len(basis)), key=lts.__getitem__):
-        if not any(not (lts[i] - lts[j]) & guard for j in minimal):
+        if leads.first(lts[i]) < 0:
+            leads.append(lts[i])
             minimal.append(i)
     reduced, _ = _interreduce(engine, [basis[i] for i in minimal], budget)
     polys = tuple(Polynomial(ring, engine.finish(d)) for d in reversed(reduced))
@@ -445,11 +523,10 @@ class GroebnerBasis:
         self.ring = ring
         self.polys = tuple(polys)
         self._engine = _Engine(ring)
-        arrays = ([], [], [], [])
+        self._arrays = self._engine.arrays()
         for p in self.polys:
-            self._engine.add(arrays, self._engine.prepare(p._d))
-        lts, self._lcs, self._tails, self._hulls = arrays
-        self._lts = tuple(lts)
+            self._engine.add(self._arrays, self._engine.prepare(p._d))
+        self._lts = tuple(self._arrays[0].lts)
 
     def __iter__(self):
         return iter(self.polys)
@@ -481,8 +558,7 @@ class GroebnerBasis:
         work = engine.prepare(f._d)
         t = max(work)
         lead = work[t]
-        out, mult = engine.reduce(work, self._lts, self._lcs, self._tails,
-                                  self._hulls)
+        out, mult = engine.reduce(work, *self._arrays)
         # work = (lead / lc(f)) * f and out = mult * NF(work)
         k = field.div(f._d[t], field.coerce(mult * lead))
         return Polynomial(self.ring, engine.finish(out, k))

@@ -147,25 +147,23 @@ def krull_dimension(ideal, budget=None):
     minimal = [s for s in supports
                if not any(t < s for t in supports)]
     minimal.sort(key=lambda s: (len(s), sorted(s)))
-    best = [0]
-    memo = {}
+    return _independent(frozenset(range(ring.nvars)), minimal, {})
 
-    def explore(allowed):
-        key = allowed
-        if key in memo:
-            return memo[key]
-        for s in minimal:
-            if s <= allowed:
-                # allowed is dependent: branch on removing one variable of s
-                out = 0
-                for v in sorted(s):
-                    out = max(out, explore(allowed - {v}))
-                memo[key] = out
-                return out
-        memo[key] = len(allowed)
-        return len(allowed)
 
-    return explore(frozenset(range(ring.nvars)))
+def _independent(allowed, minimal, memo):
+    """Size of a largest subset of ``allowed`` containing no set of
+    ``minimal``; ``memo`` caches it per frozenset.  A plain recursive
+    function, so the memo is freed as soon as the search returns."""
+    if allowed in memo:
+        return memo[allowed]
+    for s in minimal:
+        if s <= allowed:
+            # allowed is dependent: branch on removing one variable of s
+            out = max(_independent(allowed - {v}, minimal, memo) for v in sorted(s))
+            memo[allowed] = out
+            return out
+    memo[allowed] = len(allowed)
+    return len(allowed)
 
 
 def pure_power_free(gb, name):

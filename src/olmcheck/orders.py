@@ -40,6 +40,16 @@ included), and a step tests ``(hull + shift) & guard_mask`` once: it is
 nonzero exactly when some shifted tail monomial overflows a field, and the
 reduction raises ValueError.  S-pairs, the textbook division and
 ``s_polynomial`` test their shifts the same way.
+
+The support of a monomial is read in one addition.  With ``exp_guard`` the
+guard bits of the exponent fields and ``low`` 0x7fff in each of those fields,
+
+    support = (m + low) & exp_guard
+
+has the guard bit of exactly the nonzero exponent fields set: a field value
+v <= 0x7fff gives v + 0x7fff <= 0xfffe, which reaches the guard bit iff
+v >= 1 and never carries into the next field.  The divisor index of
+``groebner`` files and looks up monomials by these bits.
 """
 
 FIELD_BITS = 16

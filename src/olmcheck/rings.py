@@ -56,6 +56,10 @@ class Ring:
         # each degree field refilled with the sum of its block's fields,
         # read as (block's exponent fields) mod 2**16 - 1
         self._exp_mask = exp_mask
+        # support read: (m + _exp_low) & _exp_guard has the guard bit of
+        # each nonzero exponent field set (0x7fff per field, no carry)
+        self._exp_guard = guard & exp_mask
+        self._exp_low = self._exp_guard - (self._exp_guard >> (FIELD_BITS - 1))
         refill = []
         for k, (shift, lo, hi) in enumerate(self._deg_fields):
             if hi == lo:
@@ -365,14 +369,20 @@ class Polynomial:
                 power_cache[key] = got
             return got
 
-        out = target.zero()
+        field = target.field
+        out = {}
         for m, c in self.terms():
             part = target.const(c)
             for i, e in enumerate(ring.exponents(m)):
                 if e:
                     part = part * var_power(i, e)
-            out = out + part
-        return out
+            for k, v in part._d.items():
+                acc = field.add(out.get(k, field.zero), v)
+                if field.is_zero(acc):
+                    out.pop(k, None)
+                else:
+                    out[k] = acc
+        return Polynomial(target, out)
 
     def at_origin(self):
         """Set every variable except ``pi`` to zero (the worst point X = 0)."""

@@ -7,10 +7,10 @@ import pytest
 
 from olmcheck.errors import BudgetExceeded, InvalidDivisor, InvalidInput
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.groebner import (Budget, GroebnerBasis, _Engine, buchberger,
-                               multivariate_division, normal_form_membership,
-                               s_polynomial)
-from olmcheck.orders import GRLEX, LEX
+from olmcheck.groebner import (Budget, GroebnerBasis, _DivisorIndex, _Engine,
+                               _new_pairs, buchberger, multivariate_division,
+                               normal_form_membership, s_polynomial)
+from olmcheck.orders import GRLEX, LEX, Block
 from olmcheck.rings import Ring
 from oracles import member_up_to_degree, random_poly
 
@@ -211,7 +211,7 @@ def test_lex_tail_shift_overflow_raises():
     with pytest.raises(ValueError, match="overflows"):
         buchberger([f, g])
     engine = _Engine(S)
-    arrays = ([], [], [], [])
+    arrays = engine.arrays()
     for h in (f, g):
         engine.add(arrays, engine.prepare(h._d))
     lcm = S.mono_lcm(f.lm(), g.lm())
@@ -265,6 +265,13 @@ def test_block_and_lex_work_counters_are_fixed():
     budget = _CountingBudget()
     gb = buchberger(gens, budget)
     assert (budget.pairs, budget.steps, len(gb)) == (240, 625, 46)
+    # a lex pin whose work differs from grlex's (1724 pairs, 8639 steps,
+    # 152 elements): the (5,2) full ideal
+    ideal = Chart(5, 2, PrimeField(32003)).full_ideal()
+    L5 = Ring(ideal.ring.names, ideal.ring.field, LEX)
+    budget = _CountingBudget()
+    gb5 = buchberger([cast(g, L5) for g in ideal.gens], budget)
+    assert (budget.pairs, budget.steps, len(gb5)) == (832, 2813, 90)
     # repeated and scaled generators change neither the basis nor the work
     repeated = _CountingBudget()
     again = buchberger(gens + [g.scale(3) for g in gens[::3]] + gens[:4],
@@ -277,6 +284,80 @@ def test_block_and_lex_work_counters_are_fixed():
     again = buchberger([g.scale(Fraction(-2, 3)) for g in gens] + gens, repeated)
     assert again.polys == gb.polys
     assert (repeated.pairs, repeated.steps) == (budget.pairs, budget.steps)
+
+
+def _random_mono(ring, rng, deg):
+    exps = [0] * ring.nvars
+    for _ in range(deg if ring.nvars else 0):
+        exps[rng.randrange(ring.nvars)] += 1
+    return ring.monomial(exps)
+
+
+def _random_leads(ring, rng, n):
+    """Small leads on a few variables, with repeats and one constant."""
+    pool = list(range(ring.nvars))
+    rng.shuffle(pool)
+    pool = pool[:6]
+    leads = []
+    for _ in range(n):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randrange(1, 4) if pool else 0):
+            exps[rng.choice(pool)] += 1
+        leads.append(ring.monomial(exps))
+    for _ in range(n // 8):
+        leads.insert(rng.randrange(len(leads) + 1), rng.choice(leads))
+    leads.insert(rng.randrange(len(leads) // 2 + 1), 0)
+    return leads
+
+
+_INDEX_RINGS = [Ring(["x%d" % i for i in range(n)], QQ, GRLEX) for n in (0, 1, 4, 37)] \
+    + [Ring(["x%d" % i for i in range(6)], QQ, order)
+       for order in (LEX, Block(1), Block(3))]
+
+
+def test_divisor_index_returns_the_linear_scan_divisor():
+    # the index must give exactly the first divisor a linear scan gives,
+    # read here off the exponent vectors
+    rng = random.Random(61)
+    for ring in _INDEX_RINGS:
+        for _ in range(12):
+            leads = _random_leads(ring, rng, rng.randrange(1, 40))
+            index = _DivisorIndex(ring)
+            for m in leads:
+                index.append(m)
+            assert index.lts == leads
+            vecs = [ring.exponents(m) for m in leads]
+            for _ in range(60):
+                t = rng.choice(leads) + _random_mono(ring, rng, rng.randrange(3))
+                tv = ring.exponents(t)
+                want = next((i for i, v in enumerate(vecs)
+                             if all(a <= b for a, b in zip(v, tv))), -1)
+                assert index.first(t) == want
+
+
+def test_chain_pass_keeps_the_quadratic_filter_survivors():
+    # the indexed chain pass against the quadratic filter it replaces:
+    # chain criterion in lcm order, equal-lcm dedup to the lowest index,
+    # then the coprime criterion
+    rng = random.Random(67)
+    for ring in _INDEX_RINGS[1:]:
+        guard = ring.guard_mask
+        for _ in range(30):
+            lts = _random_leads(ring, rng, rng.randrange(1, 30))
+            lts.append(rng.choice(lts) if rng.random() < 0.2
+                       else _random_mono(ring, rng, rng.randrange(1, 4)))
+            t, lt_t = len(lts) - 1, lts[-1]
+            cand = [ring.mono_lcm(lts[i], lt_t) for i in range(t)]
+            keep = {}
+            for i in sorted(range(t), key=cand.__getitem__):
+                if not any(lj != cand[i] and not (cand[i] - lj) & guard
+                           for lj in keep.values()):
+                    keep[i] = cand[i]
+            by_lcm = {}
+            for i in sorted(keep):
+                by_lcm.setdefault(keep[i], i)
+            want = {i: l for l, i in by_lcm.items() if l != lts[i] + lt_t}
+            assert _new_pairs(ring, lts, t, cand) == want
 
 
 def test_prime_field_gb_matches_rational_staircase():

@@ -1,9 +1,11 @@
 """Derived ideal operations: elimination, intersection, colon, dimension."""
 
+import gc
 import random
 
 import pytest
 
+from olmcheck.charts import Chart
 from olmcheck.errors import EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.ideals import Ideal, is_regular_element, krull_dimension, pure_power_free
@@ -123,6 +125,20 @@ def test_krull_dimension_examples():
     assert Ideal(R2, [R2.var("x"), R2.var("y")]).dimension() == 0
     with pytest.raises(EmptyVariety):
         krull_dimension(Ideal(R2, [R2.one()]))
+
+
+def test_krull_dimension_leaves_no_cyclic_garbage():
+    # the independent-set memo must be freed by reference counting alone;
+    # a self-referencing recursive closure kept it until the cyclic GC ran
+    ideal = Chart(8, 4, PrimeField(32003)).special_fiber_ideal()
+    ideal.groebner()
+    gc.collect()
+    gc.disable()
+    try:
+        assert krull_dimension(ideal) == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_krull_dimension_monotone_under_inclusion():
