@@ -9,11 +9,14 @@ Four subcommands:
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error,
 3 a check timed out, 4 output could not be written.  The environment
-variable OLMCHECK_TIMEOUT sets the default per-check time budget (seconds).
+variable OLMCHECK_TIMEOUT sets the default per-check time budget (seconds);
+it and ``--timeout`` take finite positive seconds, anything else is a usage
+error.
 """
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -34,14 +37,23 @@ EXIT_TIMEOUT = 3
 EXIT_IO = 4
 
 
-def _default_timeout():
-    raw = os.environ.get("OLMCHECK_TIMEOUT")
-    if not raw:
-        return None
+def _seconds(text):
+    """A time budget: finite positive seconds, else a usage error."""
     try:
-        return float(raw)
+        value = float(text)
     except ValueError:
-        return None
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "expected finite positive seconds (--timeout or OLMCHECK_TIMEOUT),"
+            " got %r" % (text,))
+    return value
+
+
+def _default_timeout():
+    """OLMCHECK_TIMEOUT as a string; argparse checks it with ``_seconds``
+    when no --timeout is given."""
+    return os.environ.get("OLMCHECK_TIMEOUT") or None
 
 
 def _emit(text, path):
@@ -247,7 +259,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--order", default="grlex")
     p.add_argument("--modulus", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=_default_timeout())
+    p.add_argument("--timeout", type=_seconds, default=_default_timeout())
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gb)
@@ -257,7 +269,7 @@ def build_parser():
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--check", required=True)
     p.add_argument("--modulus", type=int, default=32003)
-    p.add_argument("--timeout", type=float, default=_default_timeout())
+    p.add_argument("--timeout", type=_seconds, default=_default_timeout())
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -266,7 +278,7 @@ def build_parser():
     p.add_argument("--charts", default=None,
                    help="semicolon list like '6,2;5,3;6,3;5,2'")
     p.add_argument("--modulus", type=int, default=32003)
-    p.add_argument("--timeout", type=float, default=_default_timeout())
+    p.add_argument("--timeout", type=_seconds, default=_default_timeout())
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_suite)

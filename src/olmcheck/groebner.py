@@ -26,14 +26,23 @@ minimalisation.
 Pair management is Gebauer-Moeller: the coprime-leading-monomial skip plus
 the chain criteria, with the normal selection strategy (smallest lcm degree
 first, ties broken by the packed lcm, then by pair index) so runs are
-deterministic.  The chain criterion visits the new pairs in packed-lcm
-order, which puts every strict divisor of an lcm before it; the kept lcms,
-all multiples of the new lead, are indexed by their quotients by it, and an
-lcm equal to the one before it is dropped in the same pass.
+deterministic.  When element t arrives, its candidate lcms are formed on
+the exponent fields only and visited in increasing order, which puts every
+strict divisor of an lcm before it; the kept lcms, all multiples of lt_t,
+are indexed by their quotients by it, a kept quotient of degree 1 goes into
+a support mask that drops every later quotient meeting it, and an lcm equal
+to the one before it is dropped in the same pass.  Only the survivors get
+the full lcm that keys the heap.  The B criterion, which drops an open pair
+(i, j) once a later lead divides its lcm l without sharing l with lt_i or
+lt_j, is applied when the pair is popped: the divisor index's buckets of l,
+each bisected past j, give the later leads to test.  Every later element
+arrived while the pair was open, so the popped pairs are exactly those the
+eager rule keeps.
 """
 
 import heapq
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -53,21 +62,26 @@ class Budget:
         self._pairs = 0
         self._reductions = 0
 
+    def deadline(self):
+        """Raise BudgetExceeded once the time budget is spent; counts
+        nothing, so callers between pairs and steps leave the counters as
+        they are."""
+        if self.seconds is not None and time.monotonic() - self._t0 > self.seconds:
+            raise BudgetExceeded("time budget %.1fs exhausted" % self.seconds)
+
     def pair(self):
         self._pairs += 1
         if self.max_pairs is not None and self._pairs > self.max_pairs:
             raise BudgetExceeded("pair budget %d exhausted" % self.max_pairs)
-        if self.seconds is not None and self._pairs % 64 == 0 \
-                and time.monotonic() - self._t0 > self.seconds:
-            raise BudgetExceeded("time budget %.1fs exhausted" % self.seconds)
+        if self._pairs % 64 == 0:
+            self.deadline()
 
     def reduction_step(self):
         self._reductions += 1
         if self.max_reductions is not None and self._reductions > self.max_reductions:
             raise BudgetExceeded("reduction budget %d exhausted" % self.max_reductions)
-        if self.seconds is not None and self._reductions % 1024 == 0 \
-                and time.monotonic() - self._t0 > self.seconds:
-            raise BudgetExceeded("time budget %.1fs exhausted" % self.seconds)
+        if self._reductions % 1024 == 0:
+            self.deadline()
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +264,37 @@ class _DivisorIndex:
             s ^= 1 << (key - 1)
             key //= FIELD_BITS
 
+    def stale(self, i, j, l):
+        """Gebauer-Moeller B criterion for the pair (i, j), i < j, with lcm
+        l: True when some k > j has lt_k | l, lcm(lt_i, lt_k) != l and
+        lcm(lt_j, lt_k) != l.
+
+        Such a k is a divisor of l, so it sits in bucket 0 or in the bucket
+        of one of l's nonzero fields; each is bisected past j.  Two divisors
+        of l have lcm l exactly when no exponent field falls short of l in
+        both, so each lcm test is one AND of the supports of the shortfalls
+        l - lt.
+        """
+        lts, guard, buckets = self.lts, self._guard, self._buckets
+        low, exp_guard = self._low, self._exp_guard
+        short_i = (l - lts[i] + low) & exp_guard
+        short_j = (l - lts[j] + low) & exp_guard
+        key, s = 0, (l + low) & exp_guard
+        while True:
+            bucket = buckets[key]
+            for n in range(bisect_right(bucket, j), len(bucket)):
+                d = l - lts[bucket[n]]
+                if d & guard:
+                    continue
+                d = (d + low) & exp_guard
+                if d & short_i and d & short_j:
+                    return True
+            if not s:
+                return False
+            key = s.bit_length()
+            s ^= 1 << (key - 1)
+            key //= FIELD_BITS
+
 
 class _Engine:
     """Arithmetic on raw int-coefficient dicts for one ring.
@@ -397,48 +442,74 @@ class _Engine:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _interreduce(engine, ding, budget=None):
+def _interreduce(engine, ding, budget=None, count=True):
     """Auto-reduce the nonzero dicts in ``ding``: each, in ascending lead
     order, is fully reduced against the ones already kept, and a zero result
     is dropped.  Every monomial of g is at most lt(g) and a divisor is at
     most the monomial it divides, so only elements with smaller leads can
     reduce g; on a minimal Groebner basis one pass therefore gives the
-    reduced basis.  Returns the kept dicts and their basis arrays."""
+    reduced basis.  The budget's deadline is met once per dict; its steps
+    are counted only when ``count``.  Returns the kept dicts and their
+    basis arrays."""
     kept, arrays = [], engine.arrays()
+    steps = budget if count else None
     for d in sorted(ding, key=max):
+        if budget is not None:
+            budget.deadline()
         if kept:
-            d = engine.normalise(engine.reduce(dict(d), *arrays, budget)[0])
+            d = engine.normalise(engine.reduce(dict(d), *arrays, steps)[0])
         if d:
             kept.append(d)
             engine.add(arrays, d)
     return kept, arrays
 
 
-def _new_pairs(ring, lts, t, cand):
+def _new_pairs(ring, lts, t):
     """The pairs (i, t) kept by the chain criterion, the equal-lcm rule and
-    the coprime criterion, as {i: lcm}; ``cand[i]`` is lcm(lt_i, lt_t).
+    the coprime criterion, as {i: lcm(lt_i, lt_t)}.
 
-    The candidates are visited in packed-lcm order, which puts every strict
-    divisor of an lcm first, and one is dropped when an lcm kept before it
-    divides it.  Every lcm is a multiple of lt_t, so the kept lcms are
-    indexed by their quotients by lt_t.  The sort is stable, so of a run of
+    The candidate lcms are formed on the exponent fields only, by the
+    guard-bit max (see ``orders``), and visited in increasing order, which
+    puts every strict divisor of an lcm first; one is dropped when an lcm
+    kept before it divides it.  Every lcm is a multiple of lt_t, so the
+    kept lcms are indexed by their quotients by lt_t.  A kept quotient of
+    degree 1 goes into a support mask instead: a later quotient that meets
+    the mask is a multiple of it and is dropped without a query.  A zero
+    quotient divides every later one.  The sort is stable, so of a run of
     equal lcms only the first, with the lowest index, is tested and kept.
-    The coprime criterion comes last: a coprime pair still dominates.
+    The coprime criterion comes last: a coprime pair still dominates.  Only
+    the survivors get the full lcm, degree fields included.
     """
+    guard, exp_mask = ring.guard_mask, ring._exp_mask
+    low, exp_guard = ring._exp_low, ring._exp_guard
     lt_t = lts[t]
+    cand = []
+    for a in lts[:t]:
+        ge = ((a | guard) - lt_t) & guard
+        cand.append((lt_t ^ ((a ^ lt_t) & (ge - (ge >> (FIELD_BITS - 1))))) & exp_mask)
+    e_t = lt_t & exp_mask
     kept = _DivisorIndex(ring)
     survivors = {}
-    prev = None
+    prev, mask = None, 0
     for i in sorted(range(t), key=cand.__getitem__):
-        l = cand[i]
-        if l == prev:
+        e = cand[i]
+        if e == prev:
             continue
-        prev = l
-        q = l - lt_t
-        if kept.first(q) < 0:
+        prev = e
+        q = e - e_t
+        s = (q + low) & exp_guard
+        if s & mask:
+            continue
+        if q == s >> (FIELD_BITS - 1) and not s & (s - 1):
+            mask |= s       # degree 1: its multiples all meet the mask
+        elif kept.first(q) < 0:
             kept.append(q)
-            if l != lts[i] + lt_t:
-                survivors[i] = l
+        else:
+            continue
+        if e != (lts[i] + lt_t) & exp_mask:
+            survivors[i] = ring.mono_lcm(lts[i], lt_t)
+        if not q:
+            break           # lt_i divides lt_t: every later lcm is dominated
     return survivors
 
 
@@ -459,30 +530,21 @@ def buchberger(generators, budget=None):
     engine = _Engine(ring)
 
     # repeated and scalar-multiple generators reduce to zero here; this pass
-    # takes no budget, so the step counter sees S-pairs and the final pass
-    basis, arrays = _interreduce(engine, [engine.prepare(g._d) for g in gens])
+    # meets the deadline but counts no steps, so the step counter sees
+    # S-pairs and the final pass
+    basis, arrays = _interreduce(
+        engine, [engine.prepare(g._d) for g in gens], budget, count=False)
     lts = arrays[0].lts
-    guard = ring.guard_mask
-    lcm_of = ring.mono_lcm
+    stale = arrays[0].stale
     mono_deg = ring.mono_degree
-
-    pairs = {}          # (i, j) -> lcm, i < j
     heap = []
 
     def push_pairs(t):
-        """Gebauer-Moeller update for the arrival of basis element t."""
-        lt_t = lts[t]
-        cand = [lcm_of(lts[i], lt_t) for i in range(t)]
-        # prune old pairs via the new leading term
-        stale = []
-        for (i, j), l in pairs.items():
-            if not (l - lt_t) & guard \
-                    and cand[i] != l and cand[j] != l:
-                stale.append((i, j))
-        for key in stale:
-            del pairs[key]
-        for i, l in _new_pairs(ring, lts, t, cand).items():
-            pairs[(i, t)] = l
+        """Gebauer-Moeller update for the arrival of basis element t; the
+        B criterion waits until a pair is popped."""
+        if budget is not None:
+            budget.deadline()
+        for i, l in _new_pairs(ring, lts, t).items():
             heapq.heappush(heap, (mono_deg(l), l, i, t))
 
     for t in range(len(basis)):
@@ -490,9 +552,8 @@ def buchberger(generators, budget=None):
 
     while heap:
         _, l, i, j = heapq.heappop(heap)
-        if pairs.get((i, j)) != l:
+        if stale(i, j, l):
             continue
-        del pairs[(i, j)]
         if budget is not None:
             budget.pair()
         s = engine.spair(i, j, *arrays, l)

@@ -128,9 +128,33 @@ def test_timeout_env_var_default(capsys, monkeypatch):
                        "--check", "reduction")
     assert code == 3
     monkeypatch.setenv("OLMCHECK_TIMEOUT", "not-a-number")
-    code, _, _ = run(capsys, "verify", "--d", "6", "--l", "2",
-                     "--check", "dimensions")
-    assert code == 0  # unparsable value falls back to no budget
+    code, _, err = run(capsys, "verify", "--d", "6", "--l", "2",
+                       "--check", "dimensions")
+    assert code == 2  # an unparsable value is a usage error
+    assert "'not-a-number'" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "0"),
+    ("verify", "nan"),
+    ("verify", "-1"),
+    ("gb", "-1"),
+])
+def test_timeout_must_be_finite_positive(capsys, monkeypatch, tmp_path,
+                                         command, flag):
+    # these used to run with no budget (exit 0) or, for verify -1, time out;
+    # a bad OLMCHECK_TIMEOUT is the case in test_timeout_env_var_default
+    monkeypatch.delenv("OLMCHECK_TIMEOUT", raising=False)
+    if command == "gb":
+        path = tmp_path / "gens.txt"
+        path.write_text("x^2 - y\nx*y - 1\n")
+        argv = ["gb", "--input", str(path)]
+    else:
+        argv = ["verify", "--d", "6", "--l", "2", "--check", "dimensions"]
+    code, out, err = run(capsys, *argv, "--timeout", flag)
+    assert code == 2
+    assert out == ""
+    assert repr(flag) in err
 
 
 def test_build_generic_fiber(capsys):

@@ -357,8 +357,75 @@ def test_chain_pass_keeps_the_quadratic_filter_survivors():
             for i in sorted(keep):
                 by_lcm.setdefault(keep[i], i)
             want = {i: l for l, i in by_lcm.items() if l != lts[i] + lt_t}
-            assert _new_pairs(ring, lts, t, cand) == want
+            assert _new_pairs(ring, lts, t) == want
 
+
+def test_chain_pass_without_a_constant_lead():
+    # _random_leads always holds a constant, whose zero quotient ends the
+    # chain pass at once; without it the index and the degree-1 mask decide.
+    # Oracle on exponent vectors: i is kept when no other lcm strictly
+    # divides its lcm and no lower index has the same lcm, then coprime
+    # pairs are dropped
+    rng = random.Random(73)
+    for ring in _INDEX_RINGS[1:]:
+        for _ in range(30):
+            lts = [m for m in _random_leads(ring, rng, rng.randrange(1, 30)) if m]
+            if not lts:
+                continue
+            lts.append(rng.choice(lts) if rng.random() < 0.2
+                       else _random_mono(ring, rng, rng.randrange(1, 4)))
+            t = len(lts) - 1
+            vecs = [ring.exponents(m) for m in lts]
+            lcms = [tuple(map(max, v, vecs[t])) for v in vecs[:t]]
+            want = {}
+            for i, li in enumerate(lcms):
+                if li in lcms[:i] or any(
+                        lj != li and all(map(int.__le__, lj, li)) for lj in lcms):
+                    continue
+                if any(a and b for a, b in zip(vecs[i], vecs[t])):
+                    want[i] = ring.mono_lcm(lts[i], lts[t])
+            assert _new_pairs(ring, lts, t) == want
+
+def test_stale_pair_check_matches_the_eager_rule():
+    # the pop-time B criterion against the rule the eager scan applied when
+    # each later element k arrived, on exponent vectors
+    rng = random.Random(71)
+    for ring in _INDEX_RINGS:
+        for _ in range(20):
+            lts = _random_leads(ring, rng, rng.randrange(2, 30))
+            index = _DivisorIndex(ring)
+            for m in lts:
+                index.append(m)
+            vecs = [ring.exponents(m) for m in lts]
+            for _ in range(40):
+                i, j = sorted(rng.sample(range(len(lts)), 2))
+                lv = [max(a, b) for a, b in zip(vecs[i], vecs[j])]
+                want = any(
+                    all(c <= e for c, e in zip(vecs[k], lv))
+                    and [max(a, c) for a, c in zip(vecs[i], vecs[k])] != lv
+                    and [max(b, c) for b, c in zip(vecs[j], vecs[k])] != lv
+                    for k in range(j + 1, len(lts)))
+                assert index.stale(i, j, ring.mono_lcm(lts[i], lts[j])) == want
+
+
+def test_spent_deadline_stops_before_the_first_pair():
+    # the deadline is met in the input pass and in every pair update, so a
+    # spent time budget stops the run before any pair is formed
+    from olmcheck.charts import Chart
+    gens = Chart(6, 2, PrimeField(32003)).full_ideal().gens
+
+    class Spent(Budget):
+        pairs = 0
+
+        def pair(self):
+            self.pairs += 1
+            super().pair()
+
+    budget = Spent(seconds=1.0)
+    budget._t0 -= 2.0
+    with pytest.raises(BudgetExceeded, match="time budget"):
+        buchberger(gens, budget)
+    assert budget.pairs == 0
 
 def test_prime_field_gb_matches_rational_staircase():
     # same leading terms over Q and F_32003 for an ideal with small coefficients
