@@ -249,11 +249,20 @@ class Chart:
 
     def intermediate_generators(self):
         """The halfway ideal I' of the same-parity reduction."""
+        return self._sans_trace_generators() + [self._equations().trace]
+
+    def _sans_trace_generators(self):
+        """I' without Tr(X): the minors, the band relations and the S1
+        relation."""
         if not self.same_parity:
             raise NotApplicable("I' is defined for same-parity charts only")
         eq = self._equations()
-        return (eq.minors + [eq.trace, eq.trace_A] + eq.band.entries()
-                + eq.rel1.entries())
+        return eq.minors + self._band_relations() + eq.rel1.entries()
+
+    def _band_relations(self):
+        """The trace relation on A and the band family B2 J_e B1^t - A J_m."""
+        eq = self._equations()
+        return [eq.trace_A] + eq.band.entries()
 
     def solve_relations(self):
         """The six matrix relations expressing E and O blocks through B1, B2, A.
@@ -286,8 +295,44 @@ class Chart:
             self.ring, _dedup(self.naive_generators() + self.additional_generators())))
 
     def intermediate_ideal(self):
+        """I', seeded by I' without Tr(X).  Where the trace-in-ideal lemma
+        holds, Tr(X) reduces to zero against the seed and no pair is
+        formed."""
         return self._cached("intermediate", lambda: Ideal(
-            self.ring, _dedup(self.intermediate_generators())))
+            self.ring, _dedup(self.intermediate_generators()),
+            base=self.iprime_sans_trace_ideal()))
+
+    # -- the lemma ideals (same parity) ---------------------------------------------
+    # All have the full ideal's reduced basis, which the checks verify; two are
+    # seeded from a nested one.  full_ideal() has no seed, so its basis alone
+    # costs what it did; the reduction check's ``equals`` hands it I''s basis.
+
+    def minors_ideal(self):
+        """All 2x2 minors of X."""
+        return self._cached("minors-ideal", lambda: Ideal(
+            self.ring, self._equations().minors))
+
+    def iprime_sans_trace_ideal(self):
+        """I' without Tr(X)."""
+        return self._cached("iprime-sans-trace", lambda: Ideal(
+            self.ring, self._sans_trace_generators()))
+
+    def solve_plus_reduced_ideal(self):
+        """The solve relations, the 2x2 minors of the band rows against the
+        complementary columns, and the band relations."""
+        def build():
+            eq = self._equations()
+            band_minors = self._sub(eq.X, self.rows, self.cols).minors2()
+            return Ideal(self.ring, self.solve_relations() + band_minors
+                         + self._band_relations())
+        return self._cached("solve-plus-reduced", build)
+
+    def solve_plus_band_ideal(self):
+        """All 2x2 minors of X, the band relations and the solve relations,
+        seeded by solve-plus-reduced: its band minors are among X's."""
+        return self._cached("solve-plus-band", lambda: Ideal(
+            self.ring, self._equations().minors + self._band_relations()
+            + self.solve_relations(), base=self.solve_plus_reduced_ideal()))
 
     def reduced_ideal(self):
         """Minors of the band rectangle plus the trace quadric, over

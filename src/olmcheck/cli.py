@@ -28,7 +28,7 @@ from .groebner import Budget, buchberger
 from .orders import order_from_name
 from .rings import Ring
 from .verify import (CHECK_NAMES, DEFAULT_SUITE, EngineConfig, chart_report,
-                     run_suite, verify_check)
+                     run_suite, usable_seconds, verify_check)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -43,7 +43,7 @@ def _seconds(text):
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:
+    if not usable_seconds(value):
         raise argparse.ArgumentTypeError(
             "expected finite positive seconds (--timeout or OLMCHECK_TIMEOUT),"
             " got %r" % (text,))

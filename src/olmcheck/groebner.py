@@ -38,6 +38,9 @@ lt_j, is applied when the pair is popped: the divisor index's buckets of l,
 each bisected past j, give the later leads to test.  Every later element
 arrived while the pair was open, so the popped pairs are exactly those the
 eager rule keeps.
+
+A run can be seeded with the reduced basis of a sub-ideal (``start``); it
+then forms only the pairs that involve a new element.
 """
 
 import heapq
@@ -442,16 +445,20 @@ class _Engine:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _interreduce(engine, ding, budget=None, count=True):
+def _interreduce(engine, ding, budget=None, count=True, seed=()):
     """Auto-reduce the nonzero dicts in ``ding``: each, in ascending lead
     order, is fully reduced against the ones already kept, and a zero result
     is dropped.  Every monomial of g is at most lt(g) and a divisor is at
     most the monomial it divides, so only elements with smaller leads can
     reduce g; on a minimal Groebner basis one pass therefore gives the
-    reduced basis.  The budget's deadline is met once per dict; its steps
-    are counted only when ``count``.  Returns the kept dicts and their
-    basis arrays."""
+    reduced basis.  The dicts in ``seed`` are kept first, as they are.
+    The budget's deadline is met once per dict of ``ding``; its steps are
+    counted only when ``count``.  Returns the kept dicts and their basis
+    arrays."""
     kept, arrays = [], engine.arrays()
+    for d in seed:
+        kept.append(d)
+        engine.add(arrays, d)
     steps = budget if count else None
     for d in sorted(ding, key=max):
         if budget is not None:
@@ -513,27 +520,46 @@ def _new_pairs(ring, lts, t):
     return survivors
 
 
-def buchberger(generators, budget=None):
+def buchberger(generators, budget=None, start=None):
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     Applies the coprime-leading-monomial skip and the Gebauer-Moeller chain
     criteria; pair selection is the normal strategy.  Raises BudgetExceeded
     when the optional budget runs out.
+
+    ``start``, a reduced ``GroebnerBasis`` in the same ring, seeds the run:
+    the result is the reduced basis of the ideal of ``start`` and
+    ``generators`` together.  Its elements come first in the basis and no
+    pair among them is formed: an S-pair of two elements of a Groebner
+    basis reduces to zero against it, so it has a standard representation
+    in every larger basis and both the pair and the criteria that lean on
+    it stay satisfied.  Only pairs that involve a new element are reduced.
+    When every generator reduces to zero against ``start``, ``start`` is
+    the answer and is returned as it is.
     """
+    return _buchberger(generators, budget, start)
+
+
+def _buchberger(generators, budget, start):
     gens = [g for g in generators if not g.is_zero()]
-    if not gens:
+    if start is None and not gens:
         raise InvalidInput("need at least one nonzero generator")
-    ring = gens[0].ring
+    ring = gens[0].ring if start is None else start.ring
     for g in gens:
         if g.ring is not ring:
             raise InvalidInput("generators from different rings")
     engine = _Engine(ring)
+    seed = [] if start is None else \
+        [engine.prepare(p._d) for p in reversed(start.polys)]
 
-    # repeated and scalar-multiple generators reduce to zero here; this pass
-    # meets the deadline but counts no steps, so the step counter sees
-    # S-pairs and the final pass
+    # repeated and scalar-multiple generators, and generators already in the
+    # start ideal, reduce to zero here; this pass meets the deadline but
+    # counts no steps, so the step counter sees S-pairs and the final pass
     basis, arrays = _interreduce(
-        engine, [engine.prepare(g._d) for g in gens], budget, count=False)
+        engine, [engine.prepare(g._d) for g in gens], budget, count=False,
+        seed=seed)
+    if start is not None and len(basis) == len(seed):
+        return start
     lts = arrays[0].lts
     stale = arrays[0].stale
     mono_deg = ring.mono_degree
@@ -547,7 +573,7 @@ def buchberger(generators, budget=None):
         for i, l in _new_pairs(ring, lts, t).items():
             heapq.heappush(heap, (mono_deg(l), l, i, t))
 
-    for t in range(len(basis)):
+    for t in range(len(seed), len(basis)):
         push_pairs(t)
 
     while heap:
@@ -604,6 +630,11 @@ class GroebnerBasis:
 
     def lead_monomials(self):
         return self._lts
+
+    def extend(self, generators, budget=None):
+        """Reduced basis of the ideal of this basis and ``generators``:
+        ``buchberger(generators, budget, start=self)``."""
+        return _buchberger(generators, budget, self)
 
     def is_unit_ideal(self):
         return len(self.polys) == 1 and self.polys[0].lm() == 0

@@ -4,6 +4,7 @@ Elimination, intersection, colon ideals, equality, Krull dimension of the
 quotient, and the leading-term criteria used by the component checks.  An
 ``Ideal`` caches its reduced Groebner basis (one per ring order; moving an
 ideal to a ring with a different order is an explicit re-generation).
+Generator-nested ideals share work (``base`` and ``equals``).
 """
 
 from .errors import EmptyVariety, InvalidDivisor
@@ -12,26 +13,64 @@ from .orders import GRLEX, Block
 from .rings import Ring, cast
 
 
-class Ideal:
-    """An ideal given by generators, with a cached reduced Groebner basis."""
+def _scalar_key(g):
+    """The same key for g and every nonzero scalar multiple of g."""
+    return tuple(g.monic().terms())
 
-    def __init__(self, ring, gens):
+
+class Ideal:
+    """An ideal given by generators, with a cached reduced Groebner basis.
+
+    ``base``, an ideal in the same ring whose every generator is, up to a
+    scalar, among ``gens``, seeds the basis: ``groebner`` starts Buchberger
+    from ``base.groebner()`` and reduces only the pairs that involve the
+    other generators (see ``buchberger``).  The basis is the one a run from
+    scratch gives.  A ``base`` that is not nested this way raises
+    ValueError, so a seed can never stand for a larger ideal.
+    """
+
+    def __init__(self, ring, gens, base=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
+        self._keys = None
+        self._base = base
+        if base is not None:
+            self._new = self._extra(base)
+            if self._new is None:
+                raise ValueError("base generators are not among the ideal's "
+                                 "generators")
 
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.gens), self.ring)
 
+    def _extra(self, sub):
+        """The generators beyond those of ``sub``, up to scalars, or None
+        when some generator of ``sub`` is not among them."""
+        if sub.ring is not self.ring:
+            return None
+        if self._keys is None:
+            self._keys = {_scalar_key(g): g for g in self.gens}
+        if sub._keys is None:
+            sub._keys = {_scalar_key(g): g for g in sub.gens}
+        if not sub._keys.keys() <= self._keys.keys():
+            return None
+        return [g for k, g in self._keys.items() if k not in sub._keys]
+
     def groebner(self, budget=None):
         if self._gb is None:
-            if not self.gens:
+            if self._base is not None:
+                self._gb = self._base.groebner(budget).extend(self._new, budget)
+            elif not self.gens:
                 self._gb = GroebnerBasis(self.ring, ())
             else:
                 self._gb = buchberger(self.gens, budget)
         return self._gb
 
     def contains(self, f, budget=None):
+        """Membership by normal form; meets the budget's deadline once."""
+        if budget is not None:
+            budget.deadline()
         if f.is_zero():
             return True
         return self.groebner(budget).contains(f)
@@ -43,9 +82,22 @@ class Ideal:
         return self.groebner(budget).is_unit_ideal()
 
     def equals(self, other, budget=None):
-        """Reduced bases coincide term for term (canonical per order)."""
+        """Reduced bases coincide term for term (canonical per order).
+
+        When one ideal's generators contain the other's and the larger one
+        has no basis yet, only the smaller basis is computed: the ideals
+        are equal exactly when the extra generators reduce to zero against
+        it, and then the larger ideal takes that basis as its own.
+        """
         if other.ring is not self.ring:
             raise ValueError("ideals live in different rings")
+        for big, small in ((self, other), (other, self)):
+            extra = None if big._gb is not None else big._extra(small)
+            if extra is not None:
+                if not all(small.contains(g, budget) for g in extra):
+                    return False
+                big._gb = small.groebner(budget)
+                return True
         return self.groebner(budget).polys == other.groebner(budget).polys
 
     # -- derived constructions ------------------------------------------------

@@ -14,6 +14,7 @@ criterion (no pure power of the designated variable), and each report
 carries a note saying so.
 """
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -21,7 +22,7 @@ from .charts import Chart
 from .errors import BudgetExceeded, NotApplicable
 from .fields import QQ, coefficient_field
 from .groebner import Budget
-from .ideals import Ideal, pure_power_free
+from .ideals import pure_power_free
 from .rings import cast
 
 LEMMA_CHECKS = (
@@ -47,6 +48,15 @@ class CheckResult:
     millis: float = 0.0
 
 
+def usable_seconds(value):
+    """True for a time budget a check can run under: finite positive
+    seconds."""
+    try:
+        return 0 < value < math.inf
+    except TypeError:
+        return False
+
+
 @dataclass
 class EngineConfig:
     """Field and budget configuration for a verification run."""
@@ -56,11 +66,16 @@ class EngineConfig:
     full_matrix_limit: int = 6    # largest d for checks on the full d*d ring
     reduced_limit: int = 8        # largest d for reduced-ring checks
 
+    def __post_init__(self):
+        if self.timeout is not None and not usable_seconds(self.timeout):
+            raise ValueError("timeout must be None or finite positive "
+                             "seconds, got %r" % (self.timeout,))
+
     def field(self):
         return coefficient_field(self.modulus)
 
     def budget(self):
-        return Budget(seconds=self.timeout) if self.timeout else None
+        return None if self.timeout is None else Budget(seconds=self.timeout)
 
     def describe(self):
         return {
@@ -122,10 +137,8 @@ def _tagged_entries(tag, mat, rows=None, cols=None):
 
 def _lemma_data(chart, name):
     """Target polynomials and the ideal they must belong to, per lemma."""
-    ring = chart.ring
     eq = chart._equations()
     X, B1, A, B2, Je, Jm = eq.X, eq.B1, eq.A, eq.B2, eq.Je, eq.Jm
-    band_rels = [eq.trace_A] + eq.band.entries()
 
     if name == "X2-in-Iprime":
         return _tagged_entries("X^2", eq.square), chart.intermediate_ideal()
@@ -134,25 +147,20 @@ def _lemma_data(chart, name):
     if name == "B1JB2-symmetric":
         theta = B1 @ Je @ B2.T
         return (_tagged_entries("theta-asym", theta - theta.T),
-                chart._cached("minors-ideal", lambda: Ideal(ring, eq.minors)))
+                chart.minors_ideal())
     if name == "S0-relation":
         return _tagged_entries("S0-rel", eq.rel0), chart.intermediate_ideal()
     if name == "trace-in-ideal":
-        return ([("Tr(X)", eq.trace)],
-                chart._cached("iprime-sans-trace", lambda: Ideal(
-                    ring, eq.minors + band_rels + eq.rel1.entries())))
+        return [("Tr(X)", eq.trace)], chart.iprime_sans_trace_ideal()
     if name == "A-relations":
         two_pi = eq.pi.scale(2)
         targets = _tagged_entries("AtJB1", (A.T @ Jm @ B1) + (Jm @ B1).scale(two_pi))
         targets += _tagged_entries("AtJB2", (A.T @ Jm @ B2) + (Jm @ B2).scale(two_pi))
         targets += _tagged_entries("AtJA", (A.T @ Jm @ A) + (Jm @ A).scale(two_pi))
-        return targets, chart._cached("solve-plus-band", lambda: Ideal(
-            ring, eq.minors + band_rels + chart.solve_relations()))
+        return targets, chart.solve_plus_band_ideal()
     if name == "minors-reduce":
         targets = [("minor[%d]" % k, g) for k, g in enumerate(eq.minors)]
-        return targets, chart._cached("solve-plus-reduced", lambda: Ideal(
-            ring, chart.solve_relations()
-            + chart._sub(X, chart.rows, chart.cols).minors2() + band_rels))
+        return targets, chart.solve_plus_reduced_ideal()
     raise ValueError("unknown lemma check %r" % (name,))
 
 
@@ -183,19 +191,17 @@ def _reduction(chart, budget):
                         "witness": _extra_element(full, inter, budget)}
     red = chart.reduced_ideal()
     phi = chart.substitution_map()
-    red_gb = red.groebner(budget)
     for g in full.gens:
-        if not red_gb.contains(g.substitute(phi, chart.reduced_ring)):
+        if not red.contains(g.substitute(phi, chart.reduced_ring), budget):
             return "fail", {"subcheck": "phi-image", "generator": _clip(g)}
-    full_gb = full.groebner(budget)
     for g in red.gens:
-        if not full_gb.contains(cast(g, chart.ring)):
+        if not full.contains(cast(g, chart.ring), budget):
             return "fail", {"subcheck": "reduced-lift", "generator": _clip(g)}
     for nm in chart.ring.names:
         if nm == "pi":
             continue
         diff = chart.ring.var(nm) - cast(phi[nm], chart.ring)
-        if not full_gb.contains(diff):
+        if not full.contains(diff, budget):
             return "fail", {"subcheck": "section", "variable": nm}
     return "pass", None
 

@@ -12,6 +12,7 @@ from olmcheck.groebner import (Budget, GroebnerBasis, _DivisorIndex, _Engine,
                                normal_form_membership, s_polynomial)
 from olmcheck.orders import GRLEX, LEX, Block
 from olmcheck.rings import Ring
+from oracles import CountingBudget as _CountingBudget
 from oracles import member_up_to_degree, random_poly
 
 
@@ -226,20 +227,6 @@ def test_lex_tail_shift_overflow_raises():
         multivariate_division(x**3, [x - z**30000])
 
 
-class _CountingBudget(Budget):
-    """A limit-free budget that counts pairs and reduction steps."""
-
-    def __init__(self):
-        super().__init__()
-        self.pairs = self.steps = 0
-
-    def pair(self):
-        self.pairs += 1
-
-    def reduction_step(self):
-        self.steps += 1
-
-
 def test_full_ideal_work_counters_are_fixed():
     # the pair criteria and the reduction decide exactly this much work;
     # any change to pair selection, pruning or reduction moves a counter
@@ -284,6 +271,33 @@ def test_block_and_lex_work_counters_are_fixed():
     again = buchberger([g.scale(Fraction(-2, 3)) for g in gens] + gens, repeated)
     assert again.polys == gb.polys
     assert (repeated.pairs, repeated.steps) == (budget.pairs, budget.steps)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+@pytest.mark.parametrize("order", [GRLEX, LEX, Block(1)])
+def test_seeded_run_matches_the_run_from_scratch(order, field):
+    R = Ring(["x", "y", "z"], field, order)
+    x, y, z = R.gens()
+    old = [x**2 * y - z**2, x * y**2 - z, x**3 - y * z]
+    start = buchberger(old)
+    # the lead of x*y - z divides a lead of the start basis in every order
+    new = [x * y - z]
+    assert any(R.mono_divides(new[0].lm(), m) for m in start.lead_monomials())
+    budget = _CountingBudget()
+    assert buchberger(new, budget, start=start) == buchberger(old + new)
+    assert budget.pairs > 0
+    assert start.extend(new) == buchberger(old + new)
+    # a mixed batch: one new generator, one already in the start ideal
+    member = (x + 2 * z) * old[0] - y * old[2]
+    assert buchberger([member, z**3 - x], start=start) == \
+        buchberger(old + [z**3 - x])
+    # nothing new: the start basis comes back and no work is done
+    for gens in ([], [member], [member.scale(3), R.zero()]):
+        budget = _CountingBudget()
+        assert buchberger(gens, budget, start=start) is start
+        assert (budget.pairs, budget.steps) == (0, 0)
+    with pytest.raises(InvalidInput):
+        buchberger([Ring(["x", "y", "z"], field, order).var("x")], start=start)
 
 
 def _random_mono(ring, rng, deg):

@@ -115,6 +115,39 @@ def test_ideals_equal_examples():
         Ideal(P, [P.var("x"), P.var("y")]))
 
 
+def test_seeded_ideal_needs_a_nested_base():
+    R = Ring(["x", "y", "z"], QQ, GRLEX)
+    x, y, z = R.gens()
+    sub = Ideal(R, [x**2 - y, x * y - z])
+    # scalar multiples count as the same generator
+    seeded = Ideal(R, [(x * y - z).scale(-3), y**2 - x * z, x**2 - y], base=sub)
+    scratch = Ideal(R, seeded.gens)
+    assert seeded.groebner() == scratch.groebner()
+    assert sub._gb is not None  # the seed was computed and cached
+    with pytest.raises(ValueError):
+        Ideal(R, [x**2 - y, y**2 - x * z], base=sub)
+    R3 = _ring3()
+    a, b, c = R3.gens()
+    with pytest.raises(ValueError):
+        Ideal(R3, [a**2 - b, a * b - c], base=sub)
+
+
+def test_nested_equals_takes_the_smaller_basis():
+    R = Ring(["x", "y"], QQ, GRLEX)
+    x, y = R.gens()
+    small = Ideal(R, [x**2 - y])
+    # x^3 - x*y = x*(x^2 - y): equal ideals, and the larger adopts the basis
+    big = Ideal(R, [x**3 - x * y, x**2 - y])
+    assert big.equals(small)
+    assert big._gb is small._gb
+    small = Ideal(R, [x**2 - y])
+    assert small.equals(Ideal(R, [x**2 - y, (x**2 - y) * y]))
+    # a false nested equality: x*y is not in (x^2 - y)
+    big = Ideal(R, [x**2 - y, x * y])
+    assert not big.equals(small) and not small.equals(big)
+    assert big._gb is None
+
+
 def test_krull_dimension_examples():
     R = _ring3()
     x, y, z = R.gens()

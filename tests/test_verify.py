@@ -5,14 +5,19 @@ the tamperings are injected through the chart's ideal cache, which is what
 the checks read.
 """
 
+import math
+import re
+
 import pytest
 
 from olmcheck.charts import Chart
 from olmcheck.fields import PrimeField, QQ
+from olmcheck.groebner import buchberger
 from olmcheck.ideals import Ideal
 from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
                              PRIMALITY_NOTE, chart_report,
                              expected_component_count, run_suite, verify_check)
+from oracles import CountingBudget
 
 CFG = EngineConfig(modulus=32003)
 
@@ -221,6 +226,64 @@ def test_timeout_is_reported_not_passed():
     res = verify_check("reduction", _chart(), cfg)
     assert res.status == "timeout"
     assert res.witness and "budget" in res.witness
+
+
+def test_membership_loops_meet_the_deadline():
+    # with the basis cached, the check is membership tests only
+    c = _chart(5, 3)
+    c.intermediate_ideal().groebner()
+    res = verify_check("X2-in-Iprime", c, EngineConfig(modulus=32003, timeout=1e-9))
+    assert res.status == "timeout"
+
+
+@pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf, "5"])
+def test_engine_config_rejects_unusable_timeouts(bad):
+    with pytest.raises(ValueError, match="got " + re.escape(repr(bad))):
+        EngineConfig(timeout=bad)
+
+
+def test_engine_config_accepts_usable_timeouts():
+    assert EngineConfig().budget() is None
+    assert EngineConfig(timeout=2.5).budget().seconds == 2.5
+
+
+class _Metered(EngineConfig):
+    """Every check of a run shares one counting budget."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.meter = CountingBudget()
+
+    def budget(self):
+        return self.meter
+
+
+@pytest.mark.parametrize("d, l, work", [(5, 3, (4609, 17283)),
+                                        (6, 2, (12789, 54936))])
+def test_chart_report_work_is_fixed(d, l, work):
+    # the lemma ideals share one basis: I' is seeded by I' without Tr(X),
+    # solve-plus-band by solve-plus-reduced, and the reduction check's
+    # equality hands the intermediate basis to the full ideal; without any
+    # one of these a Buchberger run from scratch adds thousands of pairs
+    cfg = _Metered(modulus=32003)
+    report = chart_report(_chart(d, l), cfg)
+    assert report.passed()
+    assert (cfg.meter.pairs, cfg.meter.steps) == work
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+@pytest.mark.parametrize("d, l", [(5, 3), (6, 2)])
+def test_shared_bases_match_runs_from_scratch(d, l, modulus):
+    c = _chart(d, l, modulus)
+    seeded = [c.intermediate_ideal(), c.solve_plus_band_ideal()]
+    for ideal in seeded:
+        assert ideal._base is not None
+        ideal.groebner()
+    assert verify_check("reduction", c, EngineConfig(modulus=modulus)).status == "pass"
+    full = c.full_ideal()
+    assert full._gb is c.intermediate_ideal()._gb
+    for ideal in seeded + [full]:
+        assert ideal.groebner() == buchberger(ideal.gens)
 
 
 def test_expected_component_count_table():
