@@ -39,8 +39,9 @@ each bisected past j, give the later leads to test.  Every later element
 arrived while the pair was open, so the popped pairs are exactly those the
 eager rule keeps.
 
-A run can be seeded with the reduced basis of a sub-ideal (``start``); it
-then forms only the pairs that involve a new element.
+A run can be seeded with the reduced basis of a sub-ideal
+(``GroebnerBasis.extend``); it then forms only the pairs that involve a new
+element.
 """
 
 import heapq
@@ -520,24 +521,15 @@ def _new_pairs(ring, lts, t):
     return survivors
 
 
-def buchberger(generators, budget=None, start=None):
+def buchberger(generators, budget=None):
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     Applies the coprime-leading-monomial skip and the Gebauer-Moeller chain
     criteria; pair selection is the normal strategy.  Raises BudgetExceeded
-    when the optional budget runs out.
-
-    ``start``, a reduced ``GroebnerBasis`` in the same ring, seeds the run:
-    the result is the reduced basis of the ideal of ``start`` and
-    ``generators`` together.  Its elements come first in the basis and no
-    pair among them is formed: an S-pair of two elements of a Groebner
-    basis reduces to zero against it, so it has a standard representation
-    in every larger basis and both the pair and the criteria that lean on
-    it stay satisfied.  Only pairs that involve a new element are reduced.
-    When every generator reduces to zero against ``start``, ``start`` is
-    the answer and is returned as it is.
+    when the optional budget runs out.  ``GroebnerBasis.extend`` runs the
+    same algorithm seeded with a known basis.
     """
-    return _buchberger(generators, budget, start)
+    return _buchberger(generators, budget, None)
 
 
 def _buchberger(generators, budget, start):
@@ -632,8 +624,17 @@ class GroebnerBasis:
         return self._lts
 
     def extend(self, generators, budget=None):
-        """Reduced basis of the ideal of this basis and ``generators``:
-        ``buchberger(generators, budget, start=self)``."""
+        """Reduced basis of the ideal of this basis and ``generators``.
+
+        This basis, which must be reduced, seeds the run: its elements come
+        first and no pair among them is formed.  An S-pair of two elements
+        of a Groebner basis reduces to zero against it, so it has a standard
+        representation in every larger basis, and both the pair and the
+        criteria that lean on it stay satisfied.  Only pairs that involve a
+        new element are reduced, and the result is the basis a run from
+        scratch on all the generators gives.  When every generator reduces
+        to zero against this basis, it is returned as it is.
+        """
         return _buchberger(generators, budget, self)
 
     def is_unit_ideal(self):

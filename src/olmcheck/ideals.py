@@ -24,7 +24,7 @@ class Ideal:
     ``base``, an ideal in the same ring whose every generator is, up to a
     scalar, among ``gens``, seeds the basis: ``groebner`` starts Buchberger
     from ``base.groebner()`` and reduces only the pairs that involve the
-    other generators (see ``buchberger``).  The basis is the one a run from
+    other generators (see ``GroebnerBasis.extend``).  The basis is the one a run from
     scratch gives.  A ``base`` that is not nested this way raises
     ValueError, so a seed can never stand for a larger ideal.
     """

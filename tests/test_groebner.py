@@ -284,20 +284,18 @@ def test_seeded_run_matches_the_run_from_scratch(order, field):
     new = [x * y - z]
     assert any(R.mono_divides(new[0].lm(), m) for m in start.lead_monomials())
     budget = _CountingBudget()
-    assert buchberger(new, budget, start=start) == buchberger(old + new)
+    assert start.extend(new, budget) == buchberger(old + new)
     assert budget.pairs > 0
-    assert start.extend(new) == buchberger(old + new)
     # a mixed batch: one new generator, one already in the start ideal
     member = (x + 2 * z) * old[0] - y * old[2]
-    assert buchberger([member, z**3 - x], start=start) == \
-        buchberger(old + [z**3 - x])
+    assert start.extend([member, z**3 - x]) == buchberger(old + [z**3 - x])
     # nothing new: the start basis comes back and no work is done
     for gens in ([], [member], [member.scale(3), R.zero()]):
         budget = _CountingBudget()
-        assert buchberger(gens, budget, start=start) is start
+        assert start.extend(gens, budget) is start
         assert (budget.pairs, budget.steps) == (0, 0)
     with pytest.raises(InvalidInput):
-        buchberger([Ring(["x", "y", "z"], field, order).var("x")], start=start)
+        start.extend([Ring(["x", "y", "z"], field, order).var("x")])
 
 
 def _random_mono(ring, rng, deg):
