@@ -49,6 +49,11 @@ class Ideal:
         when some generator of ``sub`` is not among them."""
         if sub.ring is not self.ring:
             return None
+        # the lead and term count, read without arithmetic, rule out most
+        # non-nested pairs before any generator is made monic
+        shapes = {(g.lm(), len(g)) for g in self.gens}
+        if any((g.lm(), len(g)) not in shapes for g in sub.gens):
+            return None
         if self._keys is None:
             self._keys = {_scalar_key(g): g for g in self.gens}
         if sub._keys is None:

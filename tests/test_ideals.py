@@ -126,6 +126,9 @@ def test_seeded_ideal_needs_a_nested_base():
     assert sub._gb is not None  # the seed was computed and cached
     with pytest.raises(ValueError):
         Ideal(R, [x**2 - y, y**2 - x * z], base=sub)
+    # same lead and term count as x*y - z, but not a scalar multiple
+    with pytest.raises(ValueError):
+        Ideal(R, [x**2 - y, x * y - 2 * z], base=sub)
     R3 = _ring3()
     a, b, c = R3.gens()
     with pytest.raises(ValueError):
