@@ -17,7 +17,7 @@ from .fields import QQ, PrimeField, coefficient_field
 from .orders import GRLEX, LEX, Block, order_from_name
 from .rings import Polynomial, Ring, cast, parse_polynomial
 from .groebner import (Budget, DivisionResult, GroebnerBasis, buchberger,
-                       multivariate_division, normal_form_membership, s_polynomial)
+                       multivariate_division, s_polynomial)
 from .ideals import Ideal, is_regular_element, krull_dimension, pure_power_free
 from .charts import Chart, ComponentFamily, gram_matrices
 from .verify import (CHECK_NAMES, DEFAULT_SUITE, CheckResult, ChartReport,
@@ -28,7 +28,7 @@ __all__ = [
     "GRLEX", "LEX", "Block", "order_from_name",
     "Polynomial", "Ring", "cast", "parse_polynomial",
     "Budget", "DivisionResult", "GroebnerBasis", "buchberger",
-    "multivariate_division", "normal_form_membership", "s_polynomial",
+    "multivariate_division", "s_polynomial",
     "Ideal", "is_regular_element", "krull_dimension", "pure_power_free",
     "Chart", "ComponentFamily", "gram_matrices",
     "CHECK_NAMES", "DEFAULT_SUITE", "CheckResult", "ChartReport",

@@ -37,7 +37,7 @@ from types import SimpleNamespace
 
 from .errors import InvalidChart, InvalidUnit, NotApplicable
 from .fields import QQ
-from .ideals import Ideal
+from .ideals import Ideal, _scalar_key
 from .matrices import PolyMatrix, antidiag, constant_matrix, diagonal
 from .orders import GRLEX
 from .rings import Ring
@@ -295,17 +295,17 @@ class Chart:
             self.ring, _dedup(self.naive_generators() + self.additional_generators())))
 
     def intermediate_ideal(self):
-        """I', seeded by I' without Tr(X).  Where the trace-in-ideal lemma
-        holds, Tr(X) reduces to zero against the seed and no pair is
-        formed."""
+        """I', with I' without Tr(X) as its base.  Where the trace-in-ideal
+        lemma holds, Tr(X) lies in the base and I' takes the base's
+        basis; otherwise its basis is computed from scratch."""
         return self._cached("intermediate", lambda: Ideal(
             self.ring, _dedup(self.intermediate_generators()),
             base=self.iprime_sans_trace_ideal()))
 
     # -- the lemma ideals (same parity) ---------------------------------------------
-    # All have the full ideal's reduced basis, which the checks verify; two are
-    # seeded from a nested one.  full_ideal() has no seed, so its basis alone
-    # costs what it did; the reduction check's ``equals`` hands it I''s basis.
+    # All have the full ideal's reduced basis, which the checks verify; two
+    # take the basis of a nested one, their base.  full_ideal() has no base;
+    # the reduction check's ``equals`` hands it I''s basis.
 
     def minors_ideal(self):
         """All 2x2 minors of X."""
@@ -329,7 +329,8 @@ class Chart:
 
     def solve_plus_band_ideal(self):
         """All 2x2 minors of X, the band relations and the solve relations,
-        seeded by solve-plus-reduced: its band minors are among X's."""
+        with solve-plus-reduced as its base: its band minors are among
+        X's."""
         return self._cached("solve-plus-band", lambda: Ideal(
             self.ring, self._equations().minors + self._band_relations()
             + self.solve_relations(), base=self.solve_plus_reduced_ideal()))
@@ -569,7 +570,7 @@ def _dedup(gens):
     for g in gens:
         if g.is_zero():
             continue
-        key = tuple(g.monic().terms())
+        key = _scalar_key(g)
         if key in seen:
             continue
         seen.add(key)

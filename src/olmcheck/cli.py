@@ -191,6 +191,10 @@ def cmd_gb(args):
     except BudgetExceeded as exc:
         sys.stderr.write("timeout: %s\n" % exc)
         return EXIT_TIMEOUT
+    except ValueError as exc:
+        # an exponent past the packed field, met in an S-pair or reduction
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_USAGE
     if args.format == "json":
         payload = {"order": args.order, "modulus": args.modulus,
                    "variables": list(ring.names),

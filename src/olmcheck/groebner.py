@@ -38,10 +38,6 @@ lt_j, is applied when the pair is popped: the divisor index's buckets of l,
 each bisected past j, give the later leads to test.  Every later element
 arrived while the pair was open, so the popped pairs are exactly those the
 eager rule keeps.
-
-A run can be seeded with the reduced basis of a sub-ideal
-(``GroebnerBasis.extend``); it then forms only the pairs that involve a new
-element.
 """
 
 import heapq
@@ -56,12 +52,11 @@ from .rings import Polynomial
 
 
 class Budget:
-    """Explicit resource limits for a Groebner run."""
+    """A time limit for a Groebner run.  ``pair`` and ``reduction_step``
+    count the work and meet the deadline every 64 pairs and 1024 steps."""
 
-    def __init__(self, seconds=None, max_pairs=None, max_reductions=None):
+    def __init__(self, seconds=None):
         self.seconds = seconds
-        self.max_pairs = max_pairs
-        self.max_reductions = max_reductions
         self._t0 = time.monotonic()
         self._pairs = 0
         self._reductions = 0
@@ -75,15 +70,11 @@ class Budget:
 
     def pair(self):
         self._pairs += 1
-        if self.max_pairs is not None and self._pairs > self.max_pairs:
-            raise BudgetExceeded("pair budget %d exhausted" % self.max_pairs)
         if self._pairs % 64 == 0:
             self.deadline()
 
     def reduction_step(self):
         self._reductions += 1
-        if self.max_reductions is not None and self._reductions > self.max_reductions:
-            raise BudgetExceeded("reduction budget %d exhausted" % self.max_reductions)
         if self._reductions % 1024 == 0:
             self.deadline()
 
@@ -446,20 +437,16 @@ class _Engine:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _interreduce(engine, ding, budget=None, count=True, seed=()):
+def _interreduce(engine, ding, budget=None, count=True):
     """Auto-reduce the nonzero dicts in ``ding``: each, in ascending lead
     order, is fully reduced against the ones already kept, and a zero result
     is dropped.  Every monomial of g is at most lt(g) and a divisor is at
     most the monomial it divides, so only elements with smaller leads can
     reduce g; on a minimal Groebner basis one pass therefore gives the
-    reduced basis.  The dicts in ``seed`` are kept first, as they are.
-    The budget's deadline is met once per dict of ``ding``; its steps are
-    counted only when ``count``.  Returns the kept dicts and their basis
-    arrays."""
+    reduced basis.  The budget's deadline is met once per dict; its steps
+    are counted only when ``count``.  Returns the kept dicts and their
+    basis arrays."""
     kept, arrays = [], engine.arrays()
-    for d in seed:
-        kept.append(d)
-        engine.add(arrays, d)
     steps = budget if count else None
     for d in sorted(ding, key=max):
         if budget is not None:
@@ -526,32 +513,22 @@ def buchberger(generators, budget=None):
 
     Applies the coprime-leading-monomial skip and the Gebauer-Moeller chain
     criteria; pair selection is the normal strategy.  Raises BudgetExceeded
-    when the optional budget runs out.  ``GroebnerBasis.extend`` runs the
-    same algorithm seeded with a known basis.
+    when the optional budget runs out.
     """
-    return _buchberger(generators, budget, None)
-
-
-def _buchberger(generators, budget, start):
     gens = [g for g in generators if not g.is_zero()]
-    if start is None and not gens:
+    if not gens:
         raise InvalidInput("need at least one nonzero generator")
-    ring = gens[0].ring if start is None else start.ring
+    ring = gens[0].ring
     for g in gens:
         if g.ring is not ring:
             raise InvalidInput("generators from different rings")
     engine = _Engine(ring)
-    seed = [] if start is None else \
-        [engine.prepare(p._d) for p in reversed(start.polys)]
 
-    # repeated and scalar-multiple generators, and generators already in the
-    # start ideal, reduce to zero here; this pass meets the deadline but
-    # counts no steps, so the step counter sees S-pairs and the final pass
+    # repeated and scalar-multiple generators reduce to zero here; this pass
+    # meets the deadline but counts no steps, so the step counter sees
+    # S-pairs and the final pass
     basis, arrays = _interreduce(
-        engine, [engine.prepare(g._d) for g in gens], budget, count=False,
-        seed=seed)
-    if start is not None and len(basis) == len(seed):
-        return start
+        engine, [engine.prepare(g._d) for g in gens], budget, count=False)
     lts = arrays[0].lts
     stale = arrays[0].stale
     mono_deg = ring.mono_degree
@@ -565,7 +542,7 @@ def _buchberger(generators, budget, start):
         for i, l in _new_pairs(ring, lts, t).items():
             heapq.heappush(heap, (mono_deg(l), l, i, t))
 
-    for t in range(len(seed), len(basis)):
+    for t in range(len(basis)):
         push_pairs(t)
 
     while heap:
@@ -623,20 +600,6 @@ class GroebnerBasis:
     def lead_monomials(self):
         return self._lts
 
-    def extend(self, generators, budget=None):
-        """Reduced basis of the ideal of this basis and ``generators``.
-
-        This basis, which must be reduced, seeds the run: its elements come
-        first and no pair among them is formed.  An S-pair of two elements
-        of a Groebner basis reduces to zero against it, so it has a standard
-        representation in every larger basis, and both the pair and the
-        criteria that lean on it stay satisfied.  Only pairs that involve a
-        new element are reduced, and the result is the basis a run from
-        scratch on all the generators gives.  When every generator reduces
-        to zero against this basis, it is returned as it is.
-        """
-        return _buchberger(generators, budget, self)
-
     def is_unit_ideal(self):
         return len(self.polys) == 1 and self.polys[0].lm() == 0
 
@@ -658,9 +621,3 @@ class GroebnerBasis:
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
-
-
-def normal_form_membership(f, gb):
-    """Normal form and membership flag of f against a reduced basis."""
-    nf = gb.normal_form(f)
-    return nf, nf.is_zero()

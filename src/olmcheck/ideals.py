@@ -4,7 +4,8 @@ Elimination, intersection, colon ideals, equality, Krull dimension of the
 quotient, and the leading-term criteria used by the component checks.  An
 ``Ideal`` caches its reduced Groebner basis (one per ring order; moving an
 ideal to a ring with a different order is an explicit re-generation).
-Generator-nested ideals share work (``base`` and ``equals``).
+Generator-nested ideals that are equal share one basis (``base`` and
+``equals``).
 """
 
 from .errors import EmptyVariety, InvalidDivisor
@@ -22,11 +23,11 @@ class Ideal:
     """An ideal given by generators, with a cached reduced Groebner basis.
 
     ``base``, an ideal in the same ring whose every generator is, up to a
-    scalar, among ``gens``, seeds the basis: ``groebner`` starts Buchberger
-    from ``base.groebner()`` and reduces only the pairs that involve the
-    other generators (see ``GroebnerBasis.extend``).  The basis is the one a run from
-    scratch gives.  A ``base`` that is not nested this way raises
-    ValueError, so a seed can never stand for a larger ideal.
+    scalar, among ``gens``, may lend its basis: ``groebner`` takes
+    ``base.groebner()`` as its own when every other generator lies in
+    ``base``, and otherwise runs Buchberger from scratch.  A ``base`` that
+    is not nested this way raises ValueError, so a lent basis can never
+    stand for a larger ideal.
     """
 
     def __init__(self, ring, gens, base=None):
@@ -62,14 +63,22 @@ class Ideal:
             return None
         return [g for k, g in self._keys.items() if k not in sub._keys]
 
+    def _adopt(self, small, extra, budget):
+        """Take ``small``'s basis as this ideal's when every generator in
+        ``extra`` lies in ``small``, and return whether it was taken.
+        ``small``'s generators must be among this ideal's, so the two
+        ideals are then equal."""
+        if not all(small.contains(g, budget) for g in extra):
+            return False
+        self._gb = small.groebner(budget)
+        return True
+
     def groebner(self, budget=None):
         if self._gb is None:
-            if self._base is not None:
-                self._gb = self._base.groebner(budget).extend(self._new, budget)
-            elif not self.gens:
-                self._gb = GroebnerBasis(self.ring, ())
-            else:
-                self._gb = buchberger(self.gens, budget)
+            base = self._base
+            if base is None or not self._adopt(base, self._new, budget):
+                self._gb = (buchberger(self.gens, budget) if self.gens
+                            else GroebnerBasis(self.ring, ()))
         return self._gb
 
     def contains(self, f, budget=None):
@@ -91,18 +100,15 @@ class Ideal:
 
         When one ideal's generators contain the other's and the larger one
         has no basis yet, only the smaller basis is computed: the ideals
-        are equal exactly when the extra generators reduce to zero against
-        it, and then the larger ideal takes that basis as its own.
+        are equal exactly when the extra generators lie in the smaller
+        ideal, and then the larger ideal takes that basis as its own.
         """
         if other.ring is not self.ring:
             raise ValueError("ideals live in different rings")
         for big, small in ((self, other), (other, self)):
             extra = None if big._gb is not None else big._extra(small)
             if extra is not None:
-                if not all(small.contains(g, budget) for g in extra):
-                    return False
-                big._gb = small.groebner(budget)
-                return True
+                return big._adopt(small, extra, budget)
         return self.groebner(budget).polys == other.groebner(budget).polys
 
     # -- derived constructions ------------------------------------------------

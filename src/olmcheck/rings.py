@@ -384,17 +384,6 @@ class Polynomial:
                     out[k] = acc
         return Polynomial(target, out)
 
-    def at_origin(self):
-        """Set every variable except ``pi`` to zero (the worst point X = 0)."""
-        ring = self.ring
-        keep = {i for i, nm in enumerate(ring.names) if nm == "pi"}
-        out = {}
-        for m, c in self._d.items():
-            exps = ring.exponents(m)
-            if all(e == 0 or i in keep for i, e in enumerate(exps)):
-                out[m] = c
-        return Polynomial(ring, out)
-
     # -- text form --------------------------------------------------------------
 
     def __str__(self):

@@ -87,6 +87,16 @@ def test_gb_zero_denominator_is_usage_error(capsys, tmp_path):
         assert err.startswith("parse error:")
 
 
+def test_gb_exponent_overflow_is_usage_error(capsys, tmp_path):
+    # the generators parse, but the lcm of their leads has degree 40000
+    f = tmp_path / "overflow.txt"
+    f.write_text("x^20000*y - 1\nx*y^20000 - 1\n")
+    code, out, err = run(capsys, "gb", "--input", str(f))
+    assert code == 2
+    assert not out
+    assert err == "error: lcm degree 40000 overflows the packed field\n"
+
+
 def test_bad_flags_exit_two(capsys):
     assert run(capsys, "build", "--d", "6")[0] == 2          # missing --l
     assert run(capsys, "nonsense")[0] == 2

@@ -8,10 +8,11 @@ import pytest
 from olmcheck.charts import Chart
 from olmcheck.errors import EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
+from olmcheck.groebner import buchberger
 from olmcheck.ideals import Ideal, is_regular_element, krull_dimension, pure_power_free
-from olmcheck.orders import GRLEX, LEX
+from olmcheck.orders import GRLEX, LEX, Block
 from olmcheck.rings import Ring, cast
-from oracles import random_poly
+from oracles import CountingBudget, random_poly
 
 
 def _ring3(field=QQ):
@@ -120,10 +121,10 @@ def test_seeded_ideal_needs_a_nested_base():
     x, y, z = R.gens()
     sub = Ideal(R, [x**2 - y, x * y - z])
     # scalar multiples count as the same generator
-    seeded = Ideal(R, [(x * y - z).scale(-3), y**2 - x * z, x**2 - y], base=sub)
-    scratch = Ideal(R, seeded.gens)
-    assert seeded.groebner() == scratch.groebner()
-    assert sub._gb is not None  # the seed was computed and cached
+    nested = Ideal(R, [(x * y - z).scale(-3), y**2 - x * z, x**2 - y], base=sub)
+    scratch = Ideal(R, nested.gens)
+    assert nested.groebner() == scratch.groebner()
+    assert sub._gb is not None  # the base's basis was computed and cached
     with pytest.raises(ValueError):
         Ideal(R, [x**2 - y, y**2 - x * z], base=sub)
     # same lead and term count as x*y - z, but not a scalar multiple
@@ -133,6 +134,34 @@ def test_seeded_ideal_needs_a_nested_base():
     a, b, c = R3.gens()
     with pytest.raises(ValueError):
         Ideal(R3, [a**2 - b, a * b - c], base=sub)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+@pytest.mark.parametrize("order", [GRLEX, LEX, Block(1)])
+def test_base_lends_its_basis_or_the_run_is_from_scratch(order, field):
+    R = Ring(["x", "y", "z"], field, order)
+    x, y, z = R.gens()
+    old = [x**2 * y - z**2, x * y**2 - z, x**3 - y * z]
+    base = Ideal(R, old)
+    base.groebner()
+    member = (x + 2 * z) * old[0] - y * old[2]
+    # x*y - z is not in the base ideal (its lead divides a lead of the
+    # base's basis in every order): Buchberger runs on all the generators,
+    # with exactly the work of a run from scratch
+    for extra in ([x * y - z], [member, z**3 - x]):
+        ideal = Ideal(R, old + extra, base=base)
+        budget, scratch = CountingBudget(), CountingBudget()
+        assert ideal.groebner(budget) == buchberger(ideal.gens, scratch)
+        assert ideal._gb is not base._gb
+        assert (budget.pairs, budget.steps) == (scratch.pairs, scratch.steps)
+        assert budget.pairs > 0
+    # members, scaled members and zero: the base's basis is taken as it is
+    for extra in ([], [member], [member.scale(3), R.zero()],
+                  [old[1].scale(-2)]):
+        ideal = Ideal(R, old + extra, base=base)
+        budget = CountingBudget()
+        assert ideal.groebner(budget) is base._gb
+        assert (budget.pairs, budget.steps) == (0, 0)
 
 
 def test_nested_equals_takes_the_smaller_basis():

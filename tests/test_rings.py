@@ -219,15 +219,6 @@ def test_homomorphism_missing_image():
         (R.var("x") * R.var("y")).substitute({"x": R.var("x")}, R)
 
 
-def test_at_origin():
-    R = Ring(["x[3][1]", "x[4][6]", "pi"], QQ, GRLEX)
-    f = R.var("x[3][1]") * R.var("x[4][6]") + R.var("pi").scale(2)
-    assert f.at_origin() == R.var("pi").scale(2)  # only x-variables vanish
-    assert R.const(5).at_origin() == R.const(5)
-    g = R.var("x[3][1]") + 1
-    assert g.at_origin() == R.one()
-
-
 def test_pi_must_be_last():
     with pytest.raises(ValueError):
         Ring(["pi", "x[1][1]"], QQ, GRLEX)

@@ -261,8 +261,8 @@ class _Metered(EngineConfig):
 @pytest.mark.parametrize("d, l, work", [(5, 3, (4609, 17283)),
                                         (6, 2, (12789, 54936))])
 def test_chart_report_work_is_fixed(d, l, work):
-    # the lemma ideals share one basis: I' is seeded by I' without Tr(X),
-    # solve-plus-band by solve-plus-reduced, and the reduction check's
+    # the lemma ideals share one basis: I' takes that of I' without Tr(X),
+    # solve-plus-band that of solve-plus-reduced, and the reduction check's
     # equality hands the intermediate basis to the full ideal; without any
     # one of these a Buchberger run from scratch adds thousands of pairs
     cfg = _Metered(modulus=32003)
@@ -275,14 +275,15 @@ def test_chart_report_work_is_fixed(d, l, work):
 @pytest.mark.parametrize("d, l", [(5, 3), (6, 2)])
 def test_shared_bases_match_runs_from_scratch(d, l, modulus):
     c = _chart(d, l, modulus)
-    seeded = [c.intermediate_ideal(), c.solve_plus_band_ideal()]
-    for ideal in seeded:
+    linked = [c.intermediate_ideal(), c.solve_plus_band_ideal()]
+    for ideal in linked:
         assert ideal._base is not None
         ideal.groebner()
+        assert ideal._gb is ideal._base._gb
     assert verify_check("reduction", c, EngineConfig(modulus=modulus)).status == "pass"
     full = c.full_ideal()
     assert full._gb is c.intermediate_ideal()._gb
-    for ideal in seeded + [full]:
+    for ideal in linked + [full]:
         assert ideal.groebner() == buchberger(ideal.gens)
 
 
