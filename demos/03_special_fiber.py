@@ -16,7 +16,7 @@ for d, l in [(6, 2), (7, 3), (6, 3), (5, 2)]:
     for _, ideal, _ in comps:
         inter = ideal if inter is None else inter.intersect(ideal)
     print("(d, l) = (%d, %d)  case %s" % (d, l, chart.case))
-    print("  components          :", ", ".join(comps.labels()))
+    print("  components          :", ", ".join(label for label, _, _ in comps))
     print("  I_s = intersection  :", fiber.equals(inter))
     print("  fiber dimension     :", fiber.dimension(), "(expect %d)" % (d - 2))
     print("  component dimensions:", [i.dimension() for _, i, _ in comps])

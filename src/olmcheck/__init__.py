@@ -19,7 +19,7 @@ from .rings import Polynomial, Ring, cast, parse_polynomial
 from .groebner import (Budget, DivisionResult, GroebnerBasis, buchberger,
                        multivariate_division, s_polynomial)
 from .ideals import Ideal, is_regular_element, krull_dimension, pure_power_free
-from .charts import Chart, ComponentFamily, gram_matrices
+from .charts import Chart, gram_matrices
 from .verify import (CHECK_NAMES, DEFAULT_SUITE, CheckResult, ChartReport,
                      EngineConfig, SuiteReport, run_suite, verify_check)
 
@@ -30,7 +30,7 @@ __all__ = [
     "Budget", "DivisionResult", "GroebnerBasis", "buchberger",
     "multivariate_division", "s_polynomial",
     "Ideal", "is_regular_element", "krull_dimension", "pure_power_free",
-    "Chart", "ComponentFamily", "gram_matrices",
+    "Chart", "gram_matrices",
     "CHECK_NAMES", "DEFAULT_SUITE", "CheckResult", "ChartReport",
     "EngineConfig", "SuiteReport", "run_suite", "verify_check",
 ]

@@ -4,7 +4,7 @@ For integers d >= 5 and 1 < l < d-1 the chart is described inside the
 polynomial ring on a generic d x d matrix X plus the uniformizer pi.  The
 base ring is modeled as k[pi] (k the coefficient field, pi the least ring
 variable); the special and generic fibers are the substitutions pi -> 0 and
-pi -> unit.
+pi -> 1.
 
 Writing n = floor(d/2), r = floor(l/2), the symmetric form on the lattice
 has a normal basis whose Gram matrix is G0 + pi*G1 with G0, G1 in {0,1}
@@ -35,7 +35,7 @@ what produces the three-component boundary cases.
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .errors import InvalidChart, InvalidUnit, NotApplicable
+from .errors import InvalidChart, NotApplicable
 from .fields import QQ
 from .ideals import Ideal, _scalar_key
 from .matrices import PolyMatrix, antidiag, constant_matrix, diagonal
@@ -87,6 +87,11 @@ def gram_matrices(d, l):
     return G0, G1
 
 
+# the fibers over k[pi] by name, with the value pi takes on each; the
+# arithmetic fiber keeps pi
+FIBER_PI = {"special": 0, "generic": 1, "arithmetic": None}
+
+
 def _validate(d, l):
     if not (isinstance(d, int) and isinstance(l, int)):
         raise InvalidChart("d and l must be integers")
@@ -94,23 +99,6 @@ def _validate(d, l):
         raise InvalidChart("need d >= 5, got d=%d" % d)
     if not 1 < l < d - 1:
         raise InvalidChart("need 1 < l < d-1, got l=%d for d=%d" % (l, d))
-
-
-class ComponentFamily:
-    """Labeled special-fiber component ideals with their designated
-    regular-element variables."""
-
-    def __init__(self, components):
-        self.components = list(components)   # (label, Ideal, variable name)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def labels(self):
-        return [label for label, _, _ in self.components]
 
 
 def _solve_expressions(B1, A, B2, Je, Jm):
@@ -418,37 +406,37 @@ class Chart:
     # -- fibers and components ----------------------------------------------------------
 
     def specialize(self, ideal, fiber):
-        """Substitute pi and drop it from the ring.
+        """The ideal on one fiber over k[pi], with pi dropped from the ring.
 
-        ``fiber`` is "special" (pi -> 0) or ("generic", c) with c a unit.
-        Only reduced-ring ideals are expected here, but any ideal whose ring
-        ends in pi works.
+        ``fiber`` is "special" (pi -> 0), "generic" (pi -> 1) or
+        "arithmetic"; an arithmetic fiber, or an ideal without pi, is
+        returned unchanged.  Only reduced-ring ideals are expected here, but
+        any ideal whose ring ends in pi works.
         """
+        if fiber not in FIBER_PI:
+            raise ValueError("fiber must be one of %s, got %r"
+                             % (", ".join(FIBER_PI), fiber))
         src = ideal.ring
+        if FIBER_PI[fiber] is None or "pi" not in src.names:
+            return ideal
         names = [nm for nm in src.names if nm != "pi"]
         target = self.fiber_ring if src is self.reduced_ring \
             else Ring(names, src.field, src.order)
-        if fiber == "special":
-            c = 0
-        else:
-            kind, c = fiber
-            if kind != "generic":
-                raise ValueError("fiber must be 'special' or ('generic', c)")
-            if src.field.is_zero(src.field.coerce(c)):
-                raise InvalidUnit("generic fiber needs a unit, got 0")
         images = {nm: target.var(nm) for nm in names}
-        images["pi"] = target.const(c)
+        images["pi"] = target.const(FIBER_PI[fiber])
         return ideal.specialize(images, target)
 
     def special_fiber_ideal(self):
         return self._cached("special", lambda: self.specialize(
             self.reduced_ideal(), "special"))
 
-    def generic_fiber_ideal(self, c=1):
-        return self.specialize(self.reduced_ideal(), ("generic", c))
+    def generic_fiber_ideal(self):
+        return self.specialize(self.reduced_ideal(), "generic")
 
     def component_ideals(self):
-        """Irreducible components of the special fiber, labeled I1, I2[, I3].
+        """Irreducible components of the special fiber, as a list of
+        (label, ideal, variable) triples labeled I1, I2[, I3]; the variable
+        is the component's designated regular element.
 
         The trace quadric factors over rank-one band matrices as
         2 q_u(rows) q_w(columns); the components are the two quadric loci,
@@ -513,21 +501,14 @@ class Chart:
         else:
             comps.append(("I1", row_quadric() + minors, xname(first_row, 1)))
             comps.append(("I2", col_quadric() + minors, xname(first_row, 1)))
-        return ComponentFamily([(label, Ideal(ring, _dedup(gens)), v)
-                                for label, gens, v in comps])
+        return [(label, Ideal(ring, _dedup(gens)), v) for label, gens, v in comps]
 
     # -- serialization ------------------------------------------------------------------
 
     def to_json(self, fiber="arithmetic"):
         """Chart description with every ideal rendered in the text grammar."""
         def render(ideal):
-            if fiber == "arithmetic" or "pi" not in ideal.ring.names:
-                out = ideal
-            elif fiber == "special":
-                out = self.specialize(ideal, "special")
-            else:
-                out = self.specialize(ideal, ("generic", 1))
-            return [str(g) for g in out.gens]
+            return [str(g) for g in self.specialize(ideal, fiber).gens]
 
         ideals = {
             "naive": render(self.naive_ideal()),

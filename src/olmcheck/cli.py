@@ -7,8 +7,10 @@ Four subcommands:
 * ``verify`` run one named check on one chart;
 * ``suite``  run the applicable checks over a list of charts.
 
-Exit codes: 0 all requested checks pass, 1 a check failed, 2 usage error,
-3 a check timed out, 4 output could not be written.  The environment
+Exit codes: 0 success (for ``verify`` and ``suite``: every chart report
+passes, that is no check failed or timed out and at least one passed), 1 a
+check failed or a report has no passing check, 2 usage error, 3 a check
+timed out, 4 output could not be written.  The environment
 variable OLMCHECK_TIMEOUT sets the default per-check time budget (seconds);
 it and ``--timeout`` take finite positive seconds, anything else is a usage
 error.
@@ -21,7 +23,7 @@ import os
 import re
 import sys
 
-from .charts import Chart, gram_matrices
+from .charts import FIBER_PI, Chart, gram_matrices
 from .errors import BudgetExceeded, InvalidChart, OlmError
 from .fields import coefficient_field
 from .groebner import Budget, buchberger
@@ -110,12 +112,16 @@ def report_emit(reports, fmt, path, aggregate_note=None):
 
 
 def _exit_code(reports):
-    statuses = [c.status for r in reports for c in r.checks]
-    if any(s == "fail" for s in statuses):
+    """1 on any failed check, else 3 on any timeout, else 0 when every report
+    passes (``ChartReport.passed``: at least one check passed), else 1."""
+    statuses = {c.status for r in reports for c in r.checks}
+    if "fail" in statuses:
         return EXIT_FAIL
-    if any(s == "timeout" for s in statuses):
+    if "timeout" in statuses:
         return EXIT_TIMEOUT
-    return EXIT_PASS
+    if reports and all(r.passed() for r in reports):
+        return EXIT_PASS
+    return EXIT_FAIL
 
 
 def _parse_charts(text):
@@ -141,10 +147,7 @@ def cmd_build(args):
     if args.format == "json":
         text = json.dumps(chart.to_json(fiber), sort_keys=True, indent=2) + "\n"
     else:
-        ideal = chart.reduced_ideal()
-        if fiber != "arithmetic":
-            ideal = chart.specialize(
-                ideal, "special" if fiber == "special" else ("generic", 1))
+        ideal = chart.specialize(chart.reduced_ideal(), fiber)
         lines = ["# chart d=%d l=%d case=%s fiber=%s"
                  % (chart.d, chart.l, chart.case, fiber)]
         lines += [str(g) for g in ideal.gens]
@@ -172,18 +175,17 @@ def cmd_gb(args):
         sys.stderr.write("cannot read %s: %s\n" % (args.input, exc))
         return EXIT_USAGE
     lines = [ln for ln in raw_lines if ln and not ln.startswith("#")]
-    if not lines:
-        sys.stderr.write("no generators in %s\n" % args.input)
-        return EXIT_USAGE
     names = set()
     for ln in lines:
         names.update(re.findall(r"x\[\d+\]\[\d+\]|pi\b|[A-Za-z_][A-Za-z0-9_]*", ln))
-    names = {nm for nm in names if not nm.isdigit()}
     try:
         ring = _infer_ring(names, args.modulus, args.order)
         gens = [ring.parse(ln) for ln in lines]
     except ValueError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
+        return EXIT_USAGE
+    if all(g.is_zero() for g in gens):   # an empty file too
+        sys.stderr.write("no nonzero generators in %s\n" % args.input)
         return EXIT_USAGE
     budget = Budget(seconds=args.timeout) if args.timeout else None
     try:
@@ -238,8 +240,6 @@ def cmd_suite(args):
                        aggregate_note=suite.note)
     if code:
         return code
-    if not suite.reports:
-        return EXIT_FAIL
     return _exit_code(suite.reports)
 
 
@@ -252,8 +252,7 @@ def build_parser():
     p = sub.add_parser("build", help="print the ideals of one chart")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--fiber", choices=["special", "generic", "arithmetic"],
-                   default="arithmetic")
+    p.add_argument("--fiber", choices=list(FIBER_PI), default="arithmetic")
     p.add_argument("--modulus", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--out", default=None)

@@ -42,7 +42,3 @@ class InvalidChart(OlmError):
 
 class NotApplicable(OlmError):
     """Operation not defined for this parity case."""
-
-
-class InvalidUnit(OlmError):
-    """Generic fiber requested at a non-unit value."""

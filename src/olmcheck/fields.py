@@ -29,7 +29,6 @@ class RationalField:
     """Descriptor for Q with raw values stored as Fraction."""
 
     characteristic = 0
-    modulus = 0
 
     def __repr__(self):
         return "QQ"
@@ -91,7 +90,6 @@ class PrimeField:
             raise ValueError("modulus must be an odd prime >= 3, got %r" % (p,))
         self.p = p
         self.characteristic = p
-        self.modulus = p
         self.zero = 0
         self.one = 1
 

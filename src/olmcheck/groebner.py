@@ -52,14 +52,16 @@ from .rings import Polynomial
 
 
 class Budget:
-    """A time limit for a Groebner run.  ``pair`` and ``reduction_step``
-    count the work and meet the deadline every 64 pairs and 1024 steps."""
+    """A time limit and work meter for a Groebner run.  ``pair`` and
+    ``reduction_step`` count the S-pairs formed and the reduction steps
+    taken (``pairs``, ``steps``) and meet the deadline every 64 pairs and
+    1024 steps.  ``Budget()`` has no limit and only counts."""
 
     def __init__(self, seconds=None):
         self.seconds = seconds
         self._t0 = time.monotonic()
-        self._pairs = 0
-        self._reductions = 0
+        self.pairs = 0
+        self.steps = 0
 
     def deadline(self):
         """Raise BudgetExceeded once the time budget is spent; counts
@@ -69,13 +71,13 @@ class Budget:
             raise BudgetExceeded("time budget %.1fs exhausted" % self.seconds)
 
     def pair(self):
-        self._pairs += 1
-        if self._pairs % 64 == 0:
+        self.pairs += 1
+        if self.pairs % 64 == 0:
             self.deadline()
 
     def reduction_step(self):
-        self._reductions += 1
-        if self._reductions % 1024 == 0:
+        self.steps += 1
+        if self.steps % 1024 == 0:
             self.deadline()
 
 
@@ -374,8 +376,6 @@ class _Engine:
         while f:
             t = max(f)
             c = f.pop(t)
-            if not c:
-                continue
             hit = first(t)
             if hit < 0:
                 out[t] = c

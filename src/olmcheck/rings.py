@@ -51,7 +51,6 @@ class Ring:
         for pos in range(nfields):
             guard |= 1 << (pos * FIELD_BITS + FIELD_BITS - 1)
         self.guard_mask = guard
-        self._one_mono = 0
         # word-parallel lcm: per-field max over the exponent fields, then
         # each degree field refilled with the sum of its block's fields,
         # read as (block's exponent fields) mod 2**16 - 1

@@ -25,16 +25,6 @@ from .groebner import Budget
 from .ideals import pure_power_free
 from .rings import cast
 
-LEMMA_CHECKS = (
-    "X2-in-Iprime",
-    "antisym",
-    "B1JB2-symmetric",
-    "S0-relation",
-    "trace-in-ideal",
-    "A-relations",
-    "minors-reduce",
-)
-
 PRIMALITY_NOTE = ("component primality is checked only through the "
                   "leading-term criterion and the structural checks, "
                   "not proved in full")
@@ -123,51 +113,59 @@ def _clip(g, limit=180):
     return s if len(s) <= limit else s[:limit] + " ..."
 
 
-def _tagged_entries(tag, mat, rows=None, cols=None):
+def _tagged_entries(tag, mat):
     out = []
     for i in range(mat.nrows):
         for j in range(mat.ncols):
             g = mat[i, j]
             if not g.is_zero():
-                ii = rows[i] if rows else i + 1
-                jj = cols[j] if cols else j + 1
-                out.append(("%s[%d][%d]" % (tag, ii, jj), g))
+                out.append(("%s[%d][%d]" % (tag, i + 1, j + 1), g))
     return out
 
 
-def _lemma_data(chart, name):
-    """Target polynomials and the ideal they must belong to, per lemma."""
-    eq = chart._equations()
-    X, B1, A, B2, Je, Jm = eq.X, eq.B1, eq.A, eq.B2, eq.Je, eq.Jm
+def _theta_asym(eq):
+    theta = eq.B1 @ eq.Je @ eq.B2.T
+    return _tagged_entries("theta-asym", theta - theta.T)
 
-    if name == "X2-in-Iprime":
-        return _tagged_entries("X^2", eq.square), chart.intermediate_ideal()
-    if name == "antisym":
-        return _tagged_entries("AJ-JAt", eq.antisym), chart.intermediate_ideal()
-    if name == "B1JB2-symmetric":
-        theta = B1 @ Je @ B2.T
-        return (_tagged_entries("theta-asym", theta - theta.T),
-                chart.minors_ideal())
-    if name == "S0-relation":
-        return _tagged_entries("S0-rel", eq.rel0), chart.intermediate_ideal()
-    if name == "trace-in-ideal":
-        return [("Tr(X)", eq.trace)], chart.iprime_sans_trace_ideal()
-    if name == "A-relations":
-        two_pi = eq.pi.scale(2)
-        targets = _tagged_entries("AtJB1", (A.T @ Jm @ B1) + (Jm @ B1).scale(two_pi))
-        targets += _tagged_entries("AtJB2", (A.T @ Jm @ B2) + (Jm @ B2).scale(two_pi))
-        targets += _tagged_entries("AtJA", (A.T @ Jm @ A) + (Jm @ A).scale(two_pi))
-        return targets, chart.solve_plus_band_ideal()
-    if name == "minors-reduce":
-        targets = [("minor[%d]" % k, g) for k, g in enumerate(eq.minors)]
-        return targets, chart.solve_plus_reduced_ideal()
-    raise ValueError("unknown lemma check %r" % (name,))
+
+def _a_relations(eq):
+    two_pi = eq.pi.scale(2)
+    targets = []
+    for tag, M in (("AtJB1", eq.B1), ("AtJB2", eq.B2), ("AtJA", eq.A)):
+        targets += _tagged_entries(
+            tag, (eq.A.T @ eq.Jm @ M) + (eq.Jm @ M).scale(two_pi))
+    return targets
+
+
+# The seven reduction lemmas, in report order: name -> (the chart's ideal,
+# the targets read off chart._equations() that must belong to it).  Both are
+# read through the chart instance, so a replaced method or a cached ideal is
+# what the check sees.
+_LEMMAS = {
+    "X2-in-Iprime": (lambda c: c.intermediate_ideal(),
+                     lambda eq: _tagged_entries("X^2", eq.square)),
+    "antisym": (lambda c: c.intermediate_ideal(),
+                lambda eq: _tagged_entries("AJ-JAt", eq.antisym)),
+    "B1JB2-symmetric": (lambda c: c.minors_ideal(), _theta_asym),
+    "S0-relation": (lambda c: c.intermediate_ideal(),
+                    lambda eq: _tagged_entries("S0-rel", eq.rel0)),
+    "trace-in-ideal": (lambda c: c.iprime_sans_trace_ideal(),
+                       lambda eq: [("Tr(X)", eq.trace)]),
+    "A-relations": (lambda c: c.solve_plus_band_ideal(), _a_relations),
+    "minors-reduce": (lambda c: c.solve_plus_reduced_ideal(),
+                      lambda eq: [("minor[%d]" % k, g)
+                                  for k, g in enumerate(eq.minors)]),
+}
+LEMMA_CHECKS = tuple(_LEMMAS)
 
 
 def _lemma(name):
     """One of the seven reduction lemmas as a membership check."""
+    ideal_of, targets_of = _LEMMAS[name]
+
     def body(chart, budget):
-        targets, ideal = _lemma_data(chart, name)
+        targets = targets_of(chart._equations())
+        ideal = ideal_of(chart)
         for tag, g in targets:
             if not ideal.contains(g, budget):
                 return "fail", {"target": name, "offending": tag,
@@ -264,7 +262,7 @@ def _special_fiber(chart, budget):
         if not pure_power_free(ideal.groebner(budget), v):
             return "fail", {"subcheck": "pure-power-free",
                             "component": label, "variable": v}
-    return "pass", {"components": comps.labels()}
+    return "pass", {"components": [label for label, _, _ in comps]}
 
 
 def _full_ring_gate(parity_reason):

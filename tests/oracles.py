@@ -3,28 +3,11 @@
 Everything here is deliberately naive: extended Euclid for modular
 inverses, dense Gaussian elimination over Fraction for degree-bounded ideal
 membership, and direct index formulas for the block matrix products.  None
-of it shares code with the engine paths it certifies.  ``CountingBudget``
-is the one engine-side helper: a meter for the work pins.
+of it shares code with the engine paths it certifies.
 """
 
 from fractions import Fraction
 from itertools import product
-
-from olmcheck.groebner import Budget
-
-
-class CountingBudget(Budget):
-    """A limit-free budget that counts pairs and reduction steps."""
-
-    def __init__(self):
-        super().__init__()
-        self.pairs = self.steps = 0
-
-    def pair(self):
-        self.pairs += 1
-
-    def reduction_step(self):
-        self.steps += 1
 
 
 def egcd(a, b):

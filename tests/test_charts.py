@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from olmcheck.charts import Chart, gram_matrices, xname
-from olmcheck.errors import InvalidChart, InvalidUnit, NotApplicable
+from olmcheck.errors import InvalidChart, NotApplicable
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.matrices import PolyMatrix, antidiag, constant_matrix
 from olmcheck.orders import GRLEX
@@ -274,17 +274,22 @@ def test_specialize_fibers():
     assert "pi" not in sp.ring.names
     trace0 = [g for g in sp.gens if g.total_degree() == 2 and len(g) == 4]
     assert len(trace0) == 1
-    gen = c.specialize(red, ("generic", 1))
+    gen = c.specialize(red, "generic")
     consts = [g.constant_term() for g in gen.gens]
     assert Fraction(2) in consts  # t_r + 2 at pi = 1
-    with pytest.raises(InvalidUnit):
-        c.specialize(red, ("generic", 0))
+    assert gen.gens == c.generic_fiber_ideal().gens
+    # the arithmetic fiber, and any ideal without pi, is left as it is
+    assert c.specialize(red, "arithmetic") is red
+    assert c.specialize(sp, "generic") is sp
+    for bad in ("unit", ("generic", 1)):
+        with pytest.raises(ValueError, match="fiber must be one of"):
+            c.specialize(red, bad)
 
 
 def test_components_six_two():
     c = Chart(6, 2)
     comps = c.component_ideals()
-    assert comps.labels() == ["I1", "I2", "I3"]
+    assert [label for label, _, _ in comps] == ["I1", "I2", "I3"]
     by_label = {label: (ideal, v) for label, ideal, v in comps}
     I1, v1 = by_label["I1"]
     assert [str(g) for g in I1.gens] == ["x[3][1]", "x[3][2]", "x[3][5]", "x[3][6]"]

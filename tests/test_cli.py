@@ -97,6 +97,20 @@ def test_gb_exponent_overflow_is_usage_error(capsys, tmp_path):
     assert err == "error: lcm degree 40000 overflows the packed field\n"
 
 
+def test_gb_without_nonzero_generators_is_usage_error(capsys, tmp_path,
+                                                     monkeypatch):
+    # a file of zero polynomials used to reach Buchberger and exit 1
+    import olmcheck.cli as climod
+    monkeypatch.setattr(climod, "buchberger",
+                        lambda *args: pytest.fail("Buchberger ran"))
+    f = tmp_path / "zero.txt"
+    for text in ("0\n", "x - x\n", "# comment only\n", ""):
+        f.write_text(text)
+        code, out, err = run(capsys, "gb", "--input", str(f))
+        assert (code, out) == (2, "")
+        assert err == "no nonzero generators in %s\n" % f
+
+
 def test_bad_flags_exit_two(capsys):
     assert run(capsys, "build", "--d", "6")[0] == 2          # missing --l
     assert run(capsys, "nonsense")[0] == 2
@@ -200,6 +214,19 @@ def test_suite_runs_reduced_checks(capsys):
     data = json.loads(out)
     names = [c["name"] for c in data["reports"][0]["checks"]]
     assert "dimensions" in names and "special-fiber" in names
+
+
+def test_suite_exit_code_follows_aggregate_pass(capsys):
+    # every check of (9,3) is not-applicable: no report passes, so the
+    # suite does not pass and the exit code says so
+    from olmcheck.verify import run_suite
+    assert not run_suite([(9, 3)]).aggregate_pass
+    code, out, _ = run(capsys, "suite", "--charts", "9,3")
+    assert out.count("NOT-APPLICABLE") == 3
+    assert code == 1
+    code, _, _ = run(capsys, "verify", "--d", "6", "--l", "3",
+                     "--check", "reduction")
+    assert code == 1
 
 
 def test_unwritable_output_is_io_error(capsys):

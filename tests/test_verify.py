@@ -12,12 +12,11 @@ import pytest
 
 from olmcheck.charts import Chart
 from olmcheck.fields import PrimeField, QQ
-from olmcheck.groebner import buchberger
+from olmcheck.groebner import Budget, buchberger
 from olmcheck.ideals import Ideal
 from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
                              PRIMALITY_NOTE, chart_report,
                              expected_component_count, run_suite, verify_check)
-from oracles import CountingBudget
 
 CFG = EngineConfig(modulus=32003)
 
@@ -73,17 +72,16 @@ def test_special_fiber_passes_with_component_witness():
 def test_special_fiber_mutations_fail():
     # dropping a whole component breaks the count
     c = _chart()
-    fam = c.component_ideals()
-    c._cache["components"] = type(fam)(fam.components[:2])
+    c._cache["components"] = c.component_ideals()[:2]
     res = verify_check("special-fiber", c, CFG)
     assert res.status == "fail" and res.witness["subcheck"] == "component-count"
 
     # enlarging a component (dropping its constraints) breaks the equality
     c = _chart()
-    fam = c.component_ideals()
-    label, ideal, v = fam.components[2]
+    comps = c.component_ideals()
+    label, ideal, v = comps[2]
     weakened = Ideal(ideal.ring, ideal.gens[:2])
-    c._cache["components"] = type(fam)(fam.components[:2] + [(label, weakened, v)])
+    c._cache["components"] = comps[:2] + [(label, weakened, v)]
     res = verify_check("special-fiber", c, CFG)
     assert res.status == "fail"
     assert res.witness["subcheck"] in ("intersection-equality",
@@ -122,8 +120,6 @@ def _names_of(g):
 
 
 def test_lemma_mutations_fail():
-    from olmcheck.verify import _lemma_data
-
     # X2-in-Iprime: the minors alone do not absorb X^2
     c = _chart()
     c._cache["intermediate"] = Ideal(c.ring, c.x_matrix().minors2())
@@ -148,7 +144,7 @@ def test_lemma_mutations_fail():
 
     # trace-in-ideal: without the bilinear relations the E-diagonal is free
     c = _chart()
-    _, ideal = _lemma_data(c, "trace-in-ideal")
+    ideal = c.iprime_sans_trace_ideal()
     band = set(c.reduced_ring.names) | {"pi"}
     c._cache["iprime-sans-trace"] = _drop(
         ideal, lambda g: not _names_of(g) <= band)
@@ -157,7 +153,7 @@ def test_lemma_mutations_fail():
 
     # A-relations: dropping the B2 J B1^t - A J family unties A
     c = _chart()
-    _, ideal = _lemma_data(c, "A-relations")
+    ideal = c.solve_plus_band_ideal()
     c._cache["solve-plus-band"] = _drop(
         ideal,
         lambda g: len(g) == 3 and g.total_degree() == 2 and "pi" not in str(g)
@@ -167,7 +163,7 @@ def test_lemma_mutations_fail():
 
     # minors-reduce: without the solve relations the E and O minors escape
     c = _chart()
-    _, ideal = _lemma_data(c, "minors-reduce")
+    ideal = c.solve_plus_reduced_ideal()
     band_mid = {"x[%d][%d]" % (i, j) for i in (3, 4) for j in range(1, 7)} | {"pi"}
     c._cache["solve-plus-reduced"] = _drop(
         ideal, lambda g: not _names_of(g) <= band_mid)
@@ -252,7 +248,7 @@ class _Metered(EngineConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        self.meter = CountingBudget()
+        self.meter = Budget()
 
     def budget(self):
         return self.meter
