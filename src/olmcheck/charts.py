@@ -37,10 +37,10 @@ from types import SimpleNamespace
 
 from .errors import InvalidChart, NotApplicable
 from .fields import QQ
-from .ideals import Ideal, _scalar_key
+from .ideals import Ideal
 from .matrices import PolyMatrix, antidiag, constant_matrix, diagonal
-from .orders import GRLEX
-from .rings import Ring
+from .orders import GRLEX, Block
+from .rings import Ring, cast
 
 
 def xname(i, j):
@@ -140,8 +140,16 @@ class Chart:
         self.cols = [j for j in range(1, d + 1) if j not in set(self.rows)]
 
         names = [xname(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
-        self.ring = Ring(names + ["pi"], field, GRLEX)
         bnames = [xname(i, j) for i in self.rows for j in self.cols]
+        # the chart equations solve each non-band entry for a polynomial in
+        # the band variables; with the non-band block first, each of those
+        # generators leads with the entry it solves for
+        band = set(bnames)
+        free = [nm for nm in names if nm not in band]
+        self.ring = Ring(free + bnames + ["pi"], field, Block(len(free)))
+        # generators are sorted and printed in the grlex text of the
+        # row-major names, whatever ring they live in
+        self._text_ring = Ring(names + ["pi"], field, GRLEX)
         self.reduced_ring = Ring(bnames + ["pi"], field, GRLEX)
         self.fiber_ring = Ring(bnames, field, GRLEX)
         self._cache = {}
@@ -201,6 +209,7 @@ class Chart:
             X=X, B1=B1, A=A, B2=B2, Q=Q, pi=pi, Je=Je, Jm=Jm,
             square=X @ X,
             minors=X.minors2(),
+            band_minors=self._sub(X, self.rows, self.cols).minors2(),
             trace=X.trace(),
             trace_A=A.trace() + pi.scale(2),
             antisym=AJm - (Jm @ A.T),
@@ -272,33 +281,32 @@ class Chart:
 
     def naive_ideal(self):
         return self._cached("naive", lambda: Ideal(
-            self.ring, _dedup(self.naive_generators())))
+            self.ring, self._dedup(self.naive_generators())))
 
     def additional_ideal(self):
         return self._cached("add", lambda: Ideal(
-            self.ring, _dedup(self.additional_generators())))
+            self.ring, self._dedup(self.additional_generators())))
 
     def full_ideal(self):
         return self._cached("full", lambda: Ideal(
-            self.ring, _dedup(self.naive_generators() + self.additional_generators())))
+            self.ring, self._dedup(self.naive_generators()
+                                   + self.additional_generators())))
 
     def intermediate_ideal(self):
-        """I', with I' without Tr(X) as its base.  Where the trace-in-ideal
-        lemma holds, Tr(X) lies in the base and I' takes the base's
-        basis; otherwise its basis is computed from scratch."""
+        """I': the minors, the band relations, the S1 relation and Tr(X)."""
         return self._cached("intermediate", lambda: Ideal(
-            self.ring, _dedup(self.intermediate_generators()),
-            base=self.iprime_sans_trace_ideal()))
+            self.ring, self._dedup(self.intermediate_generators())))
 
     # -- the lemma ideals (same parity) ---------------------------------------------
-    # All have the full ideal's reduced basis, which the checks verify; two
-    # take the basis of a nested one, their base.  full_ideal() has no base;
-    # the reduction check's ``equals`` hands it I''s basis.
+    # Each is generated by one lemma's hypotheses; under the ring's block
+    # order its reduced basis is the solved non-band variables plus a small
+    # basis over k[band, pi], so every one is computed from its generators.
 
-    def minors_ideal(self):
-        """All 2x2 minors of X."""
-        return self._cached("minors-ideal", lambda: Ideal(
-            self.ring, self._equations().minors))
+    def band_minors_ideal(self):
+        """All 2x2 minors of the band rectangle (band rows against the
+        complementary columns); they lie among X's minors."""
+        return self._cached("band-minors", lambda: Ideal(
+            self.ring, self._equations().band_minors))
 
     def iprime_sans_trace_ideal(self):
         """I' without Tr(X)."""
@@ -306,22 +314,17 @@ class Chart:
             self.ring, self._sans_trace_generators()))
 
     def solve_plus_reduced_ideal(self):
-        """The solve relations, the 2x2 minors of the band rows against the
-        complementary columns, and the band relations."""
-        def build():
-            eq = self._equations()
-            band_minors = self._sub(eq.X, self.rows, self.cols).minors2()
-            return Ideal(self.ring, self.solve_relations() + band_minors
-                         + self._band_relations())
-        return self._cached("solve-plus-reduced", build)
+        """The solve relations, the band minors and the band relations."""
+        return self._cached("solve-plus-reduced", lambda: Ideal(
+            self.ring, self.solve_relations() + self._equations().band_minors
+            + self._band_relations()))
 
     def solve_plus_band_ideal(self):
-        """All 2x2 minors of X, the band relations and the solve relations,
-        with solve-plus-reduced as its base: its band minors are among
-        X's."""
+        """All 2x2 minors of X, the band relations and the solve
+        relations."""
         return self._cached("solve-plus-band", lambda: Ideal(
             self.ring, self._equations().minors + self._band_relations()
-            + self.solve_relations(), base=self.solve_plus_reduced_ideal()))
+            + self.solve_relations()))
 
     def reduced_ideal(self):
         """Minors of the band rectangle plus the trace quadric, over
@@ -337,7 +340,7 @@ class Chart:
         rr = self.reduced_ring
         gens = self._band_matrix(rr, self.cols).minors2()
         gens.append(self.trace_quadric(rr) + rr.var("pi").scale(2))
-        return Ideal(rr, _dedup(gens))
+        return Ideal(rr, self._dedup(gens))
 
     def trace_quadric(self, ring):
         """The quadric t_r with t_r + 2*pi the hypersurface equation.
@@ -501,14 +504,15 @@ class Chart:
         else:
             comps.append(("I1", row_quadric() + minors, xname(first_row, 1)))
             comps.append(("I2", col_quadric() + minors, xname(first_row, 1)))
-        return [(label, Ideal(ring, _dedup(gens)), v) for label, gens, v in comps]
+        return [(label, Ideal(ring, self._dedup(gens)), v)
+                for label, gens, v in comps]
 
     # -- serialization ------------------------------------------------------------------
 
     def to_json(self, fiber="arithmetic"):
         """Chart description with every ideal rendered in the text grammar."""
         def render(ideal):
-            return [str(g) for g in self.specialize(ideal, fiber).gens]
+            return [self._text(g) for g in self.specialize(ideal, fiber).gens]
 
         ideals = {
             "naive": render(self.naive_ideal()),
@@ -539,22 +543,26 @@ class Chart:
             self._cache[key] = thunk()
         return self._cache[key]
 
+    def _text(self, g):
+        """g in the text grammar, as the grlex ring on the row-major names
+        prints it; the same text in the full, reduced and fiber rings."""
+        return str(cast(g, self._text_ring))
 
-def _dedup(gens):
-    """Drop zero generators and scalar-multiple repeats, deterministically.
+    def _dedup(self, gens):
+        """Drop zero generators and scalar-multiple repeats, deterministically.
 
-    The survivors keep their first-encountered form and are sorted by
-    (degree, text form) so generator counts are reproducible.
-    """
-    seen = set()
-    kept = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        key = _scalar_key(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(g)
-    kept.sort(key=lambda g: (g.total_degree(), str(g)))
-    return kept
+        The survivors keep their first-encountered form and are sorted by
+        (degree, text form) so generator counts are reproducible.
+        """
+        seen = set()
+        kept = []
+        for g in gens:
+            if g.is_zero():
+                continue
+            key = tuple(g.monic().terms())     # the same for scalar multiples
+            if key in seen:
+                continue
+            seen.add(key)
+            kept.append(g)
+        kept.sort(key=lambda g: (g.total_degree(), self._text(g)))
+        return kept

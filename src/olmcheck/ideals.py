@@ -4,8 +4,6 @@ Elimination, intersection, colon ideals, equality, Krull dimension of the
 quotient, and the leading-term criteria used by the component checks.  An
 ``Ideal`` caches its reduced Groebner basis (one per ring order; moving an
 ideal to a ring with a different order is an explicit re-generation).
-Generator-nested ideals that are equal share one basis (``base`` and
-``equals``).
 """
 
 from .errors import EmptyVariety, InvalidDivisor
@@ -14,71 +12,21 @@ from .orders import GRLEX, Block
 from .rings import Ring, cast
 
 
-def _scalar_key(g):
-    """The same key for g and every nonzero scalar multiple of g."""
-    return tuple(g.monic().terms())
-
-
 class Ideal:
-    """An ideal given by generators, with a cached reduced Groebner basis.
+    """An ideal given by generators, with a cached reduced Groebner basis."""
 
-    ``base``, an ideal in the same ring whose every generator is, up to a
-    scalar, among ``gens``, may lend its basis: ``groebner`` takes
-    ``base.groebner()`` as its own when every other generator lies in
-    ``base``, and otherwise runs Buchberger from scratch.  A ``base`` that
-    is not nested this way raises ValueError, so a lent basis can never
-    stand for a larger ideal.
-    """
-
-    def __init__(self, ring, gens, base=None):
+    def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
-        self._keys = None
-        self._base = base
-        if base is not None:
-            self._new = self._extra(base)
-            if self._new is None:
-                raise ValueError("base generators are not among the ideal's "
-                                 "generators")
 
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.gens), self.ring)
 
-    def _extra(self, sub):
-        """The generators beyond those of ``sub``, up to scalars, or None
-        when some generator of ``sub`` is not among them."""
-        if sub.ring is not self.ring:
-            return None
-        # the lead and term count, read without arithmetic, rule out most
-        # non-nested pairs before any generator is made monic
-        shapes = {(g.lm(), len(g)) for g in self.gens}
-        if any((g.lm(), len(g)) not in shapes for g in sub.gens):
-            return None
-        if self._keys is None:
-            self._keys = {_scalar_key(g): g for g in self.gens}
-        if sub._keys is None:
-            sub._keys = {_scalar_key(g): g for g in sub.gens}
-        if not sub._keys.keys() <= self._keys.keys():
-            return None
-        return [g for k, g in self._keys.items() if k not in sub._keys]
-
-    def _adopt(self, small, extra, budget):
-        """Take ``small``'s basis as this ideal's when every generator in
-        ``extra`` lies in ``small``, and return whether it was taken.
-        ``small``'s generators must be among this ideal's, so the two
-        ideals are then equal."""
-        if not all(small.contains(g, budget) for g in extra):
-            return False
-        self._gb = small.groebner(budget)
-        return True
-
     def groebner(self, budget=None):
         if self._gb is None:
-            base = self._base
-            if base is None or not self._adopt(base, self._new, budget):
-                self._gb = (buchberger(self.gens, budget) if self.gens
-                            else GroebnerBasis(self.ring, ()))
+            self._gb = (buchberger(self.gens, budget) if self.gens
+                        else GroebnerBasis(self.ring, ()))
         return self._gb
 
     def contains(self, f, budget=None):
@@ -96,19 +44,9 @@ class Ideal:
         return self.groebner(budget).is_unit_ideal()
 
     def equals(self, other, budget=None):
-        """Reduced bases coincide term for term (canonical per order).
-
-        When one ideal's generators contain the other's and the larger one
-        has no basis yet, only the smaller basis is computed: the ideals
-        are equal exactly when the extra generators lie in the smaller
-        ideal, and then the larger ideal takes that basis as its own.
-        """
+        """Reduced bases coincide term for term (canonical per order)."""
         if other.ring is not self.ring:
             raise ValueError("ideals live in different rings")
-        for big, small in ((self, other), (other, self)):
-            extra = None if big._gb is not None else big._extra(small)
-            if extra is not None:
-                return big._adopt(small, extra, budget)
         return self.groebner(budget).polys == other.groebner(budget).polys
 
     # -- derived constructions ------------------------------------------------

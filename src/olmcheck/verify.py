@@ -47,6 +47,12 @@ def usable_seconds(value):
         return False
 
 
+# the monomial orders the checks run under; Chart fixes them, they are not
+# a setting
+ENGINE_ORDER = {"full_ring": "block(non-band | band, pi)",
+                "reduced_ring": "grlex"}
+
+
 @dataclass
 class EngineConfig:
     """Field and budget configuration for a verification run."""
@@ -70,7 +76,7 @@ class EngineConfig:
     def describe(self):
         return {
             "modulus": self.modulus,
-            "order": "grlex",
+            "order": ENGINE_ORDER,
             "budgets": {"timeout_seconds": self.timeout,
                         "full_matrix_limit": self.full_matrix_limit,
                         "reduced_limit": self.reduced_limit},
@@ -146,7 +152,7 @@ _LEMMAS = {
                      lambda eq: _tagged_entries("X^2", eq.square)),
     "antisym": (lambda c: c.intermediate_ideal(),
                 lambda eq: _tagged_entries("AJ-JAt", eq.antisym)),
-    "B1JB2-symmetric": (lambda c: c.minors_ideal(), _theta_asym),
+    "B1JB2-symmetric": (lambda c: c.band_minors_ideal(), _theta_asym),
     "S0-relation": (lambda c: c.intermediate_ideal(),
                     lambda eq: _tagged_entries("S0-rel", eq.rel0)),
     "trace-in-ideal": (lambda c: c.iprime_sans_trace_ideal(),

@@ -99,7 +99,20 @@ def test_naive_entry_example():
     c = Chart(6, 2)
     raw = c.naive_generators()
     g = raw[36 + 225 + 36]  # entry (1,1) of X^t S1 X + 2(S0 + pi S1)X
-    assert str(g) == "2*x[3][1]*x[4][1] + 2*x[6][1]"
+    assert g == c.ring.parse("2*x[3][1]*x[4][1] + 2*x[6][1]")
+
+
+@pytest.mark.parametrize("d, l, size", [(5, 3, 23), (6, 2, 37), (6, 4, 35),
+                                        (7, 3, 61)])
+def test_block_order_solves_every_non_band_variable(d, l, size):
+    # with the non-band block first, every non-band variable leads a basis
+    # element; the basis sizes are those of the block-order bases
+    c = Chart(d, l, PrimeField(32003))
+    gb = c.full_ideal().groebner()
+    leads = {c.ring.mono_str(m) for m in gb.lead_monomials()
+             if c.ring.mono_degree(m) == 1}
+    assert set(c.ring.names) - set(c.reduced_ring.names) <= leads
+    assert len(gb) == size
 
 
 def test_all_generators_vanish_at_worst_point():
