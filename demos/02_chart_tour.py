@@ -16,15 +16,15 @@ G0, G1 = chart.gram()
 print("\nGram matrix <e_i, e_j> = G0 + pi*G1, antidiagonal profile:")
 print("  ", [(G0[i][5 - i], G1[i][5 - i]) for i in range(6)])
 
-full = chart.full_ideal()
-print("\nfull chart ideal:", len(full.gens), "generators in",
+full = chart.render(chart.full_ideal())
+print("\nfull chart ideal:", len(full), "distinct generators in",
       chart.ring.nvars, "variables")
 
-red = chart.reduced_ideal()
-print("reduced presentation:", len(red.gens), "generators in",
+red = chart.render(chart.reduced_ideal())
+print("reduced presentation:", len(red), "generators in",
       chart.reduced_ring.nvars, "variables")
-for g in red.gens:
-    print("  ", g)
+for line in red:
+    print("  ", line)
 
 phi = chart.substitution_map()
 print("\nsome substitution images (full ring -> band ring):")

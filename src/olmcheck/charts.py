@@ -147,7 +147,7 @@ class Chart:
         band = set(bnames)
         free = [nm for nm in names if nm not in band]
         self.ring = Ring(free + bnames + ["pi"], field, Block(len(free)))
-        # generators are sorted and printed in the grlex text of the
+        # ``render`` sorts and prints generators in the grlex text of the
         # row-major names, whatever ring they live in
         self._text_ring = Ring(names + ["pi"], field, GRLEX)
         self.reduced_ring = Ring(bnames + ["pi"], field, GRLEX)
@@ -220,7 +220,7 @@ class Chart:
     # -- generator families ---------------------------------------------------------
 
     def naive_generators(self):
-        """Raw entries of the four matrix relations (before dedup)."""
+        """Entries of the four matrix relations, zeros and repeats included."""
         eq = self._equations()
         return (eq.square.entries() + eq.minors + eq.rel0.entries()
                 + eq.rel1.entries())
@@ -281,21 +281,20 @@ class Chart:
 
     def naive_ideal(self):
         return self._cached("naive", lambda: Ideal(
-            self.ring, self._dedup(self.naive_generators())))
+            self.ring, self.naive_generators()))
 
     def additional_ideal(self):
         return self._cached("add", lambda: Ideal(
-            self.ring, self._dedup(self.additional_generators())))
+            self.ring, self.additional_generators()))
 
     def full_ideal(self):
         return self._cached("full", lambda: Ideal(
-            self.ring, self._dedup(self.naive_generators()
-                                   + self.additional_generators())))
+            self.ring, self.naive_generators() + self.additional_generators()))
 
     def intermediate_ideal(self):
         """I': the minors, the band relations, the S1 relation and Tr(X)."""
         return self._cached("intermediate", lambda: Ideal(
-            self.ring, self._dedup(self.intermediate_generators())))
+            self.ring, self.intermediate_generators()))
 
     # -- the lemma ideals (same parity) ---------------------------------------------
     # Each is generated by one lemma's hypotheses; under the ring's block
@@ -340,7 +339,7 @@ class Chart:
         rr = self.reduced_ring
         gens = self._band_matrix(rr, self.cols).minors2()
         gens.append(self.trace_quadric(rr) + rr.var("pi").scale(2))
-        return Ideal(rr, self._dedup(gens))
+        return Ideal(rr, gens)
 
     def trace_quadric(self, ring):
         """The quadric t_r with t_r + 2*pi the hypersurface equation.
@@ -504,25 +503,38 @@ class Chart:
         else:
             comps.append(("I1", row_quadric() + minors, xname(first_row, 1)))
             comps.append(("I2", col_quadric() + minors, xname(first_row, 1)))
-        return [(label, Ideal(ring, self._dedup(gens)), v)
-                for label, gens, v in comps]
+        return [(label, Ideal(ring, gens), v) for label, gens, v in comps]
 
     # -- serialization ------------------------------------------------------------------
 
+    def render(self, ideal, fiber="arithmetic"):
+        """The ideal's generators on one fiber, as the text lines ``build``
+        prints.
+
+        Scalar-multiple repeats are dropped, keeping the first of each; the
+        rest are sorted by (degree, text) of the source generator, then
+        specialized, and a generator that becomes 0 is dropped.
+        """
+        first = {}
+        for g in ideal.gens:
+            # the key is the same for scalar multiples
+            first.setdefault(tuple(g.monic().terms()), g)
+        kept = sorted(first.values(),
+                      key=lambda g: (g.total_degree(), self._text(g)))
+        fiber_ideal = self.specialize(Ideal(ideal.ring, kept), fiber)
+        return [self._text(g) for g in fiber_ideal.gens]
+
     def to_json(self, fiber="arithmetic"):
         """Chart description with every ideal rendered in the text grammar."""
-        def render(ideal):
-            return [self._text(g) for g in self.specialize(ideal, fiber).gens]
-
         ideals = {
-            "naive": render(self.naive_ideal()),
-            "add": render(self.additional_ideal()),
-            "full": render(self.full_ideal()),
-            "intermediate": (render(self.intermediate_ideal())
+            "naive": self.render(self.naive_ideal(), fiber),
+            "add": self.render(self.additional_ideal(), fiber),
+            "full": self.render(self.full_ideal(), fiber),
+            "intermediate": (self.render(self.intermediate_ideal(), fiber)
                              if self.same_parity else None),
-            "reduced": render(self.reduced_ideal()),
+            "reduced": self.render(self.reduced_ideal(), fiber),
             "components": [
-                {"label": label, "generators": [str(g) for g in ideal.gens],
+                {"label": label, "generators": self.render(ideal, fiber),
                  "regular_variable": v}
                 for label, ideal, v in self.component_ideals()
             ],
@@ -547,22 +559,3 @@ class Chart:
         """g in the text grammar, as the grlex ring on the row-major names
         prints it; the same text in the full, reduced and fiber rings."""
         return str(cast(g, self._text_ring))
-
-    def _dedup(self, gens):
-        """Drop zero generators and scalar-multiple repeats, deterministically.
-
-        The survivors keep their first-encountered form and are sorted by
-        (degree, text form) so generator counts are reproducible.
-        """
-        seen = set()
-        kept = []
-        for g in gens:
-            if g.is_zero():
-                continue
-            key = tuple(g.monic().terms())     # the same for scalar multiples
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(g)
-        kept.sort(key=lambda g: (g.total_degree(), self._text(g)))
-        return kept

@@ -147,10 +147,9 @@ def cmd_build(args):
     if args.format == "json":
         text = json.dumps(chart.to_json(fiber), sort_keys=True, indent=2) + "\n"
     else:
-        ideal = chart.specialize(chart.reduced_ideal(), fiber)
         lines = ["# chart d=%d l=%d case=%s fiber=%s"
                  % (chart.d, chart.l, chart.case, fiber)]
-        lines += [str(g) for g in ideal.gens]
+        lines += chart.render(chart.reduced_ideal(), fiber)
         text = "\n".join(lines) + "\n"
     return _emit(text, args.out)
 

@@ -105,17 +105,18 @@ class SuiteReport:
     note: str | None = None
 
 
-def _extra_element(ia, ib, budget):
+def _extra_element(chart, ia, ib, budget):
     """A reduced-basis element of one ideal that the other's basis lacks."""
     gA = ia.groebner(budget)
     gB = ib.groebner(budget)
     extra = [p for p in gA if p not in gB.polys] or \
             [p for p in gB if p not in gA.polys]
-    return _clip(extra[0])
+    return _clip(chart, extra[0])
 
 
-def _clip(g, limit=180):
-    s = str(g)
+def _clip(chart, g, limit=180):
+    """g in the chart's text, as ``build`` prints it, cut at ``limit``."""
+    s = chart._text(g)
     return s if len(s) <= limit else s[:limit] + " ..."
 
 
@@ -175,7 +176,7 @@ def _lemma(name):
         for tag, g in targets:
             if not ideal.contains(g, budget):
                 return "fail", {"target": name, "offending": tag,
-                                "generator": _clip(g)}
+                                "generator": _clip(chart, g)}
         return "pass", None
     return body
 
@@ -192,16 +193,16 @@ def _reduction(chart, budget):
     inter = chart.intermediate_ideal()
     if not full.equals(inter, budget):
         return "fail", {"subcheck": "intermediate-equality",
-                        "witness": _extra_element(full, inter, budget)}
+                        "witness": _extra_element(chart, full, inter, budget)}
     red = chart.reduced_ideal()
     phi = chart.substitution_map()
     for g in full.gens:
         if not red.contains(g.substitute(phi, chart.reduced_ring), budget):
-            return "fail", {"subcheck": "phi-image", "generator": _clip(g)}
+            return "fail", {"subcheck": "phi-image", "generator": _clip(chart, g)}
     for g in red.gens:
         if not full.contains(cast(g, chart.ring), budget):
-            return "fail", {"subcheck": "reduced-lift", "generator": _clip(g)}
-    for nm in chart.ring.names:
+            return "fail", {"subcheck": "reduced-lift", "generator": _clip(chart, g)}
+    for nm in chart._text_ring.names:     # row-major, then pi
         if nm == "pi":
             continue
         diff = chart.ring.var(nm) - cast(phi[nm], chart.ring)
@@ -228,7 +229,7 @@ def _flatness(chart, budget):
     colon = red.quotient(pi, budget)
     if colon.equals(red, budget):
         return "pass", None
-    return "fail", {"witness": _extra_element(colon, red, budget),
+    return "fail", {"witness": _extra_element(cq, colon, red, budget),
                     "note": "(I:pi) differs from I"}
 
 
@@ -252,7 +253,7 @@ def _special_fiber(chart, budget):
         inter = ideal if inter is None else inter.intersect(ideal, budget)
     if not fiber.equals(inter, budget):
         return "fail", {"subcheck": "intersection-equality",
-                        "witness": _extra_element(fiber, inter, budget)}
+                        "witness": _extra_element(chart, fiber, inter, budget)}
     want = chart.d - 2
     for label, ideal, _ in comps:
         dim = ideal.dimension(budget)

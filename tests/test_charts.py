@@ -7,6 +7,7 @@ import pytest
 from olmcheck.charts import Chart, gram_matrices, xname
 from olmcheck.errors import InvalidChart, NotApplicable
 from olmcheck.fields import QQ, PrimeField
+from olmcheck.ideals import Ideal
 from olmcheck.matrices import PolyMatrix, antidiag, constant_matrix
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring
@@ -366,6 +367,35 @@ def test_chart_json_shape_and_round_trip():
         fr.parse(text)  # grammar round trip
     data_o = Chart(6, 3).to_json()
     assert data_o["ideals"]["intermediate"] is None
+
+
+def test_render_dedups_sorts_and_specializes():
+    c = Chart(6, 2)
+    rr = c.reduced_ring
+    a, b, pi = rr.var("x[3][1]"), rr.var("x[4][2]"), rr.var("pi")
+    ideal = Ideal(rr, [a * b, b * pi + a, (a + b).scale(3), pi.scale(2),
+                       a + b, a, a * b - pi])
+    # a + b repeats 3*(a + b): the first is kept; lines follow (degree,
+    # text) of the source, so b*pi + a stays last on the generic fiber
+    assert c.render(ideal) == [
+        "2*pi", "3*x[3][1] + 3*x[4][2]", "x[3][1]", "x[3][1]*x[4][2]",
+        "x[3][1]*x[4][2] - pi", "x[4][2]*pi + x[3][1]"]
+    assert c.render(ideal, "generic") == [
+        "2", "3*x[3][1] + 3*x[4][2]", "x[3][1]", "x[3][1]*x[4][2]",
+        "x[3][1]*x[4][2] - 1", "x[3][1] + x[4][2]"]
+    # 2*pi specializes to 0 and is dropped
+    assert c.render(ideal, "special") == [
+        "3*x[3][1] + 3*x[4][2]", "x[3][1]", "x[3][1]*x[4][2]",
+        "x[3][1]*x[4][2]", "x[3][1]"]
+
+
+def test_full_ideal_keeps_its_generators_as_built():
+    c = Chart(6, 2)
+    built = c.naive_generators() + c.additional_generators()
+    gens = c.full_ideal().gens
+    assert gens == tuple(g for g in built if not g.is_zero())
+    # only printing drops the scalar-multiple repeats
+    assert len(c.render(c.full_ideal())) < len(gens)
 
 
 def test_prime_field_chart_matches_rational_counts():

@@ -1,5 +1,6 @@
 """End-to-end command line tests: flags, exit codes, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,134 @@ def test_build_text_round_trips_through_gb(capsys, tmp_path):
     ring = chart.reduced_ring
     basis = [ring.parse(ln) for ln in out_file.read_text().splitlines() if ln]
     assert Ideal(ring, basis).equals(chart.reduced_ideal())
+
+
+# sha256 of ``olmcheck build`` output per (format, fiber): the printed order
+# and the dedup of every chart ideal, pinned byte for byte
+BUILD_DIGESTS = {
+    (5, 2, 32003): {
+        ("text", "arithmetic"):
+            "bfc330dca15a9c25dc4333d6bbb150b7935c1619de52a86f15997f9cd0082136",
+        ("text", "special"):
+            "9e72720f3b810a28dbd05ff6216e150af97a182eb1d5dbe86a3989fea6e189fe",
+        ("text", "generic"):
+            "f9731a9eb993032daa8514c88fe5fdb6c0281efccfd8ffaf77e665c9217bb81e",
+        ("json", "arithmetic"):
+            "97acc622116480d82d9a4b6c6c780ca388cee4c2cd707d85de5370f08dadf172",
+        ("json", "special"):
+            "773fe72c39cbaae2eeceadf970b87f3049e8d3654dfa8ea7071eccfb197dc5de",
+        ("json", "generic"):
+            "e0ff4a4d95dda56dc4212cd85a6b914d767c47558d32c348ecdd2b2fa8b9209c",
+    },
+    (5, 2, 0): {
+        ("text", "arithmetic"):
+            "bfc330dca15a9c25dc4333d6bbb150b7935c1619de52a86f15997f9cd0082136",
+        ("text", "special"):
+            "9e72720f3b810a28dbd05ff6216e150af97a182eb1d5dbe86a3989fea6e189fe",
+        ("text", "generic"):
+            "f9731a9eb993032daa8514c88fe5fdb6c0281efccfd8ffaf77e665c9217bb81e",
+        ("json", "arithmetic"):
+            "2ad58c2933dc5bfed2b98a449e93599dded0816a037bb52c5b44da8719371744",
+        ("json", "special"):
+            "4e8cafe83fbd9d4da8c7496caec4e06dd28b28b9ab8b36f5c7311e85177ab588",
+        ("json", "generic"):
+            "ff1a38a5a18f493234dd999cafd16df3216b5acd0d601037a54b09e6a064a041",
+    },
+    (5, 3, 32003): {
+        ("text", "arithmetic"):
+            "d48e66c1e494ca8a64d3c34fe2530f9d461189ad419114debe6185fa65025d24",
+        ("text", "special"):
+            "f045526e47ed4968a07457e43f51e49ad1181c45417f56a396daf5ca0a67325c",
+        ("text", "generic"):
+            "851848d9d8d7430906d5eeeb046621422f7339ce529ce426b5ef41c8987abc16",
+        ("json", "arithmetic"):
+            "40c4b864b1bb7004bdbada36cd96464125d42326efc601c61aa6d11fc7e7a7c5",
+        ("json", "special"):
+            "6cb59d3cedf0b0b785e57a2fe3e13f1cd6ff0a11398cef04f68563c43f0bf543",
+        ("json", "generic"):
+            "6b5c18c47b9447310c8896e2c2fa0544b49b7d0320ca32cdf342a618c0d5d9b8",
+    },
+    (5, 3, 0): {
+        ("text", "arithmetic"):
+            "d48e66c1e494ca8a64d3c34fe2530f9d461189ad419114debe6185fa65025d24",
+        ("text", "special"):
+            "f045526e47ed4968a07457e43f51e49ad1181c45417f56a396daf5ca0a67325c",
+        ("text", "generic"):
+            "851848d9d8d7430906d5eeeb046621422f7339ce529ce426b5ef41c8987abc16",
+        ("json", "arithmetic"):
+            "98f74abb754ac3bac3790d4532265801cd49f67fb03afda82e4c685ff61ebd3d",
+        ("json", "special"):
+            "1aca8eb3b4ee1f64897c3b87e157e503d7a7254bad7f84bcaf8dcea170d6f5af",
+        ("json", "generic"):
+            "375c81c1564971eda6c42b880e8bbca8672f0f3218e2aee3e74f863f31621f98",
+    },
+    (6, 2, 32003): {
+        ("text", "arithmetic"):
+            "25448f1b6a65d2335581eb07e7dbf303b6b864dda4facfdf72933e2cb5cd6898",
+        ("text", "special"):
+            "03fd9ce5ae504fca80c111345a4c2feb56606ac7cdb844a495750ccaa4c27623",
+        ("text", "generic"):
+            "ae48aa46b35048253c03b554d2f43ff9b1dc982601871a589dcaf8c33ec4a46e",
+        ("json", "arithmetic"):
+            "b84e7b1cef3007f9c40417ac0c290d34ba4affac6a6cd86ef95479ffbe26bfeb",
+        ("json", "special"):
+            "d320c19d7a3c13b18fd1f39828a0105f67468755bd07172665188f7bae07ae7c",
+        ("json", "generic"):
+            "6868b48ebb058787ca19874068db4944af7aa8ad2f24b76d6263aa8cc2836c5d",
+    },
+    (6, 2, 0): {
+        ("text", "arithmetic"):
+            "25448f1b6a65d2335581eb07e7dbf303b6b864dda4facfdf72933e2cb5cd6898",
+        ("text", "special"):
+            "03fd9ce5ae504fca80c111345a4c2feb56606ac7cdb844a495750ccaa4c27623",
+        ("text", "generic"):
+            "ae48aa46b35048253c03b554d2f43ff9b1dc982601871a589dcaf8c33ec4a46e",
+        ("json", "arithmetic"):
+            "b84e7b1cef3007f9c40417ac0c290d34ba4affac6a6cd86ef95479ffbe26bfeb",
+        ("json", "special"):
+            "d320c19d7a3c13b18fd1f39828a0105f67468755bd07172665188f7bae07ae7c",
+        ("json", "generic"):
+            "6868b48ebb058787ca19874068db4944af7aa8ad2f24b76d6263aa8cc2836c5d",
+    },
+    (6, 3, 32003): {
+        ("text", "arithmetic"):
+            "ef29e5972574ae893fbc91661ab7105e2fcecb0e9185f71d0e80ab2cf58080d0",
+        ("text", "special"):
+            "791a2655a432626ad8b6982733e9fa20db1a75b898a7a9ade66c4186a165ef3a",
+        ("text", "generic"):
+            "8a317a373a8f85816da8259a367ed40dc2d27572341c18f60ae8150533ac078b",
+        ("json", "arithmetic"):
+            "9b8f0b4a74713dacc22b4889d04003c4e094ee86b80d335f21de494e68f41226",
+        ("json", "special"):
+            "b569f24f692ed45385f21043e54fd6658c21439e7c7688709940535a5ed46ee6",
+        ("json", "generic"):
+            "2452f29926e3967c0762e59e6e1ab6a3f07668216a020eff531d4d5442a405d6",
+    },
+    (6, 3, 0): {
+        ("text", "arithmetic"):
+            "7e236940d9a007cbf8a3ea337dafa430dfed19afbfed94a384208157346aa07f",
+        ("text", "special"):
+            "ca1604b8545827cec8bbef9f22ae2c91cb056757effdb56bacdbe530be462a6b",
+        ("text", "generic"):
+            "472b238a88814e2d503c375d9613ddf06f88e88fa0b328c87dff8206044f9530",
+        ("json", "arithmetic"):
+            "0d63c2d86c9e0e70891bdbb330ac1009fb557c37f75b0f3ce4d0c03da813e419",
+        ("json", "special"):
+            "5b173fd32bbcfb97e7cee6f5e4a912626d0820d22369ff9aa38721ddb0733951",
+        ("json", "generic"):
+            "2723698ed8c1ed1f283dba0dfc7a44bb8b41161901f6131ca085256e74df13e7",
+    },
+}
+
+
+@pytest.mark.parametrize("d, l, modulus", list(BUILD_DIGESTS))
+def test_build_output_bytes_are_pinned(capsys, d, l, modulus):
+    for (fmt, fiber), digest in BUILD_DIGESTS[d, l, modulus].items():
+        code, out, _ = run(capsys, "build", "--d", str(d), "--l", str(l),
+                           "--modulus", str(modulus), "--format", fmt,
+                           "--fiber", fiber)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, fiber)
 
 
 def test_gb_json_format(capsys, tmp_path):
