@@ -6,7 +6,7 @@ d - 2.  The decomposition is certified by the exact ideal equality
 I_s = I_1 cap I_2 (cap I_3).
 """
 
-from olmcheck import Chart, QQ, is_regular_element
+from olmcheck import Chart, QQ, hilbert_numerator, is_regular_element
 
 for d, l in [(6, 2), (7, 3), (6, 3), (5, 2)]:
     chart = Chart(d, l)
@@ -21,7 +21,14 @@ for d, l in [(6, 2), (7, 3), (6, 3), (5, 2)]:
     print("  fiber dimension     :", fiber.dimension(), "(expect %d)" % (d - 2))
     print("  component dimensions:", [i.dimension() for _, i, _ in comps])
 
-# Flatness proxy over Q[pi]: pi is a non-zerodivisor mod the chart ideal.
+# Flatness certificate over Q[pi]: with pi of weight 2, the chart ideal and
+# its special fiber have the same Hilbert numerator exactly when pi is a
+# non-zerodivisor; the colon (I'' : pi) = I'' says the same thing directly.
 chart = Chart(6, 2, QQ)
-print("\npi regular mod the (6,2) chart ideal:",
+weights = [2 if nm == "pi" else 1 for nm in chart.reduced_ring.names]
+print("\nN(I'') on (6,2), pi of weight 2:",
+      hilbert_numerator(chart.reduced_ideal(), weights))
+print("N(I_s) on (6,2)                 :",
+      hilbert_numerator(chart.special_fiber_ideal()))
+print("pi regular mod the (6,2) chart ideal:",
       is_regular_element(chart.reduced_ideal(), chart.reduced_ring.var("pi")))

@@ -2,7 +2,8 @@
 
 Covers one chart of each parity case: (6,2), (5,3), (6,3), (5,2).  The
 same-parity charts additionally get the full-matrix reduction and lemma
-checks; every chart gets dimensions, the flatness proxy and the
+checks; every chart gets dimensions, the Hilbert-numerator flatness
+certificate and the
 special-fiber decomposition.
 """
 

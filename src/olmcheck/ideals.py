@@ -1,14 +1,17 @@
 """Ideal-level operations built on Groebner bases.
 
-Elimination, intersection, colon ideals, equality, Krull dimension of the
-quotient, and the leading-term criteria used by the component checks.  An
-``Ideal`` caches its reduced Groebner basis (one per ring order; moving an
-ideal to a ring with a different order is an explicit re-generation).
+Elimination, intersection, colon ideals, equality, Hilbert numerators read
+off leading monomials and the Krull dimension they give, and the
+leading-term criteria used by the component checks.  An ``Ideal`` caches
+its reduced Groebner basis (one per ring order; moving an ideal to a ring
+with a different order is an explicit re-generation).
 """
+
+from itertools import accumulate
 
 from .errors import EmptyVariety, InvalidDivisor
 from .groebner import GroebnerBasis, buchberger, multivariate_division
-from .orders import GRLEX, Block
+from .orders import FIELD_BITS, GRLEX, Block
 from .rings import Ring, cast
 
 
@@ -130,41 +133,86 @@ def _eliminate_first(gens, k, sub, budget):
                        if not any(ring.exponents(p.lm())[:k])])
 
 
-def krull_dimension(ideal, budget=None):
-    """Dimension of ring/I from the leading-term ideal.
-
-    The dimension equals the size of a largest set S of variables such that
-    no leading monomial of the reduced basis is supported entirely inside S
-    (combinatorial independent-set computation; exact, no Hilbert series).
-    """
-    gb = ideal.groebner(budget)
-    if gb.is_unit_ideal():
-        raise EmptyVariety("the unit ideal has no dimension")
+def hilbert_numerator(ideal, weights=None, budget=None):
+    """N(t) with HS(ring/I) = N(t) / prod(1 - t^w_i), unit weights by
+    default, as the int coefficients of t^0, t^1, ... ([] for the unit
+    ideal).  Read off the leading monomials: exact when the generators are
+    homogeneous for the weights; with unit weights the pole order at t = 1
+    is the dimension of any ideal."""
     ring = ideal.ring
-    supports = set()
-    for m in gb.lead_monomials():
-        supports.add(frozenset(i for i, e in enumerate(ring.exponents(m)) if e))
-    # only inclusion-minimal supports constrain independence
-    minimal = [s for s in supports
-               if not any(t < s for t in supports)]
-    minimal.sort(key=lambda s: (len(s), sorted(s)))
-    return _independent(frozenset(range(ring.nvars)), minimal, {})
+    n = ring.nvars
+    weights = weights or (1,) * n
+    monos = ideal.groebner(budget).lead_monomials()
+    # variable i in field i under a guard bit, the weighted degree above
+    leads = [sum(e << FIELD_BITS * i for i, e in enumerate(exps))
+             + (sum(map(int.__mul__, exps, weights)) << FIELD_BITS * n)
+             for exps in map(ring.exponents, monos)]
+    guard = sum(1 << FIELD_BITS * i - 1 for i in range(1, n + 1))
+    out = _numerator(leads, weights, guard, budget)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _independent(allowed, minimal, memo):
-    """Size of a largest subset of ``allowed`` containing no set of
-    ``minimal``; ``memo`` caches it per frozenset.  A plain recursive
-    function, so the memo is freed as soon as the search returns."""
-    if allowed in memo:
-        return memo[allowed]
-    for s in minimal:
-        if s <= allowed:
-            # allowed is dependent: branch on removing one variable of s
-            out = max(_independent(allowed - {v}, minimal, memo) for v in sorted(s))
-            memo[allowed] = out
-            return out
-    memo[allowed] = len(allowed)
-    return len(allowed)
+def _numerator(gens, weights, guard, budget):
+    """N(t) of the monomial ideal minimally generated by packed ``gens``:
+    N(I) = N(I + x^k) + t^(k w_x) N(I : x^k) for x in the most generators
+    and k the lower median of its exponents there (Bigatti), so x^k is not
+    in I; pairwise coprime generators give prod(1 - t^deg)."""
+    if budget is not None:
+        budget.deadline()
+    mask = (1 << FIELD_BITS) - 1
+    top = FIELD_BITS * len(weights)
+    # a sum of support indicators counts generators per field
+    low = guard - (guard >> FIELD_BITS - 1)
+    flags = sum(((g + low) & guard) >> FIELD_BITS - 1 for g in gens)
+    counts = [(flags >> FIELD_BITS * i) & mask for i in range(len(weights))]
+    most = max(counts, default=0)
+    if most <= 1:
+        out = [1]
+        for g in gens:
+            out = _plus_shifted(out, out, g >> top, -1)
+        return out
+    x = counts.index(most)
+    shift = FIELD_BITS * x
+    k = sorted(e for g in gens if (e := (g >> shift) & mask))[(most - 1) // 2]
+    plus = [g for g in gens if (g >> shift) & mask < k]
+    plus.append((k << shift) + (k * weights[x] << top))
+    # in I : x^k only a generator that lost some x divides another (one
+    # without x only if it lost all); divisors pack to smaller integers
+    moved = sorted(g - (j << shift) - (j * weights[x] << top) for g in gens
+                   if (j := min((g >> shift) & mask, k)))
+    colon = []
+    for g in moved:
+        if all((g - h) & guard for h in colon):
+            colon.append(g)
+    cleared = [h for h in colon if not (h >> shift) & mask]
+    colon += [g for g in gens if not (g >> shift) & mask
+              and all((g - h) & guard for h in cleared)]
+    return _plus_shifted(_numerator(plus, weights, guard, budget),
+                         _numerator(colon, weights, guard, budget),
+                         k * weights[x], 1)
+
+
+def _plus_shifted(p, q, shift, sign):
+    """p + sign * t^shift * q on coefficient lists."""
+    out = p + [0] * (len(q) + shift - len(p))
+    for i, c in enumerate(q):
+        out[i + shift] += sign * c
+    return out
+
+
+def krull_dimension(ideal, budget=None):
+    """Dimension of ring/I: nvars minus the power of (1 - t) dividing the
+    unit-weight Hilbert numerator, the pole order at t = 1."""
+    if ideal.is_unit(budget):
+        raise EmptyVariety("the unit ideal has no dimension")
+    num = hilbert_numerator(ideal, None, budget)
+    dim = ideal.ring.nvars
+    while not sum(num):
+        num = list(accumulate(num))[:-1]    # N = (1 - t) q
+        dim -= 1
+    return dim
 
 
 def pure_power_free(gb, name):

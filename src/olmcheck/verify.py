@@ -22,7 +22,7 @@ from .charts import Chart
 from .errors import BudgetExceeded, NotApplicable
 from .fields import QQ, coefficient_field
 from .groebner import Budget
-from .ideals import pure_power_free
+from .ideals import hilbert_numerator, pure_power_free
 from .rings import cast
 
 PRIMALITY_NOTE = ("component primality is checked only through the "
@@ -222,15 +222,26 @@ def _dimensions(chart, budget):
 
 
 def _flatness(chart, budget):
-    """pi is a non-zerodivisor: (I'' : pi) = I'', exactly, over Q[pi]."""
+    """pi is a non-zerodivisor mod I'' over Q[pi]: with pi of weight 2 and
+    band variables of weight 1 every generator of I'' is homogeneous, and
+    N(I'') = N(I_s).  By 0 -> R/(I'':pi)(-2) -> R/I'' -> R/(I''+pi) -> 0,
+    with R/(I''+pi) = R'/I_s and I'' in (I'':pi), that holds exactly when
+    (I'':pi) = I''."""
     cq = chart if chart.field == QQ else Chart(chart.d, chart.l, QQ)
     red = cq.reduced_ideal()
-    pi = cq.reduced_ring.var("pi")
-    colon = red.quotient(pi, budget)
-    if colon.equals(red, budget):
+    ring = red.ring
+    weights = [2 if nm == "pi" else 1 for nm in ring.names]
+    for g in red.gens:
+        if len({sum(map(int.__mul__, ring.exponents(m), weights))
+                for m in g.monomials()}) > 1:
+            return "fail", {"subcheck": "weighted-homogeneous",
+                            "generator": _clip(cq, g)}
+    reduced = hilbert_numerator(red, weights, budget)
+    special = hilbert_numerator(cq.special_fiber_ideal(), None, budget)
+    if reduced == special:
         return "pass", None
-    return "fail", {"witness": _extra_element(cq, colon, red, budget),
-                    "note": "(I:pi) differs from I"}
+    return "fail", {"subcheck": "hilbert-numerator",
+                    "reduced": reduced, "special": special}
 
 
 def _special_fiber(chart, budget):

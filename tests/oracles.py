@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: extended Euclid for modular
 inverses, dense Gaussian elimination over Fraction for degree-bounded ideal
-membership, and direct index formulas for the block matrix products.  None
-of it shares code with the engine paths it certifies.
+membership, direct index formulas for the block matrix products, and a
+search over variable subsets for the dimension of a leading-term ideal.
+None of it shares code with the engine paths it certifies.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def egcd(a, b):
@@ -120,6 +121,20 @@ def member_up_to_degree(f, gens, max_deg):
     if not rows:
         return f.is_zero()
     return solve_exact(rows, rhs) is not None
+
+
+def independent_set_dimension(ring, lead_monomials):
+    """Krull dimension read off leading monomials by brute force: the size
+    of a largest set S of variables such that no leading monomial has its
+    support inside S (None for the unit ideal, whose constant lead has empty
+    support)."""
+    supports = [{i for i, e in enumerate(ring.exponents(m)) if e}
+                for m in lead_monomials]
+    for size in range(ring.nvars, -1, -1):
+        for chosen in combinations(range(ring.nvars), size):
+            if not any(s <= set(chosen) for s in supports):
+                return size
+    return None
 
 
 def b2_j_b1t_entry(d, e, i, j):

@@ -8,7 +8,8 @@ lines.  Criteria:
 2. all seven lemma checks pass for (6,2) and each flips to fail under a
    documented mutation;
 3. special and generic fiber dimensions equal d-2 for six charts;
-4. (I'' : pi) = I'' exactly over Q[pi] for the same six charts;
+4. pi is a non-zerodivisor mod I'' over Q[pi] for the same six charts,
+   certified by equal Hilbert numerators of I'' (pi of weight 2) and I_s;
 5. the special fiber decomposes as the case table says, with the ideal
    equality I_s = intersection of components exact, equidimensionality,
    incomparability and pure-power-freeness;
@@ -85,7 +86,8 @@ def test_criterion_4_flatness_proxy():
     for d, l in DIMENSION_CHARTS:
         res = verify_check("flatness", chart(d, l, 0), CFG_Q)
         assert res.status == "pass", ((d, l), res.witness)
-    print("CRITERION 4 (I'':pi) = I'' over Q on %d charts: PASS"
+    print("CRITERION 4 pi regular over Q (N(I'') = N(I_s), pi of weight 2) "
+          "on %d charts: PASS"
           % len(DIMENSION_CHARTS))
 
 

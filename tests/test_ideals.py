@@ -6,12 +6,15 @@ import random
 import pytest
 
 from olmcheck.charts import Chart
-from olmcheck.errors import EmptyVariety, InvalidDivisor
+from olmcheck.errors import BudgetExceeded, EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.ideals import Ideal, is_regular_element, krull_dimension, pure_power_free
-from olmcheck.orders import GRLEX
+from olmcheck.groebner import Budget
+from olmcheck.ideals import (Ideal, hilbert_numerator, is_regular_element,
+                             krull_dimension, pure_power_free)
+from olmcheck.orders import GRLEX, Block
 from olmcheck.rings import Ring, cast
-from oracles import random_poly
+from olmcheck.verify import DEFAULT_SUITE, EngineConfig, verify_check
+from oracles import independent_set_dimension, random_poly
 
 
 def _ring3(field=QQ):
@@ -132,9 +135,78 @@ def test_krull_dimension_examples():
         krull_dimension(Ideal(R2, [R2.one()]))
 
 
+def test_hilbert_numerator_textbook_examples():
+    R = Ring(["x", "y"], QQ, GRLEX)
+    x, y = R.gens()
+    assert hilbert_numerator(Ideal(R, [])) == [1]
+    assert hilbert_numerator(Ideal(R, [R.one()])) == []
+    assert hilbert_numerator(Ideal(R, [x * y])) == [1, 0, -1]
+    assert hilbert_numerator(Ideal(R, [x**2, x * y])) == [1, 0, -2, 1]
+    # the twisted cubic: the numerator of its grlex leading ideal
+    C = Ring(["a", "b", "c", "d"], QQ, GRLEX)
+    a, b, c, d = C.gens()
+    cubic = Ideal(C, [a * c - b**2, a * d - b * c, b * d - c**2])
+    assert hilbert_numerator(cubic) == [1, 0, -3, 2]
+    assert krull_dimension(cubic) == 2
+    # k[x, pi]/(x^2 + pi) with pi of weight 2
+    W = Ring(["x", "pi"], QQ, GRLEX)
+    assert hilbert_numerator(Ideal(W, [W.var("x")**2 + W.var("pi")]),
+                             (1, 2)) == [1, 0, -1]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_krull_dimension_matches_independent_sets(field):
+    rng = random.Random(13)
+    seen = 0
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        order = Block(rng.randrange(1, n)) if n > 1 and rng.random() < 0.5 \
+            else GRLEX
+        R = Ring(["x%d" % i for i in range(n)], field, order)
+        gens = [random_poly(R, rng, 3, 3) for _ in range(rng.randrange(1, 4))]
+        ideal = Ideal(R, gens)
+        want = independent_set_dimension(R, ideal.groebner().lead_monomials())
+        if want is None:
+            with pytest.raises(EmptyVariety):
+                krull_dimension(ideal)
+        else:
+            assert krull_dimension(ideal) == want
+            seen += 1
+    assert seen > 50
+
+
+@pytest.mark.parametrize("d, l", DEFAULT_SUITE)
+def test_special_fiber_numerator_matches_the_dimensions_check(d, l):
+    nums = []
+    for modulus in (0, 32003):
+        c = Chart(d, l, PrimeField(modulus) if modulus else QQ)
+        assert verify_check("dimensions", c,
+                            EngineConfig(modulus=modulus)).status == "pass"
+        num = hilbert_numerator(c.special_fiber_ideal())
+        # (1 - t)^c divides N for the codimension c, and no higher power
+        for _ in range(c.fiber_ring.nvars - (d - 2)):
+            assert sum(num) == 0
+            num = [sum(num[:i + 1]) for i in range(len(num) - 1)]
+        assert sum(num) > 0
+        nums.append(num)
+    assert nums[0] == nums[1]
+
+
+def test_krull_dimension_meets_the_deadline():
+    # with the basis cached, only the numerator recursion is left to stop
+    c = Chart(6, 2, PrimeField(32003))
+    c.special_fiber_ideal().groebner()
+    spent = Budget(seconds=1.0)
+    spent._t0 -= 2.0
+    with pytest.raises(BudgetExceeded, match="time budget"):
+        krull_dimension(c.special_fiber_ideal(), spent)
+    res = verify_check("dimensions", c, EngineConfig(modulus=32003, timeout=1e-9))
+    assert res.status == "timeout"
+
+
 def test_krull_dimension_leaves_no_cyclic_garbage():
-    # the independent-set memo must be freed by reference counting alone;
-    # a self-referencing recursive closure kept it until the cyclic GC ran
+    # the numerator recursion is a plain function of its arguments, so
+    # everything it builds is freed by reference counting alone
     ideal = Chart(8, 4, PrimeField(32003)).special_fiber_ideal()
     ideal.groebner()
     gc.collect()

@@ -13,7 +13,7 @@ import pytest
 from olmcheck.charts import Chart
 from olmcheck.fields import PrimeField, QQ
 from olmcheck.groebner import Budget, buchberger
-from olmcheck.ideals import Ideal
+from olmcheck.ideals import Ideal, is_regular_element
 from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
                              PRIMALITY_NOTE, chart_report,
                              expected_component_count, run_suite, verify_check)
@@ -51,16 +51,47 @@ def test_flatness_passes():
     assert res.status == "pass"
 
 
-def test_flatness_mutation_fails():
-    # replacing the trace generator t by pi*t makes pi a zero divisor
-    c = Chart(6, 2, QQ)
-    red = c.reduced_ideal()
+def _pi_times_trace(c):
+    """The reduced ideal with its trace generator t replaced by pi*t, which
+    makes pi a zero divisor."""
     pi = c.reduced_ring.var("pi")
-    gens = [g if "pi" not in str(g) else g * pi for g in red.gens]
+    gens = [g if "pi" not in str(g) else g * pi for g in c.reduced_ideal().gens]
     c._cache["reduced"] = Ideal(c.reduced_ring, gens)
+
+
+def test_flatness_mutation_fails():
+    c = Chart(6, 2, QQ)
+    _pi_times_trace(c)
     res = verify_check("flatness", c, CFG)
     assert res.status == "fail"
-    assert "witness" in res.witness or res.witness
+    assert res.witness["subcheck"] == "hilbert-numerator"
+    assert res.witness["reduced"] != res.witness["special"]
+
+
+def test_flatness_inhomogeneous_mutation_fails():
+    # a band variable of weight 1 added to the weight-2 trace generator
+    c = Chart(6, 2, QQ)
+    rr = c.reduced_ring
+    x = rr.var(rr.names[0])
+    gens = [g if "pi" not in str(g) else g + x for g in c.reduced_ideal().gens]
+    c._cache["reduced"] = Ideal(rr, gens)
+    res = verify_check("flatness", c, CFG)
+    assert res.status == "fail"
+    assert res.witness["subcheck"] == "weighted-homogeneous"
+    assert res.witness["generator"].endswith("x[3][1] + 2*pi")
+
+
+def test_flatness_verdict_matches_the_colon():
+    # the colon path (I'' : pi) = I'' is the reference for the certificate
+    charts = [Chart(d, l, QQ) for d in range(5, 9) for l in range(2, d - 1)]
+    mutated = Chart(6, 2, QQ)
+    _pi_times_trace(mutated)
+    for c in charts + [mutated]:
+        red = c.reduced_ideal()
+        regular = is_regular_element(red, c.reduced_ring.var("pi"))
+        status = verify_check("flatness", c, EngineConfig(modulus=0)).status
+        assert status == ("pass" if regular else "fail"), (c.d, c.l)
+    assert status == "fail"
 
 
 def test_special_fiber_passes_with_component_witness():
@@ -266,8 +297,8 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, work", [(5, 3, (147, 189)),
-                                        (6, 2, (442, 523))])
+@pytest.mark.parametrize("d, l, work", [(5, 3, (128, 146)),
+                                        (6, 2, (385, 424))])
 def test_chart_report_work_is_fixed(d, l, work):
     # every Buchberger run of a whole report; under the chart ring's block
     # order each full-ring basis is the solved non-band variables plus a
