@@ -2,11 +2,16 @@
 
 At pi = 0 the chart degenerates; the fiber object decomposes into two or
 three irreducible components depending on where l sits relative to 2 and
-d - 2.  The decomposition is certified by the exact ideal equality
-I_s = I_1 cap I_2 (cap I_3).
+d - 2.  The decomposition is the exact ideal equality
+I_s = I_1 cap I_2 (cap I_3).  The check proves it without forming the
+intersection: I_s lies in every component, and with J the intersection of
+all components but the last, I_m, the Hilbert numerators agree,
+N(I_s) = N(J) + N(I_m) - N(J + I_m).  Here the intersection is also formed
+directly, for comparison.
 """
 
-from olmcheck import Chart, QQ, hilbert_numerator, is_regular_element
+from olmcheck import (Chart, QQ, hilbert_numerator, intersection_numerator,
+                      is_regular_element)
 
 for d, l in [(6, 2), (7, 3), (6, 3), (5, 2)]:
     chart = Chart(d, l)
@@ -15,8 +20,15 @@ for d, l in [(6, 2), (7, 3), (6, 3), (5, 2)]:
     inter = None
     for _, ideal, _ in comps:
         inter = ideal if inter is None else inter.intersect(ideal)
+    # J is I_1, or the intersection of the two linear components I_1, I_2
+    *head, (_, last, _) = comps
+    meet = head[0][1]
+    for _, ideal, _ in head[1:]:
+        meet = meet.intersect(ideal)
     print("(d, l) = (%d, %d)  case %s" % (d, l, chart.case))
     print("  components          :", ", ".join(label for label, _, _ in comps))
+    print("  N(I_s)              :", hilbert_numerator(fiber))
+    print("  N(J)+N(I_m)-N(J+I_m):", intersection_numerator(meet, last))
     print("  I_s = intersection  :", fiber.equals(inter))
     print("  fiber dimension     :", fiber.dimension(), "(expect %d)" % (d - 2))
     print("  component dimensions:", [i.dimension() for _, i, _ in comps])

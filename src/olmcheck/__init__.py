@@ -18,8 +18,8 @@ from .orders import GRLEX, LEX, Block, order_from_name
 from .rings import Polynomial, Ring, cast, parse_polynomial
 from .groebner import (Budget, DivisionResult, GroebnerBasis, buchberger,
                        multivariate_division, s_polynomial)
-from .ideals import (Ideal, hilbert_numerator, is_regular_element,
-                     krull_dimension, pure_power_free)
+from .ideals import (Ideal, hilbert_numerator, intersection_numerator,
+                     is_regular_element, krull_dimension, pure_power_free)
 from .charts import Chart, gram_matrices
 from .verify import (CHECK_NAMES, DEFAULT_SUITE, CheckResult, ChartReport,
                      EngineConfig, SuiteReport, run_suite, verify_check)
@@ -30,8 +30,8 @@ __all__ = [
     "Polynomial", "Ring", "cast", "parse_polynomial",
     "Budget", "DivisionResult", "GroebnerBasis", "buchberger",
     "multivariate_division", "s_polynomial",
-    "Ideal", "hilbert_numerator", "is_regular_element", "krull_dimension",
-    "pure_power_free",
+    "Ideal", "hilbert_numerator", "intersection_numerator",
+    "is_regular_element", "krull_dimension", "pure_power_free",
     "Chart", "gram_matrices",
     "CHECK_NAMES", "DEFAULT_SUITE", "CheckResult", "ChartReport",
     "EngineConfig", "SuiteReport", "run_suite", "verify_check",

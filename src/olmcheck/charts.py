@@ -40,7 +40,7 @@ from .fields import QQ
 from .ideals import Ideal
 from .matrices import PolyMatrix, antidiag, constant_matrix, diagonal
 from .orders import GRLEX, Block
-from .rings import Ring, cast
+from .rings import Ring, cast, specialize_pi
 
 
 def xname(i, j):
@@ -421,12 +421,10 @@ class Chart:
         src = ideal.ring
         if FIBER_PI[fiber] is None or "pi" not in src.names:
             return ideal
-        names = [nm for nm in src.names if nm != "pi"]
         target = self.fiber_ring if src is self.reduced_ring \
-            else Ring(names, src.field, src.order)
-        images = {nm: target.var(nm) for nm in names}
-        images["pi"] = target.const(FIBER_PI[fiber])
-        return ideal.specialize(images, target)
+            else Ring(src.names[:-1], src.field, src.order)
+        return Ideal(target, [specialize_pi(g, FIBER_PI[fiber], target)
+                              for g in ideal.gens])
 
     def special_fiber_ideal(self):
         return self._cached("special", lambda: self.specialize(

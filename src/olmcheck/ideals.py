@@ -115,10 +115,6 @@ class Ideal:
     def dimension(self, budget=None):
         return krull_dimension(self, budget)
 
-    def specialize(self, images, target):
-        """Map the generators through a variable substitution."""
-        return Ideal(target, [g.substitute(images, target) for g in self.gens])
-
 
 def _eliminate_first(gens, k, sub, budget):
     """The ideal of ``gens`` cut down to the ring ``sub``.
@@ -148,10 +144,20 @@ def hilbert_numerator(ideal, weights=None, budget=None):
              + (sum(map(int.__mul__, exps, weights)) << FIELD_BITS * n)
              for exps in map(ring.exponents, monos)]
     guard = sum(1 << FIELD_BITS * i - 1 for i in range(1, n + 1))
-    out = _numerator(leads, weights, guard, budget)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _numerator(leads, weights, guard, budget)
+
+
+def intersection_numerator(a, b, budget=None):
+    """N(a cap b) for homogeneous ideals a and b, unit weights, without
+    forming a cap b: by 0 -> R/(a cap b) -> R/a + R/b -> R/(a + b) -> 0 it
+    is N(a) + N(b) - N(a + b)."""
+    if b.ring is not a.ring:
+        raise ValueError("ideals live in different rings")
+    joined = Ideal(a.ring, a.gens + b.gens)
+    return _plus_shifted(_plus_shifted(hilbert_numerator(a, None, budget),
+                                       hilbert_numerator(b, None, budget),
+                                       0, 1),
+                         hilbert_numerator(joined, None, budget), 0, -1)
 
 
 def _numerator(gens, weights, guard, budget):
@@ -195,10 +201,13 @@ def _numerator(gens, weights, guard, budget):
 
 
 def _plus_shifted(p, q, shift, sign):
-    """p + sign * t^shift * q on coefficient lists."""
+    """p + sign * t^shift * q on coefficient lists, trailing zeros
+    trimmed."""
     out = p + [0] * (len(q) + shift - len(p))
     for i, c in enumerate(q):
         out[i + shift] += sign * c
+    while out and not out[-1]:
+        out.pop()
     return out
 
 

@@ -429,6 +429,40 @@ def cast(f, target):
     return Polynomial(target, out)
 
 
+def specialize_pi(f, value, target):
+    """f with pi set to 0 or 1, in ``target``: f's ring without its last
+    variable pi, under the same order and field.
+
+    pi's exponent is the lowest field of every layout and the degree fields
+    that count it sit above it, so a monomial loses its pi by subtracting
+    e * (packed pi) and shifting out one field.  At pi = 0 only the pi-free
+    terms are kept; at pi = 1 every coefficient is kept and terms that meet
+    are added.
+    """
+    ring = f.ring
+    if (ring.names[-1:] != ("pi",) or target.names != ring.names[:-1]
+            or target.order != ring.order or target.field != ring.field):
+        raise TableMismatch("target must be the source ring without pi")
+    if value not in (0, 1):
+        raise ValueError("pi specializes to 0 or 1, got %r" % (value,))
+    field = ring.field
+    unit = ring.monomial({"pi": 1})
+    mask = (1 << FIELD_BITS) - 1
+    out = {}
+    for m, c in f._d.items():
+        e = m & mask
+        if e and not value:
+            continue
+        key = (m - e * unit) >> FIELD_BITS
+        if key in out:
+            c = field.add(out[key], c)
+            if field.is_zero(c):
+                del out[key]
+                continue
+        out[key] = c
+    return Polynomial(target, out)
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<name>x\[\d+\]\[\d+\]|[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^]))")

@@ -11,8 +11,9 @@ lines.  Criteria:
 4. pi is a non-zerodivisor mod I'' over Q[pi] for the same six charts,
    certified by equal Hilbert numerators of I'' (pi of weight 2) and I_s;
 5. the special fiber decomposes as the case table says, with the ideal
-   equality I_s = intersection of components exact, equidimensionality,
-   incomparability and pure-power-freeness;
+   equality I_s = intersection of components exact (certified by
+   homogeneity, I_s inside each component and equal Hilbert numerators),
+   equidimensionality, incomparability and pure-power-freeness;
 6. a thousand randomized small-engine instances hold the division identity,
    S-pair reduction, selection-order independence, and the intersection and
    colon membership invariants, within sixty seconds;
@@ -97,7 +98,8 @@ def test_criterion_5_components_and_reducedness():
         res = verify_check("special-fiber", c, CFG_P)
         assert res.status == "pass", ((d, l), res.witness)
         assert len(res.witness["components"]) == count, (d, l)
-    print("CRITERION 5 special fiber decomposition on %d charts: PASS"
+    print("CRITERION 5 special fiber decomposition on %d charts, I_s = "
+          "cap I_j by N(I_s) = N(J) + N(I_m) - N(J + I_m): PASS"
           % len(FIBER_CHARTS))
 
 

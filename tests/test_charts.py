@@ -369,6 +369,31 @@ def test_chart_json_shape_and_round_trip():
     assert data_o["ideals"]["intermediate"] is None
 
 
+def test_specialize_matches_substitute():
+    # the fiber map drops or folds the pi terms; Polynomial.substitute with
+    # pi -> 0 or 1 is the reference.  The (5,3) full ideal covers a block
+    # order.
+    def substituted(ideal, target, value):
+        images = {nm: target.var(nm) for nm in target.names}
+        images["pi"] = target.const(value)
+        out = [g.substitute(images, target) for g in ideal.gens]
+        return tuple(g for g in out if not g.is_zero())
+
+    charts = [Chart(d, l) for d in range(5, 10) for l in range(2, d - 1)]
+    assert len(charts) == 20
+    for c in charts:
+        red = c.reduced_ideal()
+        for fiber, value in (("special", 0), ("generic", 1)):
+            got = c.specialize(red, fiber)
+            assert got.ring is c.fiber_ring
+            assert got.gens == substituted(red, c.fiber_ring, value), \
+                (c.d, c.l, fiber)
+    c = Chart(5, 3)
+    for fiber, value in (("special", 0), ("generic", 1)):
+        got = c.specialize(c.full_ideal(), fiber)
+        assert got.gens == substituted(c.full_ideal(), got.ring, value)
+
+
 def test_render_dedups_sorts_and_specializes():
     c = Chart(6, 2)
     rr = c.reduced_ring

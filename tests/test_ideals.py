@@ -9,8 +9,9 @@ from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded, EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.groebner import Budget
-from olmcheck.ideals import (Ideal, hilbert_numerator, is_regular_element,
-                             krull_dimension, pure_power_free)
+from olmcheck.ideals import (Ideal, hilbert_numerator, intersection_numerator,
+                             is_regular_element, krull_dimension,
+                             pure_power_free)
 from olmcheck.orders import GRLEX, Block
 from olmcheck.rings import Ring, cast
 from olmcheck.verify import DEFAULT_SUITE, EngineConfig, verify_check
@@ -152,6 +153,21 @@ def test_hilbert_numerator_textbook_examples():
     W = Ring(["x", "pi"], QQ, GRLEX)
     assert hilbert_numerator(Ideal(W, [W.var("x")**2 + W.var("pi")]),
                              (1, 2)) == [1, 0, -1]
+
+
+def test_intersection_numerator_matches_the_intersection():
+    # N(a) + N(b) - N(a + b) against the numerator of a.intersect(b)
+    R = Ring(["x", "y", "z"], QQ, GRLEX)
+    x, y, z = R.gens()
+    pairs = [([x], [y]), ([x, y], [y, z]), ([x**2 - y * z], [x, z]),
+             ([x * y], [x * y]), ([x], [R.one()])]
+    for ga, gb in pairs:
+        a, b = Ideal(R, ga), Ideal(R, gb)
+        assert intersection_numerator(a, b) == \
+            hilbert_numerator(a.intersect(b)), (ga, gb)
+    assert intersection_numerator(Ideal(R, [x]), Ideal(R, [y])) == [1, 0, -1]
+    with pytest.raises(ValueError):
+        intersection_numerator(Ideal(R, [x]), Ideal(_ring3(), []))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])

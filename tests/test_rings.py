@@ -8,7 +8,7 @@ import pytest
 from olmcheck.errors import MissingImage, TableMismatch
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.orders import GRLEX, LEX, Block
-from olmcheck.rings import Ring, cast, parse_polynomial
+from olmcheck.rings import Ring, cast, parse_polynomial, specialize_pi
 from oracles import random_poly
 
 
@@ -217,6 +217,24 @@ def test_homomorphism_missing_image():
     R = Ring(["x", "y"], QQ, GRLEX)
     with pytest.raises(MissingImage):
         (R.var("x") * R.var("y")).substitute({"x": R.var("x")}, R)
+
+
+def test_specialize_pi_examples():
+    for order in (GRLEX, LEX, Block(1)):
+        R = Ring(["x", "y", "pi"], QQ, order)
+        T = Ring(["x", "y"], QQ, order)
+        f = R.parse("x*pi^2 - x + y^2*pi + 3*y + pi")
+        assert specialize_pi(f, 0, T) == T.parse("-x + 3*y")
+        # x*pi^2 and -x cancel at pi = 1
+        assert specialize_pi(f, 1, T) == T.parse("y^2 + 3*y + 1")
+    R = Ring(["x", "pi"], QQ, GRLEX)
+    f = R.parse("x + pi")
+    with pytest.raises(ValueError):
+        specialize_pi(f, 2, Ring(["x"], QQ, GRLEX))
+    for bad in (Ring(["x"], QQ, LEX), Ring(["y"], QQ, GRLEX),
+                Ring(["x"], PrimeField(7), GRLEX), R):
+        with pytest.raises(TableMismatch):
+            specialize_pi(f, 0, bad)
 
 
 def test_pi_must_be_last():

@@ -107,7 +107,8 @@ def test_special_fiber_mutations_fail():
     res = verify_check("special-fiber", c, CFG)
     assert res.status == "fail" and res.witness["subcheck"] == "component-count"
 
-    # enlarging a component (dropping its constraints) breaks the equality
+    # dropping generators shrinks a component's ideal, so I_s no longer
+    # lies in it (and its dimension grows)
     c = _chart()
     comps = c.component_ideals()
     label, ideal, v = comps[2]
@@ -117,6 +118,75 @@ def test_special_fiber_mutations_fail():
     assert res.status == "fail"
     assert res.witness["subcheck"] in ("intersection-equality",
                                        "component-dimension", "incomparability")
+
+
+def _minors_as_special(c):
+    """The cached special fiber replaced by the band minors alone: they lie
+    in every component, but cut out a variety of dimension d-1."""
+    ring = c.fiber_ring
+    c._cache["special"] = Ideal(ring, c._band_matrix(ring, c.cols).minors2())
+
+
+def test_special_fiber_numerator_mutation_fails():
+    c = _chart()
+    _minors_as_special(c)
+    res = verify_check("special-fiber", c, CFG)
+    assert res.status == "fail"
+    assert res.witness["subcheck"] == "intersection-equality"
+    assert set(res.witness) == {"subcheck", "special", "intersection"}
+    assert res.witness["special"] != res.witness["intersection"]
+
+
+def test_special_fiber_homogeneous_mutation_fails():
+    # x*y + x added to the last component: not homogeneous in unit weights
+    c = _chart()
+    comps = c.component_ideals()
+    label, ideal, v = comps[-1]
+    x, y = (c.fiber_ring.var(nm) for nm in c.fiber_ring.names[:2])
+    c._cache["components"] = comps[:-1] + [
+        (label, Ideal(ideal.ring, ideal.gens + (x * y + x,)), v)]
+    res = verify_check("special-fiber", c, CFG)
+    assert res.status == "fail"
+    assert res.witness == {"subcheck": "homogeneous", "ideal": label,
+                           "generator": "x[3][1]*x[3][2] + x[3][1]"}
+
+
+def test_special_fiber_verdict_matches_the_intersection():
+    # the intersection cap I_j formed by Ideal.intersect is the reference
+    # for the numerator certificate
+    charts = [Chart(d, l, QQ) for d in range(5, 9) for l in range(2, d - 1)]
+    minors = Chart(6, 2, QQ)
+    _minors_as_special(minors)
+    # I1 of (8,4) cut down to the band minors: I_s no longer lies in it
+    weakened = Chart(8, 4, QQ)
+    ring = weakened.fiber_ring
+    band = set(weakened._band_matrix(ring, weakened.cols).minors2())
+    comps = weakened.component_ideals()
+    label, ideal, v = comps[0]
+    weakened._cache["components"] = [
+        (label, _drop(ideal, lambda g: g not in band), v)] + comps[1:]
+    verdicts = []
+    for c in charts + [minors, weakened]:
+        inter = None
+        for _, ideal, _ in c.component_ideals():
+            inter = ideal if inter is None else inter.intersect(ideal)
+        equal = c.special_fiber_ideal().equals(inter)
+        res = verify_check("special-fiber", c, EngineConfig(modulus=0))
+        assert (res.status == "pass") == equal, (c.d, c.l, res.witness)
+        verdicts.append(res.status)
+    assert verdicts == ["pass"] * 14 + ["fail"] * 2
+    # the weakened I1 fails the inclusion, not the numerators
+    assert res.witness["component"] == "I1"
+
+
+def test_special_fiber_spent_budget_times_out():
+    c = _chart(8, 4)
+    cfg = EngineConfig(modulus=32003)
+    assert verify_check("special-fiber", c, cfg).status == "pass"
+    # every basis the check reads from the chart is cached now
+    res = verify_check("special-fiber", c,
+                       EngineConfig(modulus=32003, timeout=1e-9))
+    assert res.status == "timeout" and "budget" in res.witness
 
 
 def test_reduction_passes_six_two():
@@ -297,14 +367,16 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, work", [(5, 3, (128, 146)),
-                                        (6, 2, (385, 424))])
-def test_chart_report_work_is_fixed(d, l, work):
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (138, 120)),
+                                                 (6, 2, 32003, (392, 353)),
+                                                 (8, 4, 0, (1520, 3059))])
+def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report; under the chart ring's block
     # order each full-ring basis is the solved non-band variables plus a
-    # small basis over k[band, pi]
-    cfg = _Metered(modulus=32003)
-    report = chart_report(_chart(d, l), cfg)
+    # small basis over k[band, pi].  (8,4) runs the reduced-ring checks
+    # only, on a chart with two components.
+    cfg = _Metered(modulus=modulus)
+    report = chart_report(_chart(d, l, modulus), cfg)
     assert report.passed()
     assert (cfg.meter.pairs, cfg.meter.steps) == work
 
