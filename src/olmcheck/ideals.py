@@ -4,7 +4,8 @@ Elimination, intersection, colon ideals, equality, Hilbert numerators read
 off leading monomials and the Krull dimension they give, and the
 leading-term criteria used by the component checks.  An ``Ideal`` caches
 its reduced Groebner basis (one per ring order; moving an ideal to a ring
-with a different order is an explicit re-generation).
+with a different order is an explicit re-generation) and the Hilbert
+numerators read off it, one per weight vector.
 """
 
 from itertools import accumulate
@@ -16,12 +17,14 @@ from .rings import Ring, cast
 
 
 class Ideal:
-    """An ideal given by generators, with a cached reduced Groebner basis."""
+    """An ideal given by generators, with a cached reduced Groebner basis
+    and cached Hilbert numerators keyed by their weight tuple."""
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
+        self._numerators = {}
 
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.gens), self.ring)
@@ -120,13 +123,20 @@ def _eliminate_first(gens, k, sub, budget):
     """The ideal of ``gens`` cut down to the ring ``sub``.
 
     ``gens`` live in a ring under ``Block(k)`` whose first k variables are
-    the ones eliminated.  Under a block order a basis element lies in the
-    subring exactly when its leading monomial does, so only that is tested.
+    the ones eliminated.
     """
-    gb = buchberger(gens, budget)
+    return Ideal(sub, [cast(p, sub)
+                       for p in subring_part(buchberger(gens, budget), k)])
+
+
+def subring_part(gb, k):
+    """The elements of a reduced basis under ``Block(k)`` whose leading
+    monomial has none of the first k variables.  Under a block order a basis
+    element lies in the subring of the other variables exactly when its
+    leading monomial does, so these are a Groebner basis of the ideal cut
+    down to that subring (the elimination property)."""
     ring = gb.ring
-    return Ideal(sub, [cast(p, sub) for p in gb
-                       if not any(ring.exponents(p.lm())[:k])])
+    return [p for p in gb if not any(ring.exponents(p.lm())[:k])]
 
 
 def hilbert_numerator(ideal, weights=None, budget=None):
@@ -134,17 +144,21 @@ def hilbert_numerator(ideal, weights=None, budget=None):
     default, as the int coefficients of t^0, t^1, ... ([] for the unit
     ideal).  Read off the leading monomials: exact when the generators are
     homogeneous for the weights; with unit weights the pole order at t = 1
-    is the dimension of any ideal."""
+    is the dimension of any ideal.  Kept on the ideal, one per weight
+    tuple."""
     ring = ideal.ring
     n = ring.nvars
-    weights = weights or (1,) * n
-    monos = ideal.groebner(budget).lead_monomials()
-    # variable i in field i under a guard bit, the weighted degree above
-    leads = [sum(e << FIELD_BITS * i for i, e in enumerate(exps))
-             + (sum(map(int.__mul__, exps, weights)) << FIELD_BITS * n)
-             for exps in map(ring.exponents, monos)]
-    guard = sum(1 << FIELD_BITS * i - 1 for i in range(1, n + 1))
-    return _numerator(leads, weights, guard, budget)
+    weights = tuple(weights or (1,) * n)
+    if weights not in ideal._numerators:
+        monos = ideal.groebner(budget).lead_monomials()
+        # variable i in field i under a guard bit, the weighted degree above
+        leads = [sum(e << FIELD_BITS * i for i, e in enumerate(exps))
+                 + (sum(map(int.__mul__, exps, weights)) << FIELD_BITS * n)
+                 for exps in map(ring.exponents, monos)]
+        guard = sum(1 << FIELD_BITS * i - 1 for i in range(1, n + 1))
+        ideal._numerators[weights] = tuple(
+            _numerator(leads, weights, guard, budget))
+    return list(ideal._numerators[weights])
 
 
 def intersection_numerator(a, b, budget=None):

@@ -155,6 +155,29 @@ def test_hilbert_numerator_textbook_examples():
                              (1, 2)) == [1, 0, -1]
 
 
+def test_hilbert_numerator_is_kept_on_the_ideal(monkeypatch):
+    import olmcheck.ideals as imod
+    ideal = Chart(6, 2, PrimeField(32003)).special_fiber_ideal()
+    unit = hilbert_numerator(ideal)
+    weighted = hilbert_numerator(ideal, [2] + [1] * (ideal.ring.nvars - 1))
+    assert weighted != unit
+    unit.append(99)     # the caller's list is its own
+
+    def refuse(*args):
+        raise AssertionError("recomputed a kept numerator")
+
+    monkeypatch.setattr(imod, "_numerator", refuse)
+    monkeypatch.setattr(imod, "buchberger", refuse)
+    assert hilbert_numerator(ideal) == unit[:-1]
+    assert hilbert_numerator(ideal, (1,) * ideal.ring.nvars) == unit[:-1]
+    assert hilbert_numerator(
+        ideal, (2,) + (1,) * (ideal.ring.nvars - 1)) == weighted
+    assert krull_dimension(ideal) == 4
+    # a fresh ideal on the same generators keeps nothing yet
+    with pytest.raises(AssertionError, match="recomputed"):
+        hilbert_numerator(Ideal(ideal.ring, ideal.gens))
+
+
 def test_intersection_numerator_matches_the_intersection():
     # N(a) + N(b) - N(a + b) against the numerator of a.intersect(b)
     R = Ring(["x", "y", "z"], QQ, GRLEX)

@@ -204,6 +204,60 @@ def test_reduction_mutation_fails():
     assert res.witness["subcheck"] == "intermediate-equality"
 
 
+def _drop_first(c):
+    red = c.reduced_ideal()
+    c._cache["reduced"] = Ideal(red.ring, red.gens[1:])
+
+
+def _add_band_variable(c):
+    red = c.reduced_ideal()
+    nm = c.reduced_ring.names[0]
+    c._cache["reduced"] = Ideal(red.ring, red.gens + (red.ring.var(nm),))
+
+
+def _shift_non_band_image(c):
+    nm = c.ring.names[0]          # the non-band block comes first
+    assert nm not in c.reduced_ring.names
+    phi = dict(c.substitution_map())
+    phi[nm] = phi[nm] + c.reduced_ring.one()
+    c._cache["phi"] = phi
+
+
+@pytest.mark.parametrize("tamper, subcheck", [
+    (_drop_first, "phi-image"),
+    (_add_band_variable, "reduced-lift"),
+    (_shift_non_band_image, "section")])
+def test_reduction_subcheck_mutations_fail(tamper, subcheck):
+    c = _chart()
+    tamper(c)
+    res = verify_check("reduction", c, CFG)
+    assert res.status == "fail"
+    assert res.witness["subcheck"] == subcheck
+    if subcheck == "section":
+        assert res.witness["variable"] == c.ring.names[0]
+    else:
+        assert res.witness["generator"]
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+@pytest.mark.parametrize("d, l", [(5, 3), (6, 2), (6, 4), (7, 3)])
+def test_reduction_matches_the_substitution(d, l, modulus):
+    # the old sub-check (b) as the reference: the phi-image of every
+    # generator of I, formed by Polynomial.substitute, lies in I''; with the
+    # first generator of I'' dropped, it and the band block both fail
+    cfg = EngineConfig(modulus=modulus, full_matrix_limit=8)
+    c = _chart(d, l, modulus)
+    assert verify_check("reduction", c, cfg).status == "pass"
+    phi, red = c.substitution_map(), c.reduced_ideal()
+    images = [g.substitute(phi, c.reduced_ring) for g in c.full_ideal().gens]
+    assert all(red.contains(f) for f in images)
+    _drop_first(c)
+    cut = c.reduced_ideal()
+    assert not all(cut.contains(f) for f in images)
+    res = verify_check("reduction", c, cfg)
+    assert res.status == "fail" and res.witness["subcheck"] == "phi-image"
+
+
 def test_lemma_checks_pass_six_two():
     c = _chart()
     for name in LEMMA_CHECKS:
@@ -431,6 +485,17 @@ def test_default_suite_passes():
     suite = run_suite(DEFAULT_SUITE, CFG)
     assert suite.aggregate_pass
     assert [(r.d, r.l) for r in suite.reports] == [(5, 2), (5, 3), (6, 2), (6, 3)]
+
+
+def test_default_suite_substitutes_nothing(monkeypatch):
+    from olmcheck.rings import Polynomial
+    from olmcheck.verify import DEFAULT_SUITE
+
+    def refuse(*args):
+        raise AssertionError("a check called Polynomial.substitute")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    assert run_suite(DEFAULT_SUITE, CFG).aggregate_pass
 
 
 def test_suite_with_tampered_chart_fails(monkeypatch):
