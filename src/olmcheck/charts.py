@@ -24,12 +24,19 @@ s in the complementary columns) modulo all 2x2 minors of that rectangle plus
 one trace quadric t_r + 2*pi.  For opposite parity the band rows exclude the
 center row n+1 (it is solved for by the unit diagonal entry of the Gram
 matrix) while the center column n+1 survives as the extra column Q; with
-that convention the rectangle is l x (d-l) in every case and on rank-one
-matrices u (X) w the trace factors as 2*q_u(u)*q_w(w) for quadratic forms
-q_u, q_w read off the row and column pairings.  The special fiber then
-decomposes along q_u and q_w, which is exactly what the component builder
-emits; a linear split of q_u or q_w (two band rows, or columns {1, d}) is
-what produces the three-component boundary cases.
+that convention the rectangle is l x (d-l) in every case.
+
+Every pairing the chart uses is a block of (G0, G1), read through one
+helper: J_e is G0 on the right x left outer columns, J_m is G1 on the middle
+rows (for opposite parity its center row is zero, and for d even row n is
+paired with itself), and the quadratic forms are q_u(u) = 1/2 u^t G1 u on
+the band rows and q_w(w) = 1/2 w^t G0 w on the columns.  The trace quadric is
+1/2 Tr(G1 Y G0 Y^t) on the band rectangle Y, so on rank-one matrices u (X) w
+it factors as 2*q_u(u)*q_w(w).  The special fiber then decomposes along q_u
+and q_w, which is exactly what the component builder emits; a form on two
+indices that pairs them with each other (two band rows, or columns {1, d})
+splits into linear factors, which produces the three-component boundary
+cases.
 """
 
 from fractions import Fraction
@@ -38,7 +45,7 @@ from types import SimpleNamespace
 from .errors import InvalidChart, NotApplicable
 from .fields import QQ
 from .ideals import Ideal
-from .matrices import PolyMatrix, antidiag, constant_matrix, diagonal
+from .matrices import PolyMatrix, constant_matrix, diagonal
 from .orders import GRLEX, Block
 from .rings import Ring, cast, specialize_pi
 
@@ -193,6 +200,12 @@ class Chart:
         one generator list or lemma reads."""
         return self._cached("equations", self._build_equations)
 
+    def _gram_block(self, ring, k, rows, cols):
+        """G_k (k = 0 or 1) on the given rows x columns, as a constant matrix
+        over ``ring``.  Every pairing the chart uses is one of these blocks."""
+        G = self.gram()[k]
+        return constant_matrix(ring, [[G[i - 1][j - 1] for j in cols] for i in rows])
+
     def _build_equations(self):
         ring = self.ring
         X = self.x_matrix()
@@ -202,16 +215,19 @@ class Chart:
         S0X = constant_matrix(ring, G0) @ X
         S1X = constant_matrix(ring, G1) @ X
         lin = S0X + S1X.scale(pi)          # (S0 + pi S1) X
-        Je = antidiag(ring, self.e)
-        Jm = antidiag(ring, self.mid_size)
+        Je = self._gram_block(ring, 0, self._right, self._left)
+        Jm = self._gram_block(ring, 1, self.mid, self.mid)
+        # the band rows among the middle ones: all of them for same parity,
+        # all but the center row for opposite parity
+        H = diagonal(ring, [ring.const(int(i in self.rows)) for i in self.mid])
         AJm = A @ Jm
         return SimpleNamespace(
-            X=X, B1=B1, A=A, B2=B2, Q=Q, pi=pi, Je=Je, Jm=Jm,
+            X=X, B1=B1, A=A, B2=B2, Q=Q, pi=pi, Je=Je, Jm=Jm, H=H,
             square=X @ X,
             minors=X.minors2(),
             band_minors=self._sub(X, self.rows, self.cols).minors2(),
             trace=X.trace(),
-            trace_A=A.trace() + pi.scale(2),
+            trace_A=(H @ A @ H).trace() + pi.scale(2),
             antisym=AJm - (Jm @ A.T),
             band=(B2 @ Je @ B1.T) - AJm,
             rel0=(X.T @ S0X) - lin.scale(pi.scale(2)),
@@ -226,23 +242,26 @@ class Chart:
                 + eq.rel1.entries())
 
     def additional_generators(self):
+        """Tr(X), Tr(A) + 2*pi, the antisymmetry family A J_m - J_m A^t and
+        the band family B2 J_e B1^t - A J_m, with J_e and J_m read off G0 and
+        G1.
+
+        For opposite parity each family is masked to the band rows by H, and
+        the band family becomes 2 H(B2 J_e B1^t - A J_m)H + H Q Q^t H.  For
+        d even (EO) the Gram matrix pairs row n with itself, not with the
+        deleted center row, and so does J_m; an antidiagonal J_m would leave
+        row n without a partner and cut I down to dimension d-2.  The
+        source's abstract does not print these equations, so this form rests
+        on what ``test_chart_ideal_presents_the_band_ideal`` checks in all
+        four parity cases: I has dimension d-1 and I cap k[band, pi] = I''.
+        """
         eq = self._equations()
+        gens = [eq.trace, eq.trace_A]
         if self.same_parity:
-            return ([eq.trace, eq.trace_A] + eq.antisym.entries()
-                    + eq.band.entries())
-        ring = self.ring
-        B1, A, B2, Q, Je, Jm = eq.B1, eq.A, eq.B2, eq.Q, eq.Je, eq.Jm
-        m = self.mid_size
-        c = self.mid.index(self.center)
-        keep = [k for k in range(m) if k != c]
-        Aprime = PolyMatrix(ring, [[A[i, j] for j in keep] for i in keep])
-        Jl = antidiag(ring, m - 1)
-        H = diagonal(ring, [ring.zero() if k == c else ring.one() for k in range(m)])
-        gens = [eq.trace, Aprime.trace() + eq.pi.scale(2)]
-        gens += ((Aprime @ Jl) - (Jl @ Aprime.T)).entries()
-        core = (H @ B2 @ Je @ B1.T @ H).scale(2) \
-            + (H @ Q @ Q.T @ H) - (H @ A @ Jm @ H).scale(2)
-        return gens + core.entries()
+            return gens + eq.antisym.entries() + eq.band.entries()
+        H = eq.H
+        core = (H @ eq.band @ H).scale(2) + (H @ eq.Q @ eq.Q.T @ H)
+        return gens + (H @ eq.antisym @ H).entries() + core.entries()
 
     def intermediate_generators(self):
         """The halfway ideal I' of the same-parity reduction."""
@@ -342,37 +361,14 @@ class Chart:
         return Ideal(rr, gens)
 
     def trace_quadric(self, ring):
-        """The quadric t_r with t_r + 2*pi the hypersurface equation.
-
-        Same parity: trace of B2 J_e B1^t J_m over the band rows.  Opposite
-        parity: the masked trace over the band plus half the Q-column square,
-        and for d even the self-paired row n contributes its diagonal term
-        (that row reflects onto the deleted center row, so the J-trace misses
-        it; on rank-one matrices the result factors as 2 q_u q_w either way).
-        """
-        zero = ring.zero()
-
-        def band_var(i, j):
-            if i in set(self.rows):
-                return ring.var(xname(i, j))
-            return zero
-
-        B1 = PolyMatrix(ring, [[band_var(i, j) for j in self._left] for i in self.mid])
-        B2 = PolyMatrix(ring, [[band_var(i, j) for j in self._right] for i in self.mid])
-        Je = antidiag(ring, self.e)
-        Jm = antidiag(ring, self.mid_size)
-        core = B2 @ Je @ B1.T
-        if self.same_parity:
-            return (core @ Jm).trace()
-        half = ring.field.coerce(Fraction(1, 2))
-        Q = PolyMatrix(ring, [[band_var(i, self.center)] for i in self.mid])
-        qq = (Q @ Q.T).scale(half)
-        tr = ((core + qq) @ Jm).trace()
-        if self.d % 2 == 0:
-            # row n is self-paired but reflects onto the deleted center row
-            c = self.mid.index(self.n)
-            tr = tr + core[c, c] + qq[c, c]
-        return tr
+        """The quadric t_r with t_r + 2*pi the hypersurface equation:
+        1/2 Tr(P Y C Y^t) for Y the band rectangle, P the block of G1 on the
+        band rows and C the block of G0 on the columns, i.e. half the sum of
+        x[a][f]*x[b][g] over the G1-pairs (a, b) and the G0-pairs (f, g)."""
+        Y = self._band_matrix(ring, self.cols)
+        P = self._gram_block(ring, 1, self.rows, self.rows)
+        C = self._gram_block(ring, 0, self.cols, self.cols)
+        return (P @ Y @ C @ Y.T).trace().scale(Fraction(1, 2))
 
     def substitution_map(self):
         """Images of every X variable in the reduced ring (same parity).
@@ -389,8 +385,8 @@ class Chart:
         band = self._band_matrix(rr, self.cols)
         B1 = self._band_matrix(rr, self._left)
         B2 = self._band_matrix(rr, self._right)
-        Je = antidiag(rr, self.e)
-        Jm = antidiag(rr, self.mid_size)
+        Je = self._gram_block(rr, 0, self._right, self._left)
+        Jm = self._gram_block(rr, 1, self.mid, self.mid)
         A_img = B2 @ Je @ B1.T @ Jm
         images = {"pi": rr.var("pi")}
         for bi, i in enumerate(self.rows):
@@ -445,62 +441,43 @@ class Chart:
         """
         return self._cached("components", self._build_components)
 
-    def _refl(self, i):
-        return self.d + 1 - i
-
-    def _pairing(self, indices):
-        """Split band rows or columns into the lower index of each pair
-        {a, d+1-a} inside the set, and the indices paired with themselves or
-        with nothing in the set."""
-        present = set(indices)
-        low = [a for a in indices if self._refl(a) in present and a < self._refl(a)]
-        selfp = [a for a in indices
-                 if self._refl(a) == a or self._refl(a) not in present]
-        return low, selfp
+    def _half_form(self, ring, k, idx):
+        """The upper triangle of the G_k block on ``idx``, diagonal halved:
+        U with u^t U u = q(u) = 1/2 u^t G_k u, as a constant matrix."""
+        G = self._gram_block(ring, k, idx, idx)
+        m = len(idx)
+        rows = [[G[i, j] if i < j else ring.zero() for j in range(m)]
+                for i in range(m)]
+        for i in range(m):
+            rows[i][i] = G[i, i].scale(Fraction(1, 2))
+        return PolyMatrix(ring, rows)
 
     def _build_components(self):
         ring = self.fiber_ring
-        half = ring.field.coerce(Fraction(1, 2))
         var = lambda i, j: ring.var(xname(i, j))
-        low_rows, self_rows = self._pairing(self.rows)
-        low_cols, self_cols = self._pairing(self.cols)
-        minors = self._band_matrix(ring, self.cols).minors2()
-
-        def quadric_gens(low, selfp, free, entry):
-            """q(f, g) for all free f, g: the pairing form on the paired index
-            a of entry(a, f) * entry(a', g), self-paired terms weighted 1/2."""
-            out = []
-            for f in free:
-                for g in free:
-                    q = ring.zero()
-                    for a in low:
-                        q = q + entry(a, f) * entry(self._refl(a), g)
-                    for a in selfp:
-                        q = q + (entry(a, f) * entry(a, g)).scale(half)
-                    out.append(q)
-            return out
-
-        row_quadric = lambda: quadric_gens(low_rows, self_rows, self.cols, var)
-        col_quadric = lambda: quadric_gens(low_cols, self_cols, self.rows,
-                                           lambda s, i: var(i, s))
-        row_split = len(low_rows) == 1 and not self_rows
-        col_split = len(low_cols) == 1 and not self_cols
+        Y = self._band_matrix(ring, self.cols)
+        minors = Y.minors2()
+        U = self._half_form(ring, 1, self.rows)
+        W = self._half_form(ring, 0, self.cols)
+        # q_u(f, g) for all columns f, g and q_w(i, t) for all band rows i, t
+        row_quadric = (Y.T @ U @ Y).entries()
+        col_quadric = (Y @ W @ Y.T).entries()
         first_row = self.rows[0]
-        comps = []
-        if row_split:
-            a, b = low_rows[0], self._refl(low_rows[0])
-            comps.append(("I1", [var(a, s) for s in self.cols], xname(b, 1)))
-            comps.append(("I2", [var(b, s) for s in self.cols], xname(a, 1)))
-            comps.append(("I3", col_quadric() + minors, xname(b, 1)))
-        elif col_split:
-            comps.append(("I1", [var(i, 1) for i in self.rows],
-                          xname(first_row, self.d)))
-            comps.append(("I2", [var(i, self.d) for i in self.rows],
-                          xname(first_row, 1)))
-            comps.append(("I3", row_quadric() + minors, xname(first_row, 1)))
+        # a form on two indices that pairs them with each other is a product
+        # of two linear forms
+        if U.nrows == 2 and U[0, 1]:
+            a, b = self.rows
+            comps = [("I1", [var(a, s) for s in self.cols], xname(b, 1)),
+                     ("I2", [var(b, s) for s in self.cols], xname(a, 1)),
+                     ("I3", col_quadric + minors, xname(b, 1))]
+        elif W.nrows == 2 and W[0, 1]:
+            f, g = self.cols
+            comps = [("I1", [var(i, f) for i in self.rows], xname(first_row, g)),
+                     ("I2", [var(i, g) for i in self.rows], xname(first_row, f)),
+                     ("I3", row_quadric + minors, xname(first_row, 1))]
         else:
-            comps.append(("I1", row_quadric() + minors, xname(first_row, 1)))
-            comps.append(("I2", col_quadric() + minors, xname(first_row, 1)))
+            comps = [("I1", row_quadric + minors, xname(first_row, 1)),
+                     ("I2", col_quadric + minors, xname(first_row, 1))]
         return [(label, Ideal(ring, gens), v) for label, gens, v in comps]
 
     # -- serialization ------------------------------------------------------------------

@@ -331,7 +331,8 @@ class _Engine:
         den = 1
         for c in poly_dict.values():
             den = den * c.denominator // gcd(den, c.denominator)
-        return self.normalise({m: int(c * den) for m, c in poly_dict.items()})
+        return self.normalise({m: c.numerator * (den // c.denominator)
+                               for m, c in poly_dict.items()})
 
     def normalise(self, d):
         """Monic over F_p; primitive with a positive lead over Q."""

@@ -1,18 +1,18 @@
 """Ideal-level operations built on Groebner bases.
 
-Elimination, intersection, colon ideals, equality, Hilbert numerators read
-off leading monomials and the Krull dimension they give, and the
-leading-term criteria used by the component checks.  An ``Ideal`` caches
-its reduced Groebner basis (one per ring order; moving an ideal to a ring
-with a different order is an explicit re-generation) and the Hilbert
-numerators read off it, one per weight vector.
+Intersection, colon ideals, equality, Hilbert numerators read off leading
+monomials and the Krull dimension they give, and the leading-term criteria
+used by the component checks.  An ``Ideal`` caches its reduced Groebner
+basis (one per ring order; moving an ideal to a ring with a different order
+is an explicit re-generation) and the Hilbert numerators read off it, one
+per weight vector.
 """
 
 from itertools import accumulate
 
 from .errors import EmptyVariety, InvalidDivisor
 from .groebner import GroebnerBasis, buchberger, multivariate_division
-from .orders import FIELD_BITS, GRLEX, Block
+from .orders import FIELD_BITS, Block
 from .rings import Ring, cast
 
 
@@ -56,31 +56,6 @@ class Ideal:
         return self.groebner(budget).polys == other.groebner(budget).polys
 
     # -- derived constructions ------------------------------------------------
-
-    def eliminate(self, drop, budget=None):
-        """Generators of I intersected with the subring without ``drop``.
-
-        Computed with a block order that puts the dropped variables first.
-        The result lives in the subring on the remaining variables.
-        """
-        drop = set(drop)
-        unknown = drop - set(self.ring.names)
-        if unknown:
-            raise ValueError("not ring variables: %s" % sorted(unknown))
-        keep = [nm for nm in self.ring.names if nm not in drop]
-        if not drop:
-            return Ideal(self.ring, self.gens)
-        sub = Ring(keep, self.ring.field, GRLEX)
-        if not self.gens:
-            return Ideal(sub, ())
-        if not keep:
-            # dropping everything leaves only the constants
-            one = [sub.one()] if self.is_unit(budget) else []
-            return Ideal(sub, one)
-        elim_names = [nm for nm in self.ring.names if nm in drop] + keep
-        elim_ring = Ring(elim_names, self.ring.field, Block(len(drop)))
-        return _eliminate_first(
-            [cast(g, elim_ring) for g in self.gens], len(drop), sub, budget)
 
     def intersect(self, other, budget=None):
         """I cap J via the single auxiliary variable: eliminate t from

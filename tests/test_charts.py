@@ -7,10 +7,10 @@ import pytest
 from olmcheck.charts import Chart, gram_matrices, xname
 from olmcheck.errors import InvalidChart, NotApplicable
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.ideals import Ideal
+from olmcheck.ideals import Ideal, krull_dimension, subring_part
 from olmcheck.matrices import PolyMatrix, antidiag, constant_matrix
 from olmcheck.orders import GRLEX
-from olmcheck.rings import Ring
+from olmcheck.rings import Ring, cast
 from oracles import b2_j_b1t_entry
 
 ALL_CASES = [(6, 2), (8, 4), (5, 3), (7, 3), (6, 3), (5, 2), (6, 4), (8, 3), (7, 4)]
@@ -178,7 +178,7 @@ def test_reduced_minor_count_formula():
 
 
 def test_opposite_parity_add_generators_mask_the_center():
-    # A' drops the center row and column: Tr(A') misses x[4][4] for (6,3)
+    # H masks the center row and column: Tr(HAH) misses x[4][4] for (6,3)
     c = Chart(6, 3)
     add = c.additional_generators()
     assert str(add[1]) == "x[2][2] + x[3][3] + x[5][5] + 2*pi"
@@ -333,6 +333,26 @@ def test_components_five_two():
     row_sq = ring.parse("x[2][1]*x[2][5] + 1/2*x[2][3]^2")
     assert tuple(row_sq.monic().terms()) in \
         {tuple(g.monic().terms()) for g in quads}
+
+
+@pytest.mark.parametrize("d, l, modulus", [
+    (5, 2, 32003), (5, 3, 32003), (6, 2, 32003), (6, 3, 32003), (8, 3, 32003),
+    (8, 5, 32003), (6, 3, 0)])
+def test_chart_ideal_presents_the_band_ideal(d, l, modulus):
+    # in every parity case the chart ideal I solves each non-band variable,
+    # cuts down to exactly I'' on k[band, pi] and has dimension d - 1; an EO
+    # J_m that pairs row n with the deleted center row fails all three
+    c = Chart(d, l, PrimeField(modulus) if modulus else QQ)
+    full = c.full_ideal()
+    gb = full.groebner()
+    leads = {c.ring.mono_str(m) for m in gb.lead_monomials()
+             if c.ring.mono_degree(m) == 1}
+    free = [nm for nm in c.ring.names if nm not in set(c.reduced_ring.names)]
+    assert set(free) <= leads, (d, l, sorted(set(free) - leads))
+    band = Ideal(c.reduced_ring, [cast(g, c.reduced_ring)
+                                  for g in subring_part(gb, len(free))])
+    assert band.equals(c.reduced_ideal())
+    assert krull_dimension(full) == d - 1
 
 
 def test_reduced_generators_lift_into_the_chart_ideal():

@@ -141,11 +141,11 @@ BUILD_DIGESTS = {
         ("text", "generic"):
             "8a317a373a8f85816da8259a367ed40dc2d27572341c18f60ae8150533ac078b",
         ("json", "arithmetic"):
-            "9b8f0b4a74713dacc22b4889d04003c4e094ee86b80d335f21de494e68f41226",
+            "c27d507624096038ca75c3b704333124f0154098d8824f7b8d51d6338de640e8",
         ("json", "special"):
-            "b569f24f692ed45385f21043e54fd6658c21439e7c7688709940535a5ed46ee6",
+            "2e5c85ccff81a5d89144eeafbfd0599cfb4da7279c8d575296860b797b0eb79d",
         ("json", "generic"):
-            "2452f29926e3967c0762e59e6e1ab6a3f07668216a020eff531d4d5442a405d6",
+            "dd6c6007fe45f6ea1be370d3653abaa81e1c302148a40bf1cacbf2c225125c65",
     },
     (6, 3, 0): {
         ("text", "arithmetic"):
@@ -155,11 +155,24 @@ BUILD_DIGESTS = {
         ("text", "generic"):
             "472b238a88814e2d503c375d9613ddf06f88e88fa0b328c87dff8206044f9530",
         ("json", "arithmetic"):
-            "0d63c2d86c9e0e70891bdbb330ac1009fb557c37f75b0f3ce4d0c03da813e419",
+            "40decda972a38c703d099de1c39da8249d4ffca77eaa4468ac2f26ea80cd44bb",
         ("json", "special"):
-            "5b173fd32bbcfb97e7cee6f5e4a912626d0820d22369ff9aa38721ddb0733951",
+            "fa60b7f75f2bb1c702679960f9b37084ada26662d206b274382ce9f10d7dc940",
         ("json", "generic"):
-            "2723698ed8c1ed1f283dba0dfc7a44bb8b41161901f6131ca085256e74df13e7",
+            "7d088d507014e91d0d72b5102a217de532bb72e6c555fbc1d15cfd9f5dbcaa01",
+    },
+    # the two-component shapes of the other parity cases
+    (7, 3, 32003): {
+        ("json", "arithmetic"):
+            "e637909f3842430672f242a78ac2ac4e7808c18390956b5dad6b68c9dd9b12f9",
+    },
+    (7, 4, 32003): {
+        ("json", "arithmetic"):
+            "1aa70d5284b8a12587e2503d141f03de1fba562cc3435e35001c8b745fa5d75e",
+    },
+    (8, 4, 32003): {
+        ("json", "arithmetic"):
+            "449a1ab7f136b0d10425539b2c154d196d093f1dbdd4b580c77126645aaf553d",
     },
 }
 
