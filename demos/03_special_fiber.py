@@ -10,8 +10,8 @@ N(I_s) = N(J) + N(I_m) - N(J + I_m).  Here the intersection is also formed
 directly, for comparison.
 """
 
-from olmcheck import (Chart, QQ, hilbert_numerator, intersection_numerator,
-                      is_regular_element)
+from olmcheck import (Chart, Ideal, QQ, hilbert_numerator,
+                      intersection_numerator, is_regular_element)
 
 for d, l in [(6, 2), (7, 3), (6, 3), (5, 2)]:
     chart = Chart(d, l)
@@ -20,11 +20,12 @@ for d, l in [(6, 2), (7, 3), (6, 3), (5, 2)]:
     inter = None
     for _, ideal, _ in comps:
         inter = ideal if inter is None else inter.intersect(ideal)
-    # J is I_1, or the intersection of the two linear components I_1, I_2
+    # J is I_1, or for three components the product I_1 I_2 of the two
+    # linear ones: no variable lies in both, so it is their intersection
     *head, (_, last, _) = comps
     meet = head[0][1]
     for _, ideal, _ in head[1:]:
-        meet = meet.intersect(ideal)
+        meet = Ideal(meet.ring, [g * h for g in meet.gens for h in ideal.gens])
     print("(d, l) = (%d, %d)  case %s" % (d, l, chart.case))
     print("  components          :", ", ".join(label for label, _, _ in comps))
     print("  N(I_s)              :", hilbert_numerator(fiber))

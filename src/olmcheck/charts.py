@@ -6,17 +6,19 @@ base ring is modeled as k[pi] (k the coefficient field, pi the least ring
 variable); the special and generic fibers are the substitutions pi -> 0 and
 pi -> 1.
 
-Writing n = floor(d/2), r = floor(l/2), the symmetric form on the lattice
-has a normal basis whose Gram matrix is G0 + pi*G1 with G0, G1 in {0,1}
-entries; the parity case of (d, l) decides where the pi-antidiagonal window
-sits and whether two diagonal entries appear (EE, OO, EO, OE = parity of d
-then l).  X is split into blocks
+Writing n = floor(d/2), the symmetric form on the lattice has a normal
+basis whose Gram matrix is G0 + pi*G1 with G0, G1 in {0,1} entries, by one
+rule: row i pairs with row d+1-i, except that rows n and n+1 pair with
+themselves when d is even and l odd, and the pairing carries pi exactly on
+the band rows (EE, OO, EO, OE = parity of d then l).  The band rows are the
+row support of G1; the middle rows run from the first band row to the last,
+l of them (same parity) or l+1 (opposite parity).  X is split into blocks
 
         [ E1 | O1 | E2 ]
     X = [ B1 | A  | B2 ]
         [ E3 | O2 | E4 ]
 
-with the middle band of size l (same parity) or l+1 (opposite parity).
+with the middle rows and columns in the middle.
 
 The chart ideal is I = I_naive + I_add, and it collapses onto a much smaller
 presentation: the ring on the band variables x[t][s] (t in the band rows Z,
@@ -57,40 +59,22 @@ def xname(i, j):
 def gram_matrices(d, l):
     """Gram pair (G0, G1) of the normal form: <e_i, e_j> = G0 + pi*G1.
 
-    Entries are 0/1 ints; the pi-window is the middle band, with the two
-    diagonal entries of the quasi-split even case at (n, n) and (n+1, n+1).
+    Entries are 0/1 ints.  Row i pairs with row d+1-i, except that in the
+    quasi-split even case (EO) rows n and n+1 each pair with themselves; the
+    pairing is weighted by pi exactly on the band rows, the middle l rows
+    (same parity) or the middle l+1 rows less the center row n+1 (opposite
+    parity).
     """
     _validate(d, l)
     n = d // 2
     m = l if d % 2 == l % 2 else l + 1
     lo = (d - m) // 2 + 1
-    hi = lo + m - 1
+    band = set(range(lo, lo + m)) - ({n + 1} if m > l else set())
     G0 = [[0] * d for _ in range(d)]
     G1 = [[0] * d for _ in range(d)]
-    window = set(range(lo, hi + 1))
-    if d % 2 == 0 and l % 2 == 1:
-        # quasi-split even case: antidiagonal window loses rows n, n+1,
-        # replaced by <e_n, e_n> = pi and <e_{n+1}, e_{n+1}> = 1
-        anti_pi = window - {n, n + 1}
-        for i in range(1, d + 1):
-            if i in anti_pi:
-                G1[i - 1][d - i] = 1
-            elif i not in window:
-                G0[i - 1][d - i] = 1
-        G1[n - 1][n - 1] = 1
-        G0[n][n] = 1
-    elif d % 2 == 1 and l % 2 == 0:
-        # split odd case: the center row n+1 keeps the unit antidiagonal
-        # entry, which is its diagonal entry
-        anti_pi = window - {n + 1}
-        for i in range(1, d + 1):
-            if i in anti_pi:
-                G1[i - 1][d - i] = 1
-            else:
-                G0[i - 1][d - i] = 1
-    else:
-        for i in range(1, d + 1):
-            (G1 if i in window else G0)[i - 1][d - i] = 1
+    for i in range(1, d + 1):
+        j = i if d % 2 == 0 and m > l and i in (n, n + 1) else d + 1 - i
+        (G1 if i in band else G0)[i - 1][j - 1] = 1
     return G0, G1
 
 
@@ -125,26 +109,24 @@ class Chart:
     """All named ideals of the chart at one (d, l) over one field."""
 
     def __init__(self, d, l, field=QQ):
-        _validate(d, l)
+        G1 = gram_matrices(d, l)[1]
         self.d = d
         self.l = l
         self.field = field
-        self.n = d // 2
         self.same_parity = d % 2 == l % 2
         self.case = ("E" if d % 2 == 0 else "O") + ("E" if l % 2 == 0 else "O")
-        self.mid_size = l if self.same_parity else l + 1
-        self.e = (d - self.mid_size) // 2
-        self.center = self.n + 1
-        self.mid = list(range(self.e + 1, d - self.e + 1))
+        # the band rows are the rows G1 pairs; the middle rows run from the
+        # first of them to the last, taking in the center row n+1 for
+        # opposite parity
+        self.rows = [i for i in range(1, d + 1) if any(G1[i - 1])]
+        self.cols = [j for j in range(1, d + 1) if j not in set(self.rows)]
+        self.mid = list(range(self.rows[0], self.rows[-1] + 1))
+        self.e = self.rows[0] - 1
+        self.center = d // 2 + 1
         # the outer e columns on each side; the same indices are the top and
         # bottom rows of the E and O blocks
         self._left = list(range(1, self.e + 1))
         self._right = list(range(d - self.e + 1, d + 1))
-        if self.same_parity:
-            self.rows = list(self.mid)
-        else:
-            self.rows = [i for i in self.mid if i != self.center]
-        self.cols = [j for j in range(1, d + 1) if j not in set(self.rows)]
 
         names = [xname(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
         bnames = [xname(i, j) for i in self.rows for j in self.cols]

@@ -1,9 +1,9 @@
 """Small dense matrices with polynomial entries.
 
 Just enough linear algebra to write the chart relations the way they are
-stated: products, transposes, traces, antidiagonal units J_m, diagonal
-masks.  Sizes are at most d x d for the chart's d, and charts up to d = 9
-are built in practice, so nothing is tuned.
+stated: products, transposes, traces, constant matrices such as the Gram
+blocks, diagonal masks.  Sizes are at most d x d for the chart's d, and
+charts up to d = 9 are built in practice, so nothing is tuned.
 """
 
 
@@ -124,13 +124,6 @@ class PolyMatrix:
 def constant_matrix(ring, data):
     """Matrix of ring constants from an int matrix."""
     return PolyMatrix(ring, [[ring.const(v) for v in row] for row in data])
-
-
-def antidiag(ring, m):
-    """The unit antidiagonal J_m."""
-    one, zero = ring.one(), ring.zero()
-    return PolyMatrix(ring, [[one if i + j == m - 1 else zero for j in range(m)]
-                             for i in range(m)])
 
 
 def diagonal(ring, values):

@@ -15,7 +15,8 @@ carries a note saying so.  The equality is proved without forming the
 intersection: I_s and the components are homogeneous, I_s lies in every
 component, and the Hilbert numerator of I_s equals that of the
 intersection, which the exact sequence of J cap I_m gives from J, I_m and
-J + I_m.
+J + I_m; for three components J is the product of the two linear ones.
+Every check computes in the chart's own field.
 """
 
 import math
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .charts import Chart
 from .errors import BudgetExceeded, NotApplicable
-from .fields import QQ, coefficient_field
+from .fields import coefficient_field
 from .groebner import Budget
-from .ideals import (hilbert_numerator, intersection_numerator,
+from .ideals import (Ideal, hilbert_numerator, intersection_numerator,
                      pure_power_free, subring_part)
 from .rings import cast
 
@@ -245,24 +246,37 @@ def _homogeneous(ideal, weights=None):
 
 
 def _flatness(chart, budget):
-    """pi is a non-zerodivisor mod I'' over Q[pi]: with pi of weight 2 and
-    band variables of weight 1 every generator of I'' is homogeneous, and
-    N(I'') = N(I_s).  By 0 -> R/(I'':pi)(-2) -> R/I'' -> R/(I''+pi) -> 0,
-    with R/(I''+pi) = R'/I_s and I'' in (I'':pi), that holds exactly when
-    (I'':pi) = I''."""
-    cq = chart if chart.field == QQ else Chart(chart.d, chart.l, QQ)
-    red = cq.reduced_ideal()
+    """pi is a non-zerodivisor mod I'' over k[pi], k the chart's field: with
+    pi of weight 2 and band variables of weight 1 every generator of I'' is
+    homogeneous, and N(I'') = N(I_s).  By
+    0 -> R/(I'':pi)(-2) -> R/I'' -> R/(I''+pi) -> 0, with R/(I''+pi) = R'/I_s
+    and I'' in (I'':pi), that holds exactly when (I'':pi) = I''."""
+    red = chart.reduced_ideal()
     weights = [2 if nm == "pi" else 1 for nm in red.ring.names]
     bad = _homogeneous(red, weights)
     if bad is not None:
         return "fail", {"subcheck": "weighted-homogeneous",
-                        "generator": _clip(cq, bad)}
+                        "generator": _clip(chart, bad)}
     reduced = hilbert_numerator(red, weights, budget)
-    special = hilbert_numerator(cq.special_fiber_ideal(), None, budget)
+    special = hilbert_numerator(chart.special_fiber_ideal(), None, budget)
     if reduced == special:
         return "pass", None
     return "fail", {"subcheck": "hilbert-numerator",
                     "reduced": reduced, "special": special}
+
+
+def _not_disjoint_linear(comps, budget):
+    """The first (label, element) of the components' reduced bases that is
+    not a single term of degree 1 in a variable no earlier basis uses, or
+    None."""
+    used = set()
+    for label, ideal, _ in comps:
+        basis = ideal.groebner(budget)
+        for g in basis:
+            if len(g) != 1 or g.total_degree() != 1 or g.lm() in used:
+                return label, g
+        used.update(g.lm() for g in basis)
+    return None
 
 
 def _special_fiber(chart, budget):
@@ -273,10 +287,13 @@ def _special_fiber(chart, budget):
     it: every generator of I_s and of each I_j is homogeneous, every
     generator of I_s lies in each I_j, and
     N(I_s) = N(J) + N(I_m) - N(J + I_m) for J = I_1 cap ... cap I_{m-1}
-    (I_1 itself for two components, one intersection of the two linear
-    components for three).  By 0 -> R/(J cap I_m) -> R/J + R/I_m ->
-    R/(J + I_m) -> 0 the right side is the numerator of cap I_j, and I_s
-    inside the homogeneous cap I_j with the same Hilbert series equals it;
+    (I_1 itself for two components).  For three, I_1 and I_2 are linear:
+    their reduced bases must be single variables, no variable in both, and
+    J is the product I_1 I_2, since the intersection of two monomial ideals
+    is generated by the pairwise lcms, here the products.  By
+    0 -> R/(J cap I_m) -> R/J + R/I_m -> R/(J + I_m) -> 0 the right side is
+    the numerator of cap I_j, and I_s inside the homogeneous cap I_j with
+    the same Hilbert series equals it;
     (iii) every component has dimension d-2; (iv) no component contains
     another; (v) the designated variable of each component is not a pure
     power in its leading-term ideal.
@@ -300,8 +317,14 @@ def _special_fiber(chart, budget):
                                 "generator": _clip(chart, g)}
     *head, (_, last, _) = comps
     meet = head[0][1]
-    for _, ideal, _ in head[1:]:
-        meet = meet.intersect(ideal, budget)
+    if len(head) == 2:
+        bad = _not_disjoint_linear(head, budget)
+        if bad is not None:
+            return "fail", {"subcheck": "intersection-equality",
+                            "component": bad[0],
+                            "generator": _clip(chart, bad[1])}
+        b1, b2 = (ideal.groebner(budget) for _, ideal, _ in head)
+        meet = Ideal(fiber.ring, [g * h for g in b1 for h in b2])
     cap = intersection_numerator(meet, last, budget)
     special = hilbert_numerator(fiber, None, budget)
     if cap != special:

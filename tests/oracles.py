@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: extended Euclid for modular
 inverses, dense Gaussian elimination over Fraction for degree-bounded ideal
-membership, direct index formulas for the block matrix products, and a
-search over variable subsets for the dimension of a leading-term ideal.
-None of it shares code with the engine paths it certifies.
+membership, direct index formulas for the block matrix products, the unit
+antidiagonal J_m written out by index rather than read off a Gram matrix,
+and a search over variable subsets for the dimension of a leading-term
+ideal.  None of it shares code with the engine paths it certifies.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+from olmcheck.matrices import PolyMatrix
 
 
 def egcd(a, b):
@@ -141,6 +144,13 @@ def b2_j_b1t_entry(d, e, i, j):
     """Index formula for (B2 J_e B1^t)[i][j] on the full matrix ring:
     sum over c of x[i][d-e+c] * x[j][e+1-c], as (row, col) factor pairs."""
     return [((i, d - e + c), (j, e + 1 - c)) for c in range(1, e + 1)]
+
+
+def antidiag(ring, m):
+    """The unit antidiagonal J_m."""
+    one, zero = ring.one(), ring.zero()
+    return PolyMatrix(ring, [[one if i + j == m - 1 else zero for j in range(m)]
+                             for i in range(m)])
 
 
 def random_poly(ring, rng, max_deg=3, max_terms=4):

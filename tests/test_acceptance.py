@@ -163,17 +163,15 @@ def test_criterion_6_engine_property_suite():
 
 
 def test_criterion_7_cross_field_consistency():
-    # (6,2): everything criteria 1-5 run on it; (5,2): criteria 3-5checks
-    for d, l, checks in [
-            (6, 2, LEMMA_CHECKS + ("reduction", "dimensions", "special-fiber")),
-            (5, 2, ("dimensions", "special-fiber"))]:
+    # (6,2): everything criteria 1-5 run on it; (5,2): criteria 3-5 checks.
+    # Every check, flatness included, runs in the chart's own field.
+    reduced = ("dimensions", "flatness", "special-fiber")
+    for d, l, checks in [(6, 2, LEMMA_CHECKS + ("reduction",) + reduced),
+                         (5, 2, reduced)]:
         cp = chart(d, l)
         cq = chart(d, l, 0)
         for name in checks:
             rp = verify_check(name, cp, CFG_P)
             rq = verify_check(name, cq, CFG_Q)
             assert rp.status == rq.status == "pass", (d, l, name, rp, rq)
-    # flatness is pinned to Q in both configurations; rerun for completeness
-    for d, l in [(6, 2), (5, 2)]:
-        assert verify_check("flatness", chart(d, l, 0), CFG_P).status == "pass"
     print("CRITERION 7 cross-field consistency on (6,2) and (5,2): PASS")

@@ -8,10 +8,10 @@ from olmcheck.charts import Chart, gram_matrices, xname
 from olmcheck.errors import InvalidChart, NotApplicable
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.ideals import Ideal, krull_dimension, subring_part
-from olmcheck.matrices import PolyMatrix, antidiag, constant_matrix
+from olmcheck.matrices import constant_matrix
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring, cast
-from oracles import b2_j_b1t_entry
+from oracles import antidiag, b2_j_b1t_entry
 
 ALL_CASES = [(6, 2), (8, 4), (5, 3), (7, 3), (6, 3), (5, 2), (6, 4), (8, 3), (7, 4)]
 
@@ -73,11 +73,19 @@ def test_gram_parts_have_disjoint_support():
 
 
 def test_band_variable_count_is_l_times_d_minus_l():
-    for d, l in ALL_CASES:
+    for d, l in [(d, l) for d in range(5, 15) for l in range(2, d - 1)]:
         c = Chart(d, l)
         assert len(c.rows) == l
         assert len(c.cols) == d - l
         assert len(c.reduced_ring.names) == l * (d - l) + 1
+        # the band rows are the row support of G1: the middle l rows for
+        # same parity, the middle l+1 less the center row n+1 otherwise
+        m = l if d % 2 == l % 2 else l + 1
+        lo = (d - m) // 2 + 1
+        band = [i for i in range(lo, lo + m) if m == l or i != d // 2 + 1]
+        G1 = gram_matrices(d, l)[1]
+        support = [i for i in range(1, d + 1) if any(G1[i - 1])]
+        assert support == c.rows == band, (d, l)
 
 
 def test_band_rows_opposite_parity_skip_center():

@@ -3,9 +3,10 @@
 import pytest
 
 from olmcheck.fields import QQ
-from olmcheck.matrices import PolyMatrix, antidiag, constant_matrix, diagonal
+from olmcheck.matrices import PolyMatrix, constant_matrix, diagonal
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring
+from oracles import antidiag
 
 
 def _ring():

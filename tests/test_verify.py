@@ -59,8 +59,13 @@ def _pi_times_trace(c):
     c._cache["reduced"] = Ideal(c.reduced_ring, gens)
 
 
-def test_flatness_mutation_fails():
-    c = Chart(6, 2, QQ)
+FIELDS = [QQ, PrimeField(32003)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_flatness_mutation_fails(field):
+    # the check reads the chart it is given, in that chart's field
+    c = Chart(6, 2, field)
     _pi_times_trace(c)
     res = verify_check("flatness", c, CFG)
     assert res.status == "fail"
@@ -68,9 +73,10 @@ def test_flatness_mutation_fails():
     assert res.witness["reduced"] != res.witness["special"]
 
 
-def test_flatness_inhomogeneous_mutation_fails():
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_flatness_inhomogeneous_mutation_fails(field):
     # a band variable of weight 1 added to the weight-2 trace generator
-    c = Chart(6, 2, QQ)
+    c = Chart(6, 2, field)
     rr = c.reduced_ring
     x = rr.var(rr.names[0])
     gens = [g if "pi" not in str(g) else g + x for g in c.reduced_ideal().gens]
@@ -151,6 +157,43 @@ def test_special_fiber_homogeneous_mutation_fails():
                            "generator": "x[3][1]*x[3][2] + x[3][1]"}
 
 
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_special_fiber_overlapping_linear_components_fail(modulus):
+    # I1 replaced by I2: both linear components use the same variables, so
+    # their product is not their intersection
+    c = _chart(6, 2, modulus)
+    comps = c.component_ideals()
+    label, _, v = comps[0]
+    c._cache["components"] = [(label, comps[1][1], v)] + comps[1:]
+    res = verify_check("special-fiber", c, CFG)
+    assert res.status == "fail"
+    assert res.witness == {"subcheck": "intersection-equality",
+                           "component": "I2", "generator": "x[4][1]"}
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_special_fiber_non_linear_component_fails(modulus):
+    # I1 = (x[2][1], x[3][1], x[4][1]) of the three-component (5,3) chart
+    # with one generator added
+    def with_extra(text):
+        c = _chart(5, 3, modulus)
+        comps = c.component_ideals()
+        label, ideal, v = comps[0]
+        g = c.fiber_ring.parse(text)
+        c._cache["components"] = [
+            (label, Ideal(ideal.ring, ideal.gens + (g,)), v)] + comps[1:]
+        return verify_check("special-fiber", c, CFG)
+
+    # the square of a variable I1 does not contain
+    res = with_extra("x[4][5]^2")
+    assert res.status == "fail"
+    assert res.witness == {"subcheck": "intersection-equality",
+                           "component": "I1", "generator": "x[4][5]^2"}
+    # a generator already in I1 leaves its reduced basis, and the verdict,
+    # as they were
+    assert with_extra("x[4][1]*x[4][5]").status == "pass"
+
+
 def test_special_fiber_verdict_matches_the_intersection():
     # the intersection cap I_j formed by Ideal.intersect is the reference
     # for the numerator certificate
@@ -177,6 +220,19 @@ def test_special_fiber_verdict_matches_the_intersection():
     assert verdicts == ["pass"] * 14 + ["fail"] * 2
     # the weakened I1 fails the inclusion, not the numerators
     assert res.witness["component"] == "I1"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_reduced_ring_checks_pass_at_small_primes(p):
+    # the paper's special fiber lives in characteristic p; each check runs
+    # in the chart's own field F_p
+    cfg = EngineConfig(modulus=p)
+    for d in range(5, 8):
+        for l in range(2, d - 1):
+            c = Chart(d, l, PrimeField(p))
+            for name in ("dimensions", "flatness", "special-fiber"):
+                res = verify_check(name, c, cfg)
+                assert res.status == "pass", (d, l, name, res.witness)
 
 
 def test_special_fiber_spent_budget_times_out():
@@ -421,8 +477,8 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (138, 120)),
-                                                 (6, 2, 32003, (392, 353)),
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (92, 108)),
+                                                 (6, 2, 32003, (268, 289)),
                                                  (8, 4, 0, (1520, 3059))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report; under the chart ring's block
