@@ -46,10 +46,10 @@ from types import SimpleNamespace
 
 from .errors import InvalidChart, NotApplicable
 from .fields import QQ
-from .ideals import Ideal
+from .ideals import Ideal, pi_fiber
 from .matrices import PolyMatrix, constant_matrix, diagonal
 from .orders import GRLEX, Block
-from .rings import Ring, cast, specialize_pi
+from .rings import Ring, cast
 
 
 def xname(i, j):
@@ -391,7 +391,8 @@ class Chart:
         ``fiber`` is "special" (pi -> 0), "generic" (pi -> 1) or
         "arithmetic"; an arithmetic fiber, or an ideal without pi, is
         returned unchanged.  Only reduced-ring ideals are expected here, but
-        any ideal whose ring ends in pi works.
+        any ideal whose ring ends in pi works.  The fiber of I'' reads its
+        basis off the basis of I'' (see ``ideals.pi_fiber``).
         """
         if fiber not in FIBER_PI:
             raise ValueError("fiber must be one of %s, got %r"
@@ -401,8 +402,7 @@ class Chart:
             return ideal
         target = self.fiber_ring if src is self.reduced_ring \
             else Ring(src.names[:-1], src.field, src.order)
-        return Ideal(target, [specialize_pi(g, FIBER_PI[fiber], target)
-                              for g in ideal.gens])
+        return pi_fiber(ideal, FIBER_PI[fiber], target)
 
     def special_fiber_ideal(self):
         return self._cached("special", lambda: self.specialize(

@@ -5,7 +5,10 @@ The public surface works with ``Polynomial`` values.  Internally one engine,
 its single reduction loop serves Buchberger, the auto-reduction and
 ``GroebnerBasis.normal_form`` alike.  One auto-reduction pass,
 ``_interreduce``, cleans the input generators and turns the minimal basis
-into the reduced one.  The field characteristic p picks one of two
+into the reduced one.  That tail, minimalize then interreduce (``_reduced``),
+ends every Buchberger run and is all of ``reduce_basis``, which turns a
+Groebner basis found some other way (a fiber's, read off the basis over
+k[pi]) into the reduced one.  The field characteristic p picks one of two
 coefficient strategies:
 
 * prime field (p > 0): coefficients are residues in [0, p), basis elements
@@ -561,14 +564,31 @@ def buchberger(generators, budget=None):
         basis.append(r)
         engine.add(arrays, r)
         push_pairs(len(basis) - 1)
+    return _reduced(engine, basis, budget)
 
-    # minimalize: drop elements whose lead is divisible by another lead
+
+def reduce_basis(ring, polys, budget=None):
+    """The reduced Groebner basis of the ideal generated by ``polys``, which
+    must already be a Groebner basis of it in ``ring``; zeros are dropped.
+    This is the tail of ``buchberger`` without its pairs.  Raises
+    BudgetExceeded when the optional budget runs out."""
+    engine = _Engine(ring)
+    return _reduced(engine, [engine.prepare(p._d) for p in polys
+                             if not p.is_zero()], budget)
+
+
+def _reduced(engine, basis, budget):
+    """Minimalize the Groebner basis ``basis`` of normalised dicts, dropping
+    every element whose lead another lead divides, then interreduce it into
+    the reduced basis."""
+    ring = engine.ring
     minimal, leads = [], _DivisorIndex(ring)
-    for i in sorted(range(len(basis)), key=lts.__getitem__):
-        if leads.first(lts[i]) < 0:
-            leads.append(lts[i])
-            minimal.append(i)
-    reduced, _ = _interreduce(engine, [basis[i] for i in minimal], budget)
+    for d in sorted(basis, key=max):
+        lt = max(d)
+        if leads.first(lt) < 0:
+            leads.append(lt)
+            minimal.append(d)
+    reduced, _ = _interreduce(engine, minimal, budget)
     polys = tuple(Polynomial(ring, engine.finish(d)) for d in reversed(reduced))
     return GroebnerBasis(ring, polys)
 

@@ -5,15 +5,18 @@ monomials and the Krull dimension they give, and the leading-term criteria
 used by the component checks.  An ``Ideal`` caches its reduced Groebner
 basis (one per ring order; moving an ideal to a ring with a different order
 is an explicit re-generation) and the Hilbert numerators read off it, one
-per weight vector.
+per weight vector.  A fiber made by ``pi_fiber`` reads its basis off its
+source's when that is graded with pi of weight 2, so the fibers of I'' cost
+no Buchberger run of their own.
 """
 
 from itertools import accumulate
 
 from .errors import EmptyVariety, InvalidDivisor
-from .groebner import GroebnerBasis, buchberger, multivariate_division
-from .orders import FIELD_BITS, Block
-from .rings import Ring, cast
+from .groebner import (GroebnerBasis, buchberger, multivariate_division,
+                       reduce_basis)
+from .orders import FIELD_BITS, GRLEX, Block
+from .rings import Ring, cast, specialize_pi
 
 
 class Ideal:
@@ -25,14 +28,22 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
         self._numerators = {}
+        self._fiber_of = None   # (source, pi value): see pi_fiber
 
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.gens), self.ring)
 
     def groebner(self, budget=None):
         if self._gb is None:
-            self._gb = (buchberger(self.gens, budget) if self.gens
-                        else GroebnerBasis(self.ring, ()))
+            if self._fiber_of is not None:
+                source, value = self._fiber_of
+                self._gb = reduce_basis(
+                    self.ring, [specialize_pi(g, value, self.ring)
+                                for g in source.groebner(budget)], budget)
+            elif self.gens:
+                self._gb = buchberger(self.gens, budget)
+            else:
+                self._gb = GroebnerBasis(self.ring, ())
         return self._gb
 
     def contains(self, f, budget=None):
@@ -92,6 +103,46 @@ class Ideal:
 
     def dimension(self, budget=None):
         return krull_dimension(self, budget)
+
+
+def inhomogeneous_generator(ideal, weights=None):
+    """The first generator of the ideal that is not homogeneous when
+    variable i has weight weights[i] (unit weights by default), or None."""
+    ring = ideal.ring
+    degree = ring.mono_degree if weights is None else \
+        (lambda m: sum(map(int.__mul__, ring.exponents(m), weights)))
+    for g in ideal.gens:
+        # any term order will do, so read the dict, not the sorted term
+        # tuple that g.monomials() would build and keep
+        if len({degree(m) for m in g._d}) > 1:
+            return g
+    return None
+
+
+def pi_weights(ring):
+    """Unit weights with pi of weight 2, the grading of the chart's I''."""
+    return [2 if nm == "pi" else 1 for nm in ring.names]
+
+
+def pi_fiber(ideal, value, target):
+    """The ideal at pi = value (0 or 1) in ``target``, the ideal's ring
+    without its last variable pi.
+
+    Its reduced basis is read off the source's when the source ring is
+    grlex and every source generator is homogeneous for ``pi_weights``.
+    Then so is every element g of the source's reduced basis G, and its
+    terms of least pi-degree have the greatest total degree, so pi | lm(g)
+    exactly when pi | g, and lm(g at pi=1) is lm(g) with pi set to 1.  So
+    G at pi = 0 less its zeros is a Groebner basis of the special fiber
+    (Eisenbud, Commutative Algebra, Prop. 15.12) and G at pi = 1 one of the
+    generic fiber (dehomogenization; Cox, Little, O'Shea, Ideals, Varieties,
+    and Algorithms, ch. 8 sec. 4); ``reduce_basis`` makes either the unique
+    reduced basis.  Otherwise the basis is computed from the generators."""
+    out = Ideal(target, [specialize_pi(g, value, target) for g in ideal.gens])
+    if ideal.ring.order == GRLEX and \
+            inhomogeneous_generator(ideal, pi_weights(ideal.ring)) is None:
+        out._fiber_of = (ideal, value)
+    return out
 
 
 def _eliminate_first(gens, k, sub, budget):

@@ -27,8 +27,9 @@ from .charts import Chart
 from .errors import BudgetExceeded, NotApplicable
 from .fields import coefficient_field
 from .groebner import Budget
-from .ideals import (Ideal, hilbert_numerator, intersection_numerator,
-                     pure_power_free, subring_part)
+from .ideals import (Ideal, hilbert_numerator, inhomogeneous_generator,
+                     intersection_numerator, pi_weights, pure_power_free,
+                     subring_part)
 from .rings import cast
 
 PRIMALITY_NOTE = ("component primality is checked only through the "
@@ -224,25 +225,15 @@ def _reduction(chart, budget):
 
 
 def _dimensions(chart, budget):
-    """Special and generic fibers of the reduced ideal have dimension d-2."""
+    """Special and generic fibers of the reduced ideal have dimension d-2;
+    an empty fiber (the unit ideal) has none and fails."""
     want = chart.d - 2
-    ds = chart.special_fiber_ideal().dimension(budget)
-    dg = chart.generic_fiber_ideal().dimension(budget)
+    ds, dg = (None if ideal.is_unit(budget) else ideal.dimension(budget)
+              for ideal in (chart.special_fiber_ideal(),
+                            chart.generic_fiber_ideal()))
     if ds == want and dg == want:
         return "pass", None
     return "fail", {"expected": want, "special": ds, "generic": dg}
-
-
-def _homogeneous(ideal, weights=None):
-    """The first generator of the ideal that is not homogeneous when
-    variable i has weight weights[i] (unit weights by default), or None."""
-    ring = ideal.ring
-    degree = ring.mono_degree if weights is None else \
-        (lambda m: sum(map(int.__mul__, ring.exponents(m), weights)))
-    for g in ideal.gens:
-        if len({degree(m) for m in g.monomials()}) > 1:
-            return g
-    return None
 
 
 def _flatness(chart, budget):
@@ -252,8 +243,8 @@ def _flatness(chart, budget):
     0 -> R/(I'':pi)(-2) -> R/I'' -> R/(I''+pi) -> 0, with R/(I''+pi) = R'/I_s
     and I'' in (I'':pi), that holds exactly when (I'':pi) = I''."""
     red = chart.reduced_ideal()
-    weights = [2 if nm == "pi" else 1 for nm in red.ring.names]
-    bad = _homogeneous(red, weights)
+    weights = pi_weights(red.ring)
+    bad = inhomogeneous_generator(red, weights)
     if bad is not None:
         return "fail", {"subcheck": "weighted-homogeneous",
                         "generator": _clip(chart, bad)}
@@ -305,7 +296,7 @@ def _special_fiber(chart, budget):
         return "fail", {"subcheck": "component-count",
                         "expected": expected, "got": len(comps)}
     for label, ideal in [("I_s", fiber)] + [(la, i) for la, i, _ in comps]:
-        bad = _homogeneous(ideal)
+        bad = inhomogeneous_generator(ideal)
         if bad is not None:
             return "fail", {"subcheck": "homogeneous", "ideal": label,
                             "generator": _clip(chart, bad)}

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from olmcheck import ideals
 from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded, EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.groebner import Budget
+from olmcheck.groebner import Budget, buchberger
 from olmcheck.ideals import (Ideal, hilbert_numerator, intersection_numerator,
                              is_regular_element, krull_dimension,
                              pure_power_free)
@@ -263,3 +264,39 @@ def test_regularity_implies_cancellation_spot_check():
         g = random_poly(R, rng, 2, 3)
         if gb.contains(g * f):
             assert gb.contains(g)
+
+
+def _reduced_tampers(c):
+    """Four tamperings of the chart's I'', by name.  All but the last are
+    homogeneous with pi of weight 2."""
+    rr = c.reduced_ring
+    pi, x = rr.var("pi"), rr.var(rr.names[0])
+    gens = c.reduced_ideal().gens
+    trace = lambda f: [g if "pi" not in str(g) else f(g) for g in gens]
+    return {"pi*t": trace(lambda g: g * pi),
+            "no trace": [g for g in gens if "pi" not in str(g)],
+            "+ pi": gens + (pi,),
+            "+ x": trace(lambda g: g + x)}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_fiber_bases_match_buchberger(field, monkeypatch):
+    # both fibers of I'' on every chart with 5 <= d <= 9, and of four
+    # tamperings on a few; only the inhomogeneous "+ x" runs Buchberger on
+    # a fiber's generators
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda gens, budget=None: runs.append(gens)
+                        or buchberger(gens, budget))
+    charts = [Chart(d, l, field) for d in range(5, 10) for l in range(2, d - 1)]
+    cases = [(c, "I''", c.reduced_ideal().gens) for c in charts]
+    for c in charts[:4]:
+        cases += [(c, name, gens) for name, gens in _reduced_tampers(c).items()]
+    for c, name, gens in cases:
+        source = Ideal(c.reduced_ring, gens)
+        for fiber in ("special", "generic"):
+            ideal = c.specialize(source, fiber)
+            runs.clear()
+            assert ideal.groebner() == buchberger(ideal.gens), \
+                (c.d, c.l, name, fiber)
+            assert (ideal.gens in runs) == (name == "+ x"), (name, fiber)

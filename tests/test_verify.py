@@ -5,12 +5,15 @@ the tamperings are injected through the chart's ideal cache, which is what
 the checks read.
 """
 
+import json
 import math
 import re
 
 import pytest
 
+from olmcheck import ideals
 from olmcheck.charts import Chart
+from olmcheck.errors import BudgetExceeded
 from olmcheck.fields import PrimeField, QQ
 from olmcheck.groebner import Budget, buchberger
 from olmcheck.ideals import Ideal, is_regular_element
@@ -44,6 +47,48 @@ def test_dimensions_mutation_fails():
     res = verify_check("dimensions", c, CFG)
     assert res.status == "fail"
     assert res.witness["expected"] == 4
+
+
+def test_dimensions_fails_on_an_empty_fiber():
+    # I'' + (pi) is homogeneous, so its fibers read their bases off its
+    # basis; the generic fiber is the unit ideal, which has no dimension
+    from olmcheck.cli import report_json
+    c = Chart(6, 2, QQ)
+    red = c.reduced_ideal()
+    c._cache["reduced"] = Ideal(red.ring, red.gens + (red.ring.var("pi"),))
+    res = verify_check("dimensions", c, CFG)
+    assert res.status == "fail"
+    assert res.witness == {"expected": 4, "special": 4, "generic": None}
+    body = report_json(chart_report(c, CFG, checks=["dimensions"]))
+    assert '"generic": null' in json.dumps(body)
+
+
+def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
+    # the fiber bases are read off the basis of I''; the components still
+    # run their own
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda gens, budget=None: runs.append(gens)
+                        or buchberger(gens, budget))
+    c = _chart()
+    for name in ("dimensions", "flatness", "special-fiber"):
+        assert verify_check(name, c, CFG).status == "pass"
+    fibers = (c.special_fiber_ideal().gens, c.generic_fiber_ideal().gens)
+    assert runs.count(c.reduced_ideal().gens) == 1
+    assert not any(gens in runs for gens in fibers)
+
+
+def test_dimensions_times_out_with_the_basis_of_i2_cached():
+    spent = EngineConfig(modulus=32003, timeout=1e-9)
+    c = _chart()
+    assert verify_check("dimensions", c, spent).status == "timeout"
+    c = _chart()
+    assert verify_check("flatness", c, CFG).status == "pass"
+    assert verify_check("dimensions", c, spent).status == "timeout"
+    # with the basis of I'' cached, reading a fiber basis off it is all
+    # interreduction, and that meets the deadline too
+    with pytest.raises(BudgetExceeded, match="time budget"):
+        c.generic_fiber_ideal().groebner(spent.budget())
 
 
 def test_flatness_passes():
@@ -477,13 +522,14 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (92, 108)),
-                                                 (6, 2, 32003, (268, 289)),
-                                                 (8, 4, 0, (1520, 3059))])
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (88, 102)),
+                                                 (6, 2, 32003, (236, 241)),
+                                                 (8, 4, 0, (1040, 1912))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
-    # every Buchberger run of a whole report; under the chart ring's block
-    # order each full-ring basis is the solved non-band variables plus a
-    # small basis over k[band, pi].  (8,4) runs the reduced-ring checks
+    # every Buchberger run of a whole report, and the interreduction that
+    # reads each fiber basis off the basis of I''; under the chart ring's
+    # block order each full-ring basis is the solved non-band variables plus
+    # a small basis over k[band, pi].  (8,4) runs the reduced-ring checks
     # only, on a chart with two components.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
