@@ -46,7 +46,7 @@ from types import SimpleNamespace
 
 from .errors import InvalidChart, NotApplicable
 from .fields import QQ
-from .ideals import Ideal, pi_fiber
+from .ideals import Ideal, ideal_sum, pi_fiber
 from .matrices import PolyMatrix, constant_matrix, diagonal
 from .orders import GRLEX, Block
 from .rings import Ring, cast
@@ -338,9 +338,17 @@ class Chart:
 
     def _build_reduced(self):
         rr = self.reduced_ring
-        gens = self._band_matrix(rr, self.cols).minors2()
-        gens.append(self.trace_quadric(rr) + rr.var("pi").scale(2))
-        return Ideal(rr, gens)
+        minors = self.reduced_minors_ideal()
+        trace = self.trace_quadric(rr) + rr.var("pi").scale(2)
+        return ideal_sum(rr, minors.gens + (trace,), [minors])
+
+    def reduced_minors_ideal(self):
+        """M'', the minors of the band rectangle over k[band variables, pi]:
+        the determinantal ideal that I'' and every quadric component extend,
+        so its basis is their known block (see ``ideals.ideal_sum``)."""
+        return self._cached("reduced-minors", lambda: Ideal(
+            self.reduced_ring, self._band_matrix(self.reduced_ring,
+                                                 self.cols).minors2()))
 
     def trace_quadric(self, ring):
         """The quadric t_r with t_r + 2*pi the hypersurface equation:
@@ -437,8 +445,13 @@ class Chart:
     def _build_components(self):
         ring = self.fiber_ring
         var = lambda i, j: ring.var(xname(i, j))
+        linear = lambda gens: Ideal(ring, gens)
+        # a quadric component extends M'' at pi = 0, the special minors,
+        # whose basis is read off the basis of M''
+        minors = self.specialize(self.reduced_minors_ideal(), "special")
+        quadric = lambda gens: ideal_sum(ring, gens + list(minors.gens),
+                                         [minors])
         Y = self._band_matrix(ring, self.cols)
-        minors = Y.minors2()
         U = self._half_form(ring, 1, self.rows)
         W = self._half_form(ring, 0, self.cols)
         # q_u(f, g) for all columns f, g and q_w(i, t) for all band rows i, t
@@ -449,18 +462,16 @@ class Chart:
         # of two linear forms
         if U.nrows == 2 and U[0, 1]:
             a, b = self.rows
-            comps = [("I1", [var(a, s) for s in self.cols], xname(b, 1)),
-                     ("I2", [var(b, s) for s in self.cols], xname(a, 1)),
-                     ("I3", col_quadric + minors, xname(b, 1))]
-        elif W.nrows == 2 and W[0, 1]:
+            return [("I1", linear([var(a, s) for s in self.cols]), xname(b, 1)),
+                    ("I2", linear([var(b, s) for s in self.cols]), xname(a, 1)),
+                    ("I3", quadric(col_quadric), xname(b, 1))]
+        if W.nrows == 2 and W[0, 1]:
             f, g = self.cols
-            comps = [("I1", [var(i, f) for i in self.rows], xname(first_row, g)),
-                     ("I2", [var(i, g) for i in self.rows], xname(first_row, f)),
-                     ("I3", row_quadric + minors, xname(first_row, 1))]
-        else:
-            comps = [("I1", row_quadric + minors, xname(first_row, 1)),
-                     ("I2", col_quadric + minors, xname(first_row, 1))]
-        return [(label, Ideal(ring, gens), v) for label, gens, v in comps]
+            return [("I1", linear([var(i, f) for i in self.rows]), xname(first_row, g)),
+                    ("I2", linear([var(i, g) for i in self.rows]), xname(first_row, f)),
+                    ("I3", quadric(row_quadric), xname(first_row, 1))]
+        return [("I1", quadric(row_quadric), xname(first_row, 1)),
+                ("I2", quadric(col_quadric), xname(first_row, 1))]
 
     # -- serialization ------------------------------------------------------------------
 

@@ -8,8 +8,19 @@ its single reduction loop serves Buchberger, the auto-reduction and
 into the reduced one.  That tail, minimalize then interreduce (``_reduced``),
 ends every Buchberger run and is all of ``reduce_basis``, which turns a
 Groebner basis found some other way (a fiber's, read off the basis over
-k[pi]) into the reduced one.  The field characteristic p picks one of two
-coefficient strategies:
+k[pi]) into the reduced one.  A ``GroebnerBasis`` keeps the engine's arrays
+the tail leaves, so a reduced basis never goes back through ``Polynomial``
+values: its ``polys`` are built on demand.
+
+``buchberger`` also takes reduced bases among its generators as known
+blocks, so the basis of a sum of ideals starts from its summands' bases.
+A block's elements enter the basis as they are and no pair inside a block
+is formed: such an S-pair has a standard representation over the block,
+hence over every larger basis, and Gebauer and Moeller's chain and B
+criteria stay valid when they count those pairs as treated (Gebauer &
+Moeller, J. Symbolic Comput. 6, 1988).  A run with no block is a run from
+scratch.  The field characteristic p picks one of two coefficient
+strategies:
 
 * prime field (p > 0): coefficients are residues in [0, p), basis elements
   kept monic;
@@ -441,21 +452,24 @@ class _Engine:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _interreduce(engine, ding, budget=None, count=True):
+def _interreduce(engine, ding, budget=None, count=True, arrays=None):
     """Auto-reduce the nonzero dicts in ``ding``: each, in ascending lead
-    order, is fully reduced against the ones already kept, and a zero result
-    is dropped.  Every monomial of g is at most lt(g) and a divisor is at
-    most the monomial it divides, so only elements with smaller leads can
-    reduce g; on a minimal Groebner basis one pass therefore gives the
-    reduced basis.  The budget's deadline is met once per dict; its steps
-    are counted only when ``count``.  Returns the kept dicts and their
-    basis arrays."""
-    kept, arrays = [], engine.arrays()
+    order, is fully reduced against the basis arrays, which start as
+    ``arrays`` (empty by default) and take in every dict kept, and a zero
+    result is dropped.  Every monomial of g is at most lt(g) and a divisor
+    is at most the monomial it divides, so only elements with smaller leads
+    can reduce g; on a minimal Groebner basis one pass from empty arrays
+    therefore gives the reduced basis.  The budget's deadline is met once
+    per dict; its steps are counted only when ``count``.  Returns the kept
+    dicts and the arrays."""
+    kept = []
+    if arrays is None:
+        arrays = engine.arrays()
     steps = budget if count else None
     for d in sorted(ding, key=max):
         if budget is not None:
             budget.deadline()
-        if kept:
+        if arrays[1]:
             d = engine.normalise(engine.reduce(dict(d), *arrays, steps)[0])
         if d:
             kept.append(d)
@@ -515,39 +529,69 @@ def _new_pairs(ring, lts, t):
 def buchberger(generators, budget=None):
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
+    A generator may also be a ``GroebnerBasis`` of the same ring, a known
+    block (see the module docstring): its elements enter the basis
+    unchanged and no pair inside it is pushed.  The elements of the first
+    block skip the pair update altogether; an element of a later block
+    pairs only with the blocks before its own.  The loose generators are
+    interreduced against the blocks.  The run ends in the same
+    minimalize-and-interreduce tail, so it returns the reduced basis a run
+    from every block's generators returns.
+
     Applies the coprime-leading-monomial skip and the Gebauer-Moeller chain
     criteria; pair selection is the normal strategy.  Raises BudgetExceeded
     when the optional budget runs out.
     """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
+    blocks = [g for g in generators if isinstance(g, GroebnerBasis) and len(g)]
+    gens = [g for g in generators
+            if not isinstance(g, GroebnerBasis) and not g.is_zero()]
+    if not blocks and not gens:
         raise InvalidInput("need at least one nonzero generator")
-    ring = gens[0].ring
-    for g in gens:
+    ring = (blocks or gens)[0].ring
+    for g in blocks + gens:
         if g.ring is not ring:
             raise InvalidInput("generators from different rings")
     engine = _Engine(ring)
+    arrays = engine.arrays()
+    leads, lcs, tails, hulls = arrays
 
+    # below[t]: element t pairs with the elements before it up to there,
+    # the start of its own block
+    basis, below = [], []
+    for gb in blocks:
+        block_leads, block_lcs, block_tails, block_hulls = gb._arrays
+        below += [len(basis)] * len(block_lcs)
+        for lt, lc, tail in zip(block_leads.lts, block_lcs, block_tails):
+            leads.append(lt)
+            basis.append({lt: lc, **dict(tail)})
+        lcs += block_lcs
+        tails += block_tails
+        hulls += block_hulls
     # repeated and scalar-multiple generators reduce to zero here; this pass
     # meets the deadline but counts no steps, so the step counter sees
     # S-pairs and the final pass
-    basis, arrays = _interreduce(
-        engine, [engine.prepare(g._d) for g in gens], budget, count=False)
-    lts = arrays[0].lts
-    stale = arrays[0].stale
+    loose, _ = _interreduce(engine, [engine.prepare(g._d) for g in gens],
+                            budget, count=False, arrays=arrays)
+    below += range(len(basis), len(basis) + len(loose))
+    basis += loose
+    lts = leads.lts
+    stale = leads.stale
     mono_deg = ring.mono_degree
     heap = []
 
-    def push_pairs(t):
-        """Gebauer-Moeller update for the arrival of basis element t; the
-        B criterion waits until a pair is popped."""
+    def push_pairs(t, stop):
+        """Gebauer-Moeller update for the arrival of basis element t: the
+        kept pairs (i, t) with i < stop; the B criterion waits until a pair
+        is popped."""
         if budget is not None:
             budget.deadline()
         for i, l in _new_pairs(ring, lts, t).items():
-            heapq.heappush(heap, (mono_deg(l), l, i, t))
+            if i < stop:
+                heapq.heappush(heap, (mono_deg(l), l, i, t))
 
-    for t in range(len(basis)):
-        push_pairs(t)
+    for t, stop in enumerate(below):
+        if stop:
+            push_pairs(t, stop)
 
     while heap:
         _, l, i, j = heapq.heappop(heap)
@@ -563,7 +607,7 @@ def buchberger(generators, budget=None):
             continue
         basis.append(r)
         engine.add(arrays, r)
-        push_pairs(len(basis) - 1)
+        push_pairs(len(basis) - 1, len(basis) - 1)
     return _reduced(engine, basis, budget)
 
 
@@ -580,7 +624,7 @@ def reduce_basis(ring, polys, budget=None):
 def _reduced(engine, basis, budget):
     """Minimalize the Groebner basis ``basis`` of normalised dicts, dropping
     every element whose lead another lead divides, then interreduce it into
-    the reduced basis."""
+    the reduced basis, kept in engine form."""
     ring = engine.ring
     minimal, leads = [], _DivisorIndex(ring)
     for d in sorted(basis, key=max):
@@ -588,47 +632,74 @@ def _reduced(engine, basis, budget):
         if leads.first(lt) < 0:
             leads.append(lt)
             minimal.append(d)
-    reduced, _ = _interreduce(engine, minimal, budget)
-    polys = tuple(Polynomial(ring, engine.finish(d)) for d in reversed(reduced))
-    return GroebnerBasis(ring, polys)
+    _, (up, lcs, tails, hulls) = _interreduce(engine, minimal, budget)
+    gb = GroebnerBasis(ring, ())
+    for dst, src in zip(gb._arrays, (up.lts, lcs, tails, hulls)):
+        for x in reversed(src):
+            dst.append(x)
+    gb._polys = None
+    return gb
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
+    """A reduced Groebner basis: monic, auto-reduced, sorted by leading term.
+
+    It keeps its elements in the engine's form, in descending lead order:
+    a divisor index over the leading monomials and the normalised leading
+    coefficients, tails and tail hulls (see ``_Engine.arrays``).  That is
+    what normal forms, ``buchberger``'s known blocks, the length, the
+    unit-ideal test and equality read.  ``polys``, the elements as
+    ``Polynomial`` values, is built on first use, except when the basis is
+    made from them."""
 
     def __init__(self, ring, polys):
         self.ring = ring
-        self.polys = tuple(polys)
-        self._engine = _Engine(ring)
-        self._arrays = self._engine.arrays()
-        for p in self.polys:
-            self._engine.add(self._arrays, self._engine.prepare(p._d))
-        self._lts = tuple(self._arrays[0].lts)
+        self._engine = engine = _Engine(ring)
+        self._arrays = engine.arrays()
+        self._polys = tuple(polys)
+        for p in self._polys:
+            engine.add(self._arrays, engine.prepare(p._d))
+
+    @property
+    def polys(self):
+        if self._polys is None:
+            leads, lcs, tails, _ = self._arrays
+            finish = self._engine.finish
+            self._polys = tuple(
+                Polynomial(self.ring, finish({lt: lc, **dict(tail)}))
+                for lt, lc, tail in zip(leads.lts, lcs, tails))
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._arrays[1])
 
     def __getitem__(self, i):
         return self.polys[i]
 
     def __eq__(self, other):
-        return isinstance(other, GroebnerBasis) and self.ring is other.ring \
-            and self.polys == other.polys
+        """Equal elements, read off the normalised arrays; a tail's term
+        order is not compared."""
+        if not isinstance(other, GroebnerBasis) or self.ring is not other.ring:
+            return False
+        (la, ca, ta, _), (lb, cb, tb, _) = self._arrays, other._arrays
+        return la.lts == lb.lts and ca == cb and \
+            all(s == t or dict(s) == dict(t) for s, t in zip(ta, tb))
 
     def lead_monomials(self):
-        return self._lts
+        return tuple(self._arrays[0].lts)
 
     def is_unit_ideal(self):
-        return len(self.polys) == 1 and self.polys[0].lm() == 0
+        lts = self._arrays[0].lts
+        return len(lts) == 1 and lts[0] == 0
 
     def normal_form(self, f):
         """Unique remainder of f against the reduced basis."""
         if f.ring is not self.ring:
             raise InvalidInput("polynomial from a different ring")
-        if not self.polys or f.is_zero():
+        if not self._arrays[1] or f.is_zero():
             return f
         engine = self._engine
         field = self.ring.field

@@ -7,7 +7,13 @@ basis (one per ring order; moving an ideal to a ring with a different order
 is an explicit re-generation) and the Hilbert numerators read off it, one
 per weight vector.  A fiber made by ``pi_fiber`` reads its basis off its
 source's when that is graded with pi of weight 2, so the fibers of I'' cost
-no Buchberger run of their own.
+no Buchberger run of their own.  An ideal made by ``ideal_sum`` is declared
+the sum of ideals among its generators, and its one Buchberger run starts
+from their bases as known blocks (see ``groebner``), so the pairs inside
+each are not formed again.  The chart's seeded runs all have work left
+after the blocks: the trace generator of I'', a component's quadrics and
+the second summand of J + I_m lie outside the first block's ideal.  A sum
+whose extra generators all lay inside it would only hand its basis on.
 """
 
 from itertools import accumulate
@@ -29,6 +35,7 @@ class Ideal:
         self._gb = None
         self._numerators = {}
         self._fiber_of = None   # (source, pi value): see pi_fiber
+        self._summands = None   # (summands, other generators): see ideal_sum
 
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.gens), self.ring)
@@ -40,6 +47,10 @@ class Ideal:
                 self._gb = reduce_basis(
                     self.ring, [specialize_pi(g, value, self.ring)
                                 for g in source.groebner(budget)], budget)
+            elif self._summands is not None:
+                summands, rest = self._summands
+                blocks = [s.groebner(budget) for s in summands]
+                self._gb = buchberger(blocks + list(rest), budget)
             elif self.gens:
                 self._gb = buchberger(self.gens, budget)
             else:
@@ -64,7 +75,7 @@ class Ideal:
         """Reduced bases coincide term for term (canonical per order)."""
         if other.ring is not self.ring:
             raise ValueError("ideals live in different rings")
-        return self.groebner(budget).polys == other.groebner(budget).polys
+        return self.groebner(budget) == other.groebner(budget)
 
     # -- derived constructions ------------------------------------------------
 
@@ -105,12 +116,44 @@ class Ideal:
         return krull_dimension(self, budget)
 
 
+def ideal_sum(ring, gens, summands):
+    """The ideal of ``gens``, declared to be the sum of the ideals
+    ``summands`` and its other generators.  Every generator of a summand
+    must be one of ``gens``, or ValueError is raised.
+
+    Its basis is one ``buchberger`` run under the caller's budget that
+    takes each summand's reduced basis as a known block, the first
+    summand's first, so no pair inside a summand's basis is formed again.
+    The loose generators of that run are those of ``gens`` that are not
+    themselves (the same object as) a summand's generator.  The result is
+    the reduced basis a run from ``gens`` returns."""
+    out = Ideal(ring, gens)
+    own = {id(g) for g in out.gens}
+    declared = set()
+    for s in summands:
+        if s.ring is not ring:
+            raise ValueError("a summand lives in a different ring")
+        for g in s.gens:
+            if id(g) not in own and g not in out.gens:
+                raise ValueError("a summand's generator is not among the "
+                                 "ideal's generators")
+            declared.add(id(g))
+    out._summands = (tuple(summands),
+                     tuple(g for g in out.gens if id(g) not in declared))
+    return out
+
+
 def inhomogeneous_generator(ideal, weights=None):
     """The first generator of the ideal that is not homogeneous when
     variable i has weight weights[i] (unit weights by default), or None."""
     ring = ideal.ring
-    degree = ring.mono_degree if weights is None else \
-        (lambda m: sum(map(int.__mul__, ring.exponents(m), weights)))
+    # the degree plus (w_i - 1) times field i for each weight w_i != 1
+    mask = (1 << FIELD_BITS) - 1
+    extra = [(ring._exp_shift[i], w - 1)
+             for i, w in enumerate(weights or ()) if w != 1]
+    mono_degree = ring.mono_degree
+    degree = mono_degree if not extra else \
+        (lambda m: mono_degree(m) + sum((m >> s & mask) * k for s, k in extra))
     for g in ideal.gens:
         # any term order will do, so read the dict, not the sorted term
         # tuple that g.monomials() would build and keep
@@ -193,7 +236,7 @@ def intersection_numerator(a, b, budget=None):
     is N(a) + N(b) - N(a + b)."""
     if b.ring is not a.ring:
         raise ValueError("ideals live in different rings")
-    joined = Ideal(a.ring, a.gens + b.gens)
+    joined = ideal_sum(a.ring, a.gens + b.gens, (a, b))
     return _plus_shifted(_plus_shifted(hilbert_numerator(a, None, budget),
                                        hilbert_numerator(b, None, budget),
                                        0, 1),

@@ -392,6 +392,106 @@ def test_spent_deadline_stops_before_the_first_pair():
         buchberger(gens, budget)
     assert budget.pairs == 0
 
+_SEED_CASES = [(field, order) for field in (QQ, PrimeField(32003))
+               for order in (GRLEX, LEX, Block(1))]
+
+
+def _seed_ring(field, order):
+    return Ring(["x", "y", "z"], field, order)
+
+
+@pytest.mark.parametrize("field, order", _SEED_CASES, ids=repr)
+def test_two_known_blocks_whose_sum_has_new_elements(field, order):
+    # the twisted cubic plus a second ideal: the sum's reduced basis holds
+    # elements neither block does, and the seeded run returns the basis of
+    # a run from every generator
+    R = _seed_ring(field, order)
+    x, y, z = R.gens()
+    a_gens, b_gens = [y - x**2, z - x**3], [x * z - y + 1, y * z - x]
+    a, b = buchberger(a_gens), buchberger(b_gens)
+    want = buchberger(a_gens + b_gens)
+    got = buchberger([a, b])
+    assert got == want and got.polys == want.polys
+    assert [p for p in want if p not in a.polys and p not in b.polys]
+    # the blocks in the other order, and with a loose generator
+    assert buchberger([b, a]) == want
+    assert buchberger([a, b_gens[0], b_gens[1]]) == want
+
+
+@pytest.mark.parametrize("field, order", _SEED_CASES, ids=repr)
+def test_known_block_that_is_the_whole_answer(field, order):
+    # no pair inside a block is formed, and a reduced basis takes no
+    # reduction step, so the seeded run does no work
+    R = _seed_ring(field, order)
+    x, y, z = R.gens()
+    gens = [x * y - z, y * z - x, x * z - y]
+    scratch = Budget()
+    gb = buchberger(gens, scratch)
+    assert scratch.pairs > 0
+    seeded = Budget()
+    assert buchberger([gb], seeded) == gb
+    assert (seeded.pairs, seeded.steps) == (0, 0)
+
+
+@pytest.mark.parametrize("field, order", _SEED_CASES, ids=repr)
+def test_loose_generators_that_reduce_to_zero(field, order):
+    # members, scaled members and zeros next to a known block leave its
+    # basis as it is and form no pair
+    R = _seed_ring(field, order)
+    x, y, z = R.gens()
+    gens = [y - x**2, z - x**3]
+    gb = buchberger(gens)
+    members = [x * z - y**2, (y**3 - z**2).scale(3), gens[0] * (x + z),
+               R.zero(), gens[1].scale(2)]
+    seeded = Budget()
+    got = buchberger([gb] + members, seeded)
+    assert got == gb and got.polys == gb.polys
+    assert (seeded.pairs, seeded.steps) == (0, 0)
+
+
+def test_known_blocks_are_checked_like_generators():
+    R = _seed_ring(QQ, GRLEX)
+    other = Ring(["x", "y", "z"], QQ, GRLEX)
+    x, y, z = R.gens()
+    gb = buchberger([x - y])
+    with pytest.raises(InvalidInput):
+        buchberger([gb, other.var("x")])
+    with pytest.raises(InvalidInput):
+        buchberger([buchberger([other.var("x")]), x])
+    # an empty block is no generator
+    with pytest.raises(InvalidInput):
+        buchberger([GroebnerBasis(R, ()), R.zero()])
+    assert buchberger([GroebnerBasis(R, ()), y - z]) == buchberger([y - z])
+
+
+def test_seeded_run_meets_the_deadline():
+    # with no loose generator the deadline is met in the pair update of
+    # the later block's elements
+    from olmcheck.charts import Chart
+    c = Chart(6, 2, PrimeField(32003))
+    a, b = (ideal.groebner() for _, ideal, _ in c.component_ideals()[1:])
+    budget = Budget(seconds=1.0)
+    budget._t0 -= 2.0
+    with pytest.raises(BudgetExceeded, match="time budget"):
+        buchberger([a, b], budget)
+    assert budget.pairs == 0
+
+
+def test_basis_builds_polys_on_first_use():
+    # length, the unit test, normal forms and equality read the engine
+    # arrays; the Polynomial elements wait until they are asked for
+    R = _seed_ring(QQ, GRLEX)
+    x, y, z = R.gens()
+    gb = buchberger([2 * x**2 + y, 3 * x * y - 1])
+    assert len(gb) == 3 and not gb.is_unit_ideal()
+    assert gb.contains(x * (2 * x**2 + y))
+    assert gb == buchberger([x * y - Fraction(1, 3), 2 * x**2 + y])
+    assert gb._polys is None
+    assert [p.lc() for p in gb] == [1, 1, 1]
+    assert gb._polys is not None
+    assert buchberger([x, R.one()]).is_unit_ideal()
+
+
 def test_prime_field_gb_matches_rational_staircase():
     # same leading terms over Q and F_32003 for an ideal with small coefficients
     Rq = Ring(["x", "y", "z"], QQ, GRLEX)

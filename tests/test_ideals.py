@@ -9,10 +9,10 @@ from olmcheck import ideals
 from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded, EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.groebner import Budget, buchberger
-from olmcheck.ideals import (Ideal, hilbert_numerator, intersection_numerator,
-                             is_regular_element, krull_dimension,
-                             pure_power_free)
+from olmcheck.groebner import Budget, GroebnerBasis, buchberger
+from olmcheck.ideals import (Ideal, hilbert_numerator, ideal_sum,
+                             intersection_numerator, is_regular_element,
+                             krull_dimension, pure_power_free)
 from olmcheck.orders import GRLEX, Block
 from olmcheck.rings import Ring
 from olmcheck.verify import DEFAULT_SUITE, EngineConfig, verify_check
@@ -300,3 +300,56 @@ def test_fiber_bases_match_buchberger(field, monkeypatch):
             assert ideal.groebner() == buchberger(ideal.gens), \
                 (c.d, c.l, name, fiber)
             assert (ideal.gens in runs) == (name == "+ x"), (name, fiber)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)],
+                         ids=repr)
+def test_seeded_bases_match_runs_from_scratch(field, monkeypatch):
+    # on every chart with 5 <= d <= 9: I'' over M'', every quadric
+    # component over the special minors and the J + I_m of
+    # intersection_numerator over J and I_m each take one seeded run, whose
+    # basis is the run from the ideal's generators
+    seeded = []
+
+    def run(gens, budget=None):
+        gb = buchberger(gens, budget)
+        if any(isinstance(g, GroebnerBasis) for g in gens):
+            seeded.append(gb)
+        return gb
+
+    monkeypatch.setattr(ideals, "buchberger", run)
+    for d in range(5, 10):
+        for l in range(2, d - 1):
+            c = Chart(d, l, field)
+            comps = [ideal for _, ideal, _ in c.component_ideals()]
+            for ideal in [c.reduced_ideal()] + comps:
+                seeded.clear()
+                gb = ideal.groebner()
+                assert seeded == ([gb] if ideal._summands else []), (d, l)
+                assert gb == buchberger(ideal.gens), (d, l)
+            assert c.reduced_ideal()._summands and comps[-1]._summands
+            *head, last = comps
+            meet = head[0]
+            if len(head) == 2:
+                meet = Ideal(c.fiber_ring, [g * h for g in head[0].groebner()
+                                            for h in head[1].groebner()])
+            meet.groebner()
+            seeded.clear()
+            intersection_numerator(meet, last)
+            assert len(seeded) == 1, (d, l)
+            assert seeded[0] == buchberger(meet.gens + last.gens), (d, l)
+
+
+def test_declared_summands_must_be_among_the_generators():
+    R = _ring3()
+    x, y, z = R.gens()
+    m = Ideal(R, [x * y, y * z])
+    with pytest.raises(ValueError, match="not among"):
+        ideal_sum(R, [x * y, z], [m])
+    with pytest.raises(ValueError, match="different ring"):
+        ideal_sum(_ring3(), [x * y, y * z], [m])
+    # a generator equal to a summand's but made apart from it passes the
+    # check and still enters the run as a loose generator
+    s = ideal_sum(R, [m.gens[0], R.parse("y*z"), x - z], [m])
+    assert s._summands == ((m,), (y * z, x - z))
+    assert s.groebner() == buchberger(s.gens)

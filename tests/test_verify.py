@@ -15,8 +15,8 @@ from olmcheck import ideals
 from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded
 from olmcheck.fields import PrimeField, QQ
-from olmcheck.groebner import Budget, buchberger
-from olmcheck.ideals import Ideal, is_regular_element
+from olmcheck.groebner import Budget, GroebnerBasis, buchberger
+from olmcheck.ideals import Ideal, ideal_sum, is_regular_element
 from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
                              PRIMALITY_NOTE, chart_report,
                              expected_component_count, run_suite, verify_check)
@@ -64,18 +64,22 @@ def test_dimensions_fails_on_an_empty_fiber():
 
 
 def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
-    # the fiber bases are read off the basis of I''; the components still
-    # run their own
+    # the fiber bases are read off the basis of I''.  M'' runs from its
+    # generators, I'' is one run seeded with the basis of M'' and the trace
+    # generator, and the components still run their own
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
-                        lambda gens, budget=None: runs.append(gens)
+                        lambda gens, budget=None: runs.append(list(gens))
                         or buchberger(gens, budget))
     c = _chart()
     for name in ("dimensions", "flatness", "special-fiber"):
         assert verify_check(name, c, CFG).status == "pass"
+    minors, red = c.reduced_minors_ideal(), c.reduced_ideal()
+    assert runs.count(list(minors.gens)) == 1
+    assert runs.count([minors.groebner(), red.gens[-1]]) == 1
+    assert list(red.gens) not in runs
     fibers = (c.special_fiber_ideal().gens, c.generic_fiber_ideal().gens)
-    assert runs.count(c.reduced_ideal().gens) == 1
-    assert not any(gens in runs for gens in fibers)
+    assert not any(list(gens) in runs for gens in fibers)
 
 
 def test_dimensions_times_out_with_the_basis_of_i2_cached():
@@ -288,6 +292,71 @@ def test_special_fiber_spent_budget_times_out():
     res = verify_check("special-fiber", c,
                        EngineConfig(modulus=32003, timeout=1e-9))
     assert res.status == "timeout" and "budget" in res.witness
+
+
+def test_spent_budget_in_a_seeded_run_times_out(monkeypatch):
+    # the basis of I'' is cached, so the special fiber reads its basis off
+    # it and the first Buchberger run of special-fiber is a component's,
+    # seeded with the special minors; a budget spent in that run alone
+    # makes the check time out
+    c = _chart(8, 4)
+    c.reduced_ideal().groebner()
+    spent = EngineConfig(modulus=32003, timeout=1e-9)
+    assert verify_check("special-fiber", c, spent).status == "timeout"
+
+    class SpentWhenSeeded(Budget):
+        def __init__(self, seeded=False):
+            super().__init__()
+            self.seeded = seeded
+
+        def deadline(self):
+            if self.seeded:
+                raise BudgetExceeded("time budget spent in a seeded run")
+
+    class Config(EngineConfig):
+        def budget(self):
+            return SpentWhenSeeded()
+
+    # with M'' cached, the seeded run is all that I'' runs, and it meets
+    # the deadline too
+    fresh = _chart(8, 4)
+    fresh.reduced_minors_ideal().groebner()
+    with pytest.raises(BudgetExceeded, match="seeded run"):
+        fresh.reduced_ideal().groebner(SpentWhenSeeded(seeded=True))
+
+    runs = []
+
+    def run(gens, budget=None):
+        budget.seeded = any(isinstance(g, GroebnerBasis) for g in gens)
+        runs.append(budget.seeded)
+        return buchberger(gens, budget)
+
+    monkeypatch.setattr(ideals, "buchberger", run)
+    res = verify_check("special-fiber", c, Config(modulus=32003))
+    assert res.status == "timeout"
+    assert "seeded run" in res.witness["budget"]
+    assert runs == [True]
+
+
+def test_component_mutations_are_plain_ideals():
+    # a quadric component is declared the sum of the special minors and its
+    # quadrics; the mutations that drop or add a generator build plain
+    # ideals, whose bases are runs from their generators, and the special
+    # minors cannot be declared a summand of a generator list that lacks one
+    c = _chart()
+    label, ideal, v = c.component_ideals()[2]
+    (minors,), quadrics = ideal._summands
+    assert set(minors.gens) <= set(ideal.gens) and quadrics
+    g = c.fiber_ring.parse("x[3][1]^2")
+    for mutated in (Ideal(ideal.ring, ideal.gens[:2]),
+                    Ideal(ideal.ring, ideal.gens + (g,))):
+        assert mutated._summands is None
+        assert mutated.groebner() == buchberger(mutated.gens)
+    with pytest.raises(ValueError, match="not among"):
+        ideal_sum(ideal.ring, ideal.gens[:-1], [minors])
+    # a summand from another ring is refused too
+    with pytest.raises(ValueError, match="different ring"):
+        ideal_sum(ideal.ring, ideal.gens, [c.reduced_minors_ideal()])
 
 
 def test_reduction_passes_six_two():
@@ -522,15 +591,17 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (88, 102)),
-                                                 (6, 2, 32003, (236, 241)),
-                                                 (8, 4, 0, (1040, 1912))])
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (72, 105)),
+                                                 (6, 2, 32003, (187, 235)),
+                                                 (8, 4, 0, (513, 1076))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report, and the interreduction that
-    # reads each fiber basis off the basis of I''; under the chart ring's
-    # block order each full-ring basis is the solved non-band variables plus
-    # a small basis over k[band, pi].  (8,4) runs the reduced-ring checks
-    # only, on a chart with two components.
+    # reads each fiber basis off the basis of I''.  I'', the quadric
+    # components and J + I_m start from their summands' bases, so no pair
+    # inside M'', the special minors, J or I_m is formed again.  Under the
+    # chart ring's block order each full-ring basis is the solved non-band
+    # variables plus a small basis over k[band, pi].  (8,4) runs the
+    # reduced-ring checks only, on a chart with two components.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
     assert report.passed()
