@@ -16,10 +16,9 @@ The package has three layers:
 from .fields import QQ, PrimeField, coefficient_field
 from .orders import GRLEX, LEX, Block, order_from_name
 from .rings import Polynomial, Ring, cast, parse_polynomial
-from .groebner import (Budget, DivisionResult, GroebnerBasis, buchberger,
-                       multivariate_division, s_polynomial)
+from .groebner import Budget, GroebnerBasis, buchberger
 from .ideals import (Ideal, hilbert_numerator, intersection_numerator,
-                     is_regular_element, krull_dimension, pure_power_free)
+                     krull_dimension, pure_power_free)
 from .charts import Chart, gram_matrices
 from .verify import (CHECK_NAMES, DEFAULT_SUITE, CheckResult, ChartReport,
                      EngineConfig, SuiteReport, run_suite, verify_check)
@@ -28,10 +27,9 @@ __all__ = [
     "QQ", "PrimeField", "coefficient_field",
     "GRLEX", "LEX", "Block", "order_from_name",
     "Polynomial", "Ring", "cast", "parse_polynomial",
-    "Budget", "DivisionResult", "GroebnerBasis", "buchberger",
-    "multivariate_division", "s_polynomial",
+    "Budget", "GroebnerBasis", "buchberger",
     "Ideal", "hilbert_numerator", "intersection_numerator",
-    "is_regular_element", "krull_dimension", "pure_power_free",
+    "krull_dimension", "pure_power_free",
     "Chart", "gram_matrices",
     "CHECK_NAMES", "DEFAULT_SUITE", "CheckResult", "ChartReport",
     "EngineConfig", "SuiteReport", "run_suite", "verify_check",

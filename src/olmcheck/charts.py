@@ -302,12 +302,6 @@ class Chart:
     # order its reduced basis is the solved non-band variables plus a small
     # basis over k[band, pi], so every one is computed from its generators.
 
-    def band_minors_ideal(self):
-        """All 2x2 minors of the band rectangle (band rows against the
-        complementary columns); they lie among X's minors."""
-        return self._cached("band-minors", lambda: Ideal(
-            self.ring, self._equations().band_minors))
-
     def iprime_sans_trace_ideal(self):
         """I' without Tr(X)."""
         return self._cached("iprime-sans-trace", lambda: Ideal(
@@ -327,8 +321,8 @@ class Chart:
             + self.solve_relations()))
 
     def reduced_ideal(self):
-        """Minors of the band rectangle plus the trace quadric, over
-        k[band variables, pi]."""
+        """The trace quadric t_r + 2*pi plus the minors of the band
+        rectangle, over k[band variables, pi]."""
         return self._cached("reduced", self._build_reduced)
 
     def _band_matrix(self, ring, cols):
@@ -340,12 +334,13 @@ class Chart:
         rr = self.reduced_ring
         minors = self.reduced_minors_ideal()
         trace = self.trace_quadric(rr) + rr.var("pi").scale(2)
-        return ideal_sum(rr, minors.gens + (trace,), [minors])
+        return ideal_sum(rr, [minors], [trace])
 
     def reduced_minors_ideal(self):
         """M'', the minors of the band rectangle over k[band variables, pi]:
         the determinantal ideal that I'' and every quadric component extend,
-        so its basis is their known block (see ``ideals.ideal_sum``)."""
+        so its basis is their known block (see ``ideals.ideal_sum``), and the
+        ideal the B1JB2-symmetric lemma tests its band-only targets in."""
         return self._cached("reduced-minors", lambda: Ideal(
             self.reduced_ring, self._band_matrix(self.reduced_ring,
                                                  self.cols).minors2()))
@@ -449,8 +444,7 @@ class Chart:
         # a quadric component extends M'' at pi = 0, the special minors,
         # whose basis is read off the basis of M''
         minors = self.specialize(self.reduced_minors_ideal(), "special")
-        quadric = lambda gens: ideal_sum(ring, gens + list(minors.gens),
-                                         [minors])
+        quadric = lambda gens: ideal_sum(ring, [minors], gens)
         Y = self._band_matrix(ring, self.cols)
         U = self._half_form(ring, 1, self.rows)
         W = self._half_form(ring, 0, self.cols)

@@ -1,4 +1,4 @@
-"""Division, S-polynomials, Buchberger's algorithm, reduced Groebner bases.
+"""Buchberger's algorithm, reduced Groebner bases, normal forms, division.
 
 The public surface works with ``Polynomial`` values.  Internally one engine,
 ``_Engine``, runs every computation on raw ``{packed monomial: int}`` dicts;
@@ -96,7 +96,7 @@ class Budget:
 
 
 # ---------------------------------------------------------------------------
-# public textbook operations
+# shift guards and the textbook division (the colon ideal's exact quotient)
 # ---------------------------------------------------------------------------
 
 def _hull(ring, monomials):
@@ -119,12 +119,6 @@ class DivisionResult:
     def __init__(self, quotients, remainder):
         self.quotients = quotients
         self.remainder = remainder
-
-    def recombine(self, divisors):
-        acc = self.remainder
-        for q, g in zip(self.quotients, divisors):
-            acc = acc + q * g
-        return acc
 
 
 def multivariate_division(f, divisors):
@@ -174,34 +168,6 @@ def multivariate_division(f, divisors):
             remainder[t] = c
     return DivisionResult([Polynomial(ring, q) for q in quotients],
                           Polynomial(ring, remainder))
-
-
-def s_polynomial(f, g):
-    """S(f, g) = (lcm/LT(f)) f - (lcm/LT(g)) g for the leading-monomial lcm."""
-    if f.is_zero() or g.is_zero():
-        raise InvalidInput("S-polynomial of a zero polynomial")
-    ring = f.ring
-    if g.ring is not ring:
-        raise InvalidInput("operands from different rings")
-    field = ring.field
-    mf, cf = f.lt()
-    mg, cg = g.lt()
-    lcm = ring.mono_lcm(mf, mg)
-    _check_shift(ring, _hull(ring, f._d), lcm - mf)
-    _check_shift(ring, _hull(ring, g._d), lcm - mg)
-    d = {}
-    inv_cf = field.inv(cf)
-    for m, c in f._d.items():
-        d[m + lcm - mf] = field.mul(c, inv_cf)
-    inv_cg = field.inv(cg)
-    for m, c in g._d.items():
-        key = m + lcm - mg
-        v = field.sub(d.get(key, field.zero), field.mul(c, inv_cg))
-        if field.is_zero(v):
-            d.pop(key, None)
-        else:
-            d[key] = v
-    return Polynomial(ring, d)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +641,6 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self._arrays[1])
-
-    def __getitem__(self, i):
-        return self.polys[i]
 
     def __eq__(self, other):
         """Equal elements, read off the normalised arrays; a tail's term

@@ -7,13 +7,14 @@ basis (one per ring order; moving an ideal to a ring with a different order
 is an explicit re-generation) and the Hilbert numerators read off it, one
 per weight vector.  A fiber made by ``pi_fiber`` reads its basis off its
 source's when that is graded with pi of weight 2, so the fibers of I'' cost
-no Buchberger run of their own.  An ideal made by ``ideal_sum`` is declared
-the sum of ideals among its generators, and its one Buchberger run starts
-from their bases as known blocks (see ``groebner``), so the pairs inside
-each are not formed again.  The chart's seeded runs all have work left
-after the blocks: the trace generator of I'', a component's quadrics and
-the second summand of J + I_m lie outside the first block's ideal.  A sum
-whose extra generators all lay inside it would only hand its basis on.
+no Buchberger run of their own.  An ideal made by ``ideal_sum`` is the sum
+of summand ideals and some other generators, and its one Buchberger run
+starts from the summands' bases as known blocks (see ``groebner``), so the
+pairs inside each are not formed again.  The chart's seeded runs all have
+work left after the blocks: the trace generator of I'', a component's
+quadrics and the second summand of J + I_m lie outside the first block's
+ideal.  A sum whose extra generators all lay inside it would only hand its
+basis on.
 """
 
 from itertools import accumulate
@@ -65,9 +66,6 @@ class Ideal:
             return True
         return self.groebner(budget).contains(f)
 
-    def normal_form(self, f, budget=None):
-        return self.groebner(budget).normal_form(f)
-
     def is_unit(self, budget=None):
         return self.groebner(budget).is_unit_ideal()
 
@@ -116,30 +114,20 @@ class Ideal:
         return krull_dimension(self, budget)
 
 
-def ideal_sum(ring, gens, summands):
-    """The ideal of ``gens``, declared to be the sum of the ideals
-    ``summands`` and its other generators.  Every generator of a summand
-    must be one of ``gens``, or ValueError is raised.
+def ideal_sum(ring, summands, others):
+    """The sum of the ideals ``summands`` and the ideal of ``others``,
+    generated by the other generators first, then each summand's in turn.
 
     Its basis is one ``buchberger`` run under the caller's budget that
     takes each summand's reduced basis as a known block, the first
-    summand's first, so no pair inside a summand's basis is formed again.
-    The loose generators of that run are those of ``gens`` that are not
-    themselves (the same object as) a summand's generator.  The result is
-    the reduced basis a run from ``gens`` returns."""
-    out = Ideal(ring, gens)
-    own = {id(g) for g in out.gens}
-    declared = set()
+    summand's first, and the other generators as its loose ones, so no
+    pair inside a summand's basis is formed again.  The result is the
+    reduced basis a run from its generators returns."""
     for s in summands:
         if s.ring is not ring:
             raise ValueError("a summand lives in a different ring")
-        for g in s.gens:
-            if id(g) not in own and g not in out.gens:
-                raise ValueError("a summand's generator is not among the "
-                                 "ideal's generators")
-            declared.add(id(g))
-    out._summands = (tuple(summands),
-                     tuple(g for g in out.gens if id(g) not in declared))
+    out = Ideal(ring, [*others, *(g for s in summands for g in s.gens)])
+    out._summands = (tuple(summands), tuple(others))
     return out
 
 
@@ -156,7 +144,7 @@ def inhomogeneous_generator(ideal, weights=None):
         (lambda m: mono_degree(m) + sum((m >> s & mask) * k for s, k in extra))
     for g in ideal.gens:
         # any term order will do, so read the dict, not the sorted term
-        # tuple that g.monomials() would build and keep
+        # tuple that g.terms() would build and keep
         if len({degree(m) for m in g._d}) > 1:
             return g
     return None
@@ -236,7 +224,7 @@ def intersection_numerator(a, b, budget=None):
     is N(a) + N(b) - N(a + b)."""
     if b.ring is not a.ring:
         raise ValueError("ideals live in different rings")
-    joined = ideal_sum(a.ring, a.gens + b.gens, (a, b))
+    joined = ideal_sum(a.ring, (a, b), ())
     return _plus_shifted(_plus_shifted(hilbert_numerator(a, None, budget),
                                        hilbert_numerator(b, None, budget),
                                        0, 1),
@@ -317,9 +305,3 @@ def pure_power_free(gb, name):
             return False
     return True
 
-
-def is_regular_element(ideal, f, budget=None):
-    """True iff f is a non-zerodivisor mod the ideal: (I : f) = I."""
-    if ideal.is_unit(budget):
-        raise EmptyVariety("regularity is mod a proper ideal")
-    return ideal.quotient(f, budget).equals(ideal, budget)

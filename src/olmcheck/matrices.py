@@ -64,9 +64,6 @@ class PolyMatrix:
                           [[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        return PolyMatrix(self.ring, [[-a for a in r] for r in self.rows])
-
     def scale(self, c):
         """Multiply every entry by a scalar or polynomial."""
         return PolyMatrix(self.ring, [[a * c for a in r] for r in self.rows])
@@ -89,36 +86,6 @@ class PolyMatrix:
                         out.append(self.rows[i][j] * self.rows[t][s]
                                    - self.rows[i][s] * self.rows[t][j])
         return out
-
-    def det(self):
-        """Exact determinant by cofactor expansion (test-scale sizes)."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        memo = {}
-        full = (1 << n) - 1
-
-        # expand along rows top-down, memoized on the remaining-column mask
-        def expand(i, mask):
-            if i == n:
-                return self.ring.one()
-            key = (i, mask)
-            if key in memo:
-                return memo[key]
-            acc = self.ring.zero()
-            sign = 1
-            for j in range(n):
-                if mask >> j & 1:
-                    e = self.rows[i][j]
-                    if e:
-                        sub = expand(i + 1, mask & ~(1 << j))
-                        term = e * sub
-                        acc = acc + (term if sign > 0 else -term)
-                    sign = -sign
-            memo[key] = acc
-            return acc
-
-        return expand(0, full)
 
 
 def constant_matrix(ring, data):

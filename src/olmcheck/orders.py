@@ -38,8 +38,8 @@ reduced, but under lex and block orders it can.  Each basis element keeps a
 tail hull, the per-field max of its tail monomials (degree fields
 included), and a step tests ``(hull + shift) & guard_mask`` once: it is
 nonzero exactly when some shifted tail monomial overflows a field, and the
-reduction raises ValueError.  S-pairs, the textbook division and
-``s_polynomial`` test their shifts the same way.
+reduction raises ValueError.  S-pairs and the textbook division test
+their shifts the same way.
 
 The support of a monomial is read in one addition.  With ``exp_guard`` the
 guard bits of the exponent fields and ``low`` 0x7fff in each of those fields,

@@ -148,10 +148,6 @@ class Ring:
             m |= deg << shift
         return m
 
-    def compare(self, m1, m2):
-        """Total order on packed monomials: -1, 0 or 1."""
-        return (m1 > m2) - (m1 < m2)
-
     def mono_str(self, m):
         parts = []
         for i, e in enumerate(self.exponents(m)):
@@ -208,9 +204,6 @@ class Polynomial:
             self._terms = tuple(sorted(self._d.items(), reverse=True))
         return self._terms
 
-    def monomials(self):
-        return [m for m, _ in self.terms()]
-
     def is_zero(self):
         return not self._d
 
@@ -236,9 +229,6 @@ class Polynomial:
             return -1
         deg = self.ring.mono_degree
         return max(deg(m) for m in self._d)
-
-    def constant_term(self):
-        return self._d.get(0, self.ring.field.zero)
 
     # -- arithmetic -------------------------------------------------------------
 

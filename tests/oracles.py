@@ -5,12 +5,16 @@ inverses, dense Gaussian elimination over Fraction for degree-bounded ideal
 membership, direct index formulas for the block matrix products, the unit
 antidiagonal J_m written out by index rather than read off a Gram matrix,
 and a search over variable subsets for the dimension of a leading-term
-ideal.  None of it shares code with the engine paths it certifies.
+ideal.  S-polynomials (Buchberger's criterion), the division identity,
+determinants by cofactor expansion and regularity by the colon ideal are
+plain polynomial arithmetic on the public types.  None of it shares code
+with the engine paths it certifies.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
+from olmcheck.errors import EmptyVariety, InvalidInput
 from olmcheck.matrices import PolyMatrix
 
 
@@ -165,3 +169,69 @@ def random_poly(ring, rng, max_deg=3, max_terms=4):
         m = ring.monomial(exps)
         d[m] = ring.field.add(d.get(m, ring.field.zero), ring.field.coerce(c))
     return ring.from_dict(d)
+
+
+def constant_term(g):
+    """The coefficient of the monomial with no variable, 0 if g has none."""
+    ring = g.ring
+    return next((c for m, c in g.terms() if not any(ring.exponents(m))), 0)
+
+
+def s_polynomial(f, g):
+    """S(f, g) = (lcm/LT(f)) f - (lcm/LT(g)) g for the leading-monomial
+    lcm, by plain products, whose packed-field guard raises ValueError on
+    an overflowing shift."""
+    if f.is_zero() or g.is_zero():
+        raise InvalidInput("S-polynomial of a zero polynomial")
+    ring = f.ring
+    if g.ring is not ring:
+        raise InvalidInput("operands from different rings")
+    lcm = ring.mono_lcm(f.lm(), g.lm())
+
+    def cofactor(h):
+        return ring.from_dict({lcm - h.lm(): ring.field.inv(h.lc())})
+    return cofactor(f) * f - cofactor(g) * g
+
+
+def recombine(division, divisors):
+    """sum(q_i * f_i) + r for the quotients q_i and remainder r of a
+    division by ``divisors``: the dividend when the division identity
+    holds."""
+    acc = division.remainder
+    for q, g in zip(division.quotients, divisors):
+        acc = acc + q * g
+    return acc
+
+
+def det(matrix):
+    """Exact determinant of a square PolyMatrix by cofactor expansion along
+    the rows, memoized on the remaining-column mask (test-scale sizes)."""
+    n = matrix.nrows
+    assert matrix.ncols == n, "determinant of a non-square matrix"
+    ring = matrix.ring
+    memo = {}
+
+    def expand(i, mask):
+        if i == n:
+            return ring.one()
+        if (i, mask) not in memo:
+            acc, sign = ring.zero(), 1
+            for j in range(n):
+                if mask >> j & 1:
+                    e = matrix[i, j]
+                    if e:
+                        term = e * expand(i + 1, mask & ~(1 << j))
+                        acc = acc + (term if sign > 0 else -term)
+                    sign = -sign
+            memo[i, mask] = acc
+        return memo[i, mask]
+
+    return expand(0, (1 << n) - 1)
+
+
+def is_regular_element(ideal, f):
+    """True iff f is a non-zerodivisor mod the proper ideal I: (I : f) = I,
+    with the colon ideal formed through an intersection."""
+    if ideal.is_unit():
+        raise EmptyVariety("regularity is mod a proper ideal")
+    return ideal.quotient(f).equals(ideal)

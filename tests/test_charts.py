@@ -11,7 +11,8 @@ from olmcheck.ideals import Ideal, krull_dimension, subring_part
 from olmcheck.matrices import constant_matrix
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring, cast
-from oracles import antidiag, b2_j_b1t_entry
+from oracles import antidiag, b2_j_b1t_entry, constant_term, s_polynomial
+from oracles import det as oracle_det
 
 ALL_CASES = [(6, 2), (8, 4), (5, 3), (7, 3), (6, 3), (5, 2), (6, 4), (8, 3), (7, 4)]
 
@@ -53,9 +54,9 @@ def test_gram_symmetric_and_det_valuation():
         for i in range(d):
             for j in range(d):
                 assert M[i, j] == M[j, i]
-        det = M.det()
+        det = oracle_det(M)
         assert not det.is_zero()
-        valuation = min(U.mono_degree(m) for m in det.monomials())
+        valuation = min(U.mono_degree(m) for m, _ in det.terms())
         assert valuation == l
 
 
@@ -131,7 +132,7 @@ def test_all_generators_vanish_at_worst_point():
         if c.same_parity:
             gens += list(c.intermediate_ideal().gens)
         for g in gens:
-            assert g.constant_term() == 0
+            assert constant_term(g) == 0
 
 
 def test_additional_ideal_examples():
@@ -242,7 +243,6 @@ def test_trace_factors_on_rank_one_matrices():
 
 
 def test_reduced_basis_s_pairs_on_chart_data():
-    from olmcheck.groebner import s_polynomial
     c = Chart(6, 2)
     gb = c.reduced_ideal().groebner()
     polys = list(gb)
@@ -297,7 +297,7 @@ def test_specialize_fibers():
     trace0 = [g for g in sp.gens if g.total_degree() == 2 and len(g) == 4]
     assert len(trace0) == 1
     gen = c.specialize(red, "generic")
-    consts = [g.constant_term() for g in gen.gens]
+    consts = [constant_term(g) for g in gen.gens]
     assert Fraction(2) in consts  # t_r + 2 at pi = 1
     assert gen.gens == c.generic_fiber_ideal().gens
     # the arithmetic fiber, and any ideal without pi, is left as it is

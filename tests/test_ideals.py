@@ -11,12 +11,12 @@ from olmcheck.errors import BudgetExceeded, EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.groebner import Budget, GroebnerBasis, buchberger
 from olmcheck.ideals import (Ideal, hilbert_numerator, ideal_sum,
-                             intersection_numerator, is_regular_element,
-                             krull_dimension, pure_power_free)
+                             intersection_numerator, krull_dimension,
+                             pure_power_free)
 from olmcheck.orders import GRLEX, Block
 from olmcheck.rings import Ring
 from olmcheck.verify import DEFAULT_SUITE, EngineConfig, verify_check
-from oracles import independent_set_dimension, random_poly
+from oracles import independent_set_dimension, is_regular_element, random_poly
 
 
 def _ring3(field=QQ):
@@ -340,16 +340,30 @@ def test_seeded_bases_match_runs_from_scratch(field, monkeypatch):
             assert seeded[0] == buchberger(meet.gens + last.gens), (d, l)
 
 
-def test_declared_summands_must_be_among_the_generators():
+def test_ideal_sum_lists_others_then_summands(monkeypatch):
+    # the other generators come first, then each summand's in turn; the
+    # one seeded run takes exactly the summands' bases as known blocks, in
+    # order, and the other generators as its loose ones
     R = _ring3()
     x, y, z = R.gens()
     m = Ideal(R, [x * y, y * z])
-    with pytest.raises(ValueError, match="not among"):
-        ideal_sum(R, [x * y, z], [m])
+    n = Ideal(R, [z**2, x**3])
+    s = ideal_sum(R, [m, n], [x - z, y * z])
+    assert s.gens == (x - z, y * z, x * y, y * z, z**2, x**3)
+    assert s._summands == ((m, n), (x - z, y * z))
+    blocks = [m.groebner(), n.groebner()]
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda gens, budget=None: runs.append(list(gens))
+                        or buchberger(gens, budget))
+    gb = s.groebner()
+    assert len(runs) == 1
+    seeded = [g for g in runs[0] if isinstance(g, GroebnerBasis)]
+    assert len(seeded) == 2 and all(a is b for a, b in zip(seeded, blocks))
+    assert runs[0][2:] == [x - z, y * z]
+    assert gb == buchberger(s.gens)
+    # with no other generator the sum lists the summands' generators alone
+    assert ideal_sum(R, [m, n], ()).gens == m.gens + n.gens
+    # a summand from another ring is refused
     with pytest.raises(ValueError, match="different ring"):
-        ideal_sum(_ring3(), [x * y, y * z], [m])
-    # a generator equal to a summand's but made apart from it passes the
-    # check and still enters the run as a loose generator
-    s = ideal_sum(R, [m.gens[0], R.parse("y*z"), x - z], [m])
-    assert s._summands == ((m,), (y * z, x - z))
-    assert s.groebner() == buchberger(s.gens)
+        ideal_sum(_ring3(), [m], [x])

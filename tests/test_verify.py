@@ -16,10 +16,11 @@ from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded
 from olmcheck.fields import PrimeField, QQ
 from olmcheck.groebner import Budget, GroebnerBasis, buchberger
-from olmcheck.ideals import Ideal, ideal_sum, is_regular_element
+from olmcheck.ideals import Ideal, ideal_sum
 from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
                              PRIMALITY_NOTE, chart_report,
                              expected_component_count, run_suite, verify_check)
+from oracles import is_regular_element
 
 CFG = EngineConfig(modulus=32003)
 
@@ -66,7 +67,7 @@ def test_dimensions_fails_on_an_empty_fiber():
 def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
     # the fiber bases are read off the basis of I''.  M'' runs from its
     # generators, I'' is one run seeded with the basis of M'' and the trace
-    # generator, and the components still run their own
+    # generator, its first, and the components still run their own
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
                         lambda gens, budget=None: runs.append(list(gens))
@@ -76,7 +77,7 @@ def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
         assert verify_check(name, c, CFG).status == "pass"
     minors, red = c.reduced_minors_ideal(), c.reduced_ideal()
     assert runs.count(list(minors.gens)) == 1
-    assert runs.count([minors.groebner(), red.gens[-1]]) == 1
+    assert runs.count([minors.groebner(), red.gens[0]]) == 1
     assert list(red.gens) not in runs
     fibers = (c.special_fiber_ideal().gens, c.generic_fiber_ideal().gens)
     assert not any(list(gens) in runs for gens in fibers)
@@ -339,10 +340,9 @@ def test_spent_budget_in_a_seeded_run_times_out(monkeypatch):
 
 
 def test_component_mutations_are_plain_ideals():
-    # a quadric component is declared the sum of the special minors and its
-    # quadrics; the mutations that drop or add a generator build plain
-    # ideals, whose bases are runs from their generators, and the special
-    # minors cannot be declared a summand of a generator list that lacks one
+    # a quadric component is the sum of its quadrics and the special
+    # minors; the mutations that drop or add a generator build plain
+    # ideals, whose bases are runs from their generators
     c = _chart()
     label, ideal, v = c.component_ideals()[2]
     (minors,), quadrics = ideal._summands
@@ -352,11 +352,11 @@ def test_component_mutations_are_plain_ideals():
                     Ideal(ideal.ring, ideal.gens + (g,))):
         assert mutated._summands is None
         assert mutated.groebner() == buchberger(mutated.gens)
-    with pytest.raises(ValueError, match="not among"):
-        ideal_sum(ideal.ring, ideal.gens[:-1], [minors])
-    # a summand from another ring is refused too
+    # the quadrics come first, then the special minors
+    assert ideal.gens == quadrics + minors.gens
+    # M'' lives in k[band, pi], not in the fiber ring: refused as a summand
     with pytest.raises(ValueError, match="different ring"):
-        ideal_sum(ideal.ring, ideal.gens, [c.reduced_minors_ideal()])
+        ideal_sum(ideal.ring, [c.reduced_minors_ideal()], quadrics)
 
 
 def test_reduction_passes_six_two():
@@ -437,7 +437,7 @@ def test_lemma_checks_pass_six_two():
 
 def _names_of(g):
     out = set()
-    for m in g.monomials():
+    for m, _ in g.terms():
         for i, e in enumerate(g.ring.exponents(m)):
             if e:
                 out.add(g.ring.names[i])
@@ -460,10 +460,11 @@ def test_lemma_mutations_fail():
         res = verify_check(name, c, CFG)
         assert res.status == "fail", name
 
-    # B1JB2-symmetric against minors that miss the band rows
+    # B1JB2-symmetric against M'' cut down to the band-row minors over
+    # columns {2, 5, 6}
     c = _chart()
-    sub = c._sub(c.x_matrix(), [1, 2], list(range(1, 7)))
-    c._cache["band-minors"] = Ideal(c.ring, sub.minors2())
+    rr = c.reduced_ring
+    c._cache["reduced-minors"] = Ideal(rr, c._band_matrix(rr, [2, 5, 6]).minors2())
     res = verify_check("B1JB2-symmetric", c, CFG)
     assert res.status == "fail"
 
@@ -482,7 +483,7 @@ def test_lemma_mutations_fail():
     c._cache["solve-plus-band"] = _drop(
         ideal,
         lambda g: len(g) == 3 and g.total_degree() == 2 and "pi" not in str(g)
-        and any(g.ring.mono_degree(m) == 1 for m in g.monomials()))
+        and any(g.ring.mono_degree(m) == 1 for m, _ in g.terms()))
     res = verify_check("A-relations", c, CFG)
     assert res.status == "fail"
 
@@ -591,16 +592,17 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (72, 105)),
-                                                 (6, 2, 32003, (187, 235)),
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (70, 103)),
+                                                 (6, 2, 32003, (179, 227)),
                                                  (8, 4, 0, (513, 1076))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report, and the interreduction that
     # reads each fiber basis off the basis of I''.  I'', the quadric
     # components and J + I_m start from their summands' bases, so no pair
-    # inside M'', the special minors, J or I_m is formed again.  Under the
-    # chart ring's block order each full-ring basis is the solved non-band
-    # variables plus a small basis over k[band, pi].  (8,4) runs the
+    # inside M'', the special minors, J or I_m is formed again, and
+    # B1JB2-symmetric reads the same basis of M''.  Under the chart ring's
+    # block order each full-ring basis is the solved non-band variables plus
+    # a small basis over k[band, pi].  (8,4) runs the
     # reduced-ring checks only, on a chart with two components.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
@@ -614,8 +616,8 @@ def test_lemma_bases_match_runs_from_scratch(d, l, modulus):
     c = _chart(d, l, modulus)
     assert verify_check("reduction", c, EngineConfig(modulus=modulus)).status == "pass"
     for ideal in (c.full_ideal(), c.intermediate_ideal(),
-                  c.iprime_sans_trace_ideal(), c.band_minors_ideal(),
-                  c.solve_plus_reduced_ideal(), c.solve_plus_band_ideal()):
+                  c.iprime_sans_trace_ideal(), c.solve_plus_reduced_ideal(),
+                  c.solve_plus_band_ideal()):
         assert ideal.groebner() == buchberger(ideal.gens)
 
 
