@@ -289,18 +289,28 @@ class Chart:
             self.ring, self.additional_generators()))
 
     def full_ideal(self):
+        """I = I_naive + I_add; for same parity every generator of I' is
+        among its generators, so I' is its summand."""
         return self._cached("full", lambda: Ideal(
-            self.ring, self.naive_generators() + self.additional_generators()))
+            self.ring, self.naive_generators() + self.additional_generators(),
+            [self.intermediate_ideal()] if self.same_parity else ()))
 
     def intermediate_ideal(self):
-        """I': the minors, the band relations, the S1 relation and Tr(X)."""
+        """I': the minors, the band relations, the S1 relation and Tr(X),
+        over its summand I' without Tr(X)."""
         return self._cached("intermediate", lambda: Ideal(
-            self.ring, self.intermediate_generators()))
+            self.ring, self.intermediate_generators(),
+            [self.iprime_sans_trace_ideal()]))
 
     # -- the lemma ideals (same parity) ---------------------------------------------
     # Each is generated by one lemma's hypotheses; under the ring's block
     # order its reduced basis is the solved non-band variables plus a small
-    # basis over k[band, pi], so every one is computed from its generators.
+    # basis over k[band, pi].  The generator lists nest: I' without Tr(X)
+    # in I' in I, and solve-plus-reduced in solve-plus-band.  So only I'
+    # without Tr(X) and solve-plus-reduced run from their generators; the
+    # others start from their summand's basis (see ``ideals.Ideal``).  The
+    # nested ideals are equal, so that is already their basis, but no basis
+    # assumes it.
 
     def iprime_sans_trace_ideal(self):
         """I' without Tr(X)."""
@@ -315,10 +325,11 @@ class Chart:
 
     def solve_plus_band_ideal(self):
         """All 2x2 minors of X, the band relations and the solve
-        relations."""
+        relations, over its summand solve-plus-reduced (the band minors are
+        minors of X)."""
         return self._cached("solve-plus-band", lambda: Ideal(
             self.ring, self._equations().minors + self._band_relations()
-            + self.solve_relations()))
+            + self.solve_relations(), [self.solve_plus_reduced_ideal()]))
 
     def reduced_ideal(self):
         """The trace quadric t_r + 2*pi plus the minors of the band

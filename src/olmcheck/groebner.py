@@ -654,6 +654,27 @@ class GroebnerBasis:
     def lead_monomials(self):
         return tuple(self._arrays[0].lts)
 
+    def without_pi(self, target):
+        """The same elements in ``target``, this ring without its last
+        variable pi (see ``rings.specialize_pi``), or None when pi occurs in
+        one.  pi's exponent is the lowest field, so a pi-free monomial moves
+        by one field shift, which keeps the term order: the elements stay a
+        reduced basis, with the same normalised coefficients."""
+        low = (1 << FIELD_BITS) - 1
+        leads, lcs, tails, hulls = self._arrays
+        if any(m & low for m in leads.lts) or any(h & low for h in hulls):
+            return None
+        gb = GroebnerBasis(target, ())
+        out_leads, out_lcs, out_tails, out_hulls = gb._arrays
+        for m in leads.lts:
+            out_leads.append(m >> FIELD_BITS)
+        out_lcs += lcs
+        out_tails += [tuple((m >> FIELD_BITS, c) for m, c in tail)
+                      for tail in tails]
+        out_hulls += [h >> FIELD_BITS for h in hulls]
+        gb._polys = None
+        return gb
+
     def is_unit_ideal(self):
         lts = self._arrays[0].lts
         return len(lts) == 1 and lts[0] == 0

@@ -7,16 +7,19 @@ basis (one per ring order; moving an ideal to a ring with a different order
 is an explicit re-generation) and the Hilbert numerators read off it, one
 per weight vector.  A fiber made by ``pi_fiber`` reads its basis off its
 source's when that is graded with pi of weight 2, so the fibers of I'' cost
-no Buchberger run of their own.  An ideal made by ``ideal_sum`` is the sum
-of summand ideals and some other generators, and its one Buchberger run
+no Buchberger run of their own; when the source's basis has no pi at all
+(M'') the fiber's basis is that basis, moved.  An ideal may name summands,
+ideals whose generators lie among its own.  Its one Buchberger run then
 starts from the summands' bases as known blocks (see ``groebner``), so the
-pairs inside each are not formed again.  The chart's seeded runs all have
-work left after the blocks: the trace generator of I'', a component's
-quadrics and the second summand of J + I_m lie outside the first block's
-ideal.  A sum whose extra generators all lay inside it would only hand its
-basis on.
+pairs inside each are not formed again, and its loose generators are its
+own less the summands'.  Most of the chart's seeded runs have nothing left
+to do after the blocks: I' over I' without Tr(X), I over I' and
+solve-plus-band over solve-plus-reduced are equal ideals, and each loose
+generator reduces to zero over the block.  The trace generator of I'', a
+component's quadrics and the second summand of J + I_m do leave work.
 """
 
+from collections import Counter
 from itertools import accumulate
 
 from .errors import EmptyVariety, InvalidDivisor
@@ -28,15 +31,39 @@ from .rings import Ring, cast, specialize_pi
 
 class Ideal:
     """An ideal given by generators, with a cached reduced Groebner basis
-    and cached Hilbert numerators keyed by their weight tuple."""
+    and cached Hilbert numerators keyed by their weight tuple.
 
-    def __init__(self, ring, gens):
+    ``summands`` are ideals of the same ring whose generators lie among
+    ``gens``, counted with multiplicity.  Its basis is then one
+    ``buchberger`` run that takes each summand's reduced basis as a known
+    block and the generators left over as its loose ones.  When a summand
+    has a generator that ``gens`` lacks, the summands are ignored and the
+    basis is run from ``gens``: it is always the basis of ``gens``."""
+
+    def __init__(self, ring, gens, summands=()):
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
         self._numerators = {}
         self._fiber_of = None   # (source, pi value): see pi_fiber
-        self._summands = None   # (summands, other generators): see ideal_sum
+        self._summands = None   # (summands, loose generators)
+        for s in summands:
+            if s.ring is not ring:
+                raise ValueError("a summand lives in a different ring")
+        if summands:
+            # keyed by the term dict, which Polynomial equality compares;
+            # hash(g) would build and keep g's sorted term tuple
+            rest = Counter(frozenset(g._d.items())
+                           for s in summands for g in s.gens)
+            loose = []
+            for g in self.gens:
+                key = frozenset(g._d.items())
+                if rest[key]:
+                    rest[key] -= 1
+                else:
+                    loose.append(g)
+            if not +rest:
+                self._summands = (tuple(summands), tuple(loose))
 
     def __repr__(self):
         return "Ideal(%d generators in %r)" % (len(self.gens), self.ring)
@@ -45,9 +72,12 @@ class Ideal:
         if self._gb is None:
             if self._fiber_of is not None:
                 source, value = self._fiber_of
-                self._gb = reduce_basis(
-                    self.ring, [specialize_pi(g, value, self.ring)
-                                for g in source.groebner(budget)], budget)
+                gb = source.groebner(budget)
+                self._gb = gb.without_pi(self.ring)
+                if self._gb is None:
+                    self._gb = reduce_basis(
+                        self.ring, [specialize_pi(g, value, self.ring)
+                                    for g in gb], budget)
             elif self._summands is not None:
                 summands, rest = self._summands
                 blocks = [s.groebner(budget) for s in summands]
@@ -116,19 +146,10 @@ class Ideal:
 
 def ideal_sum(ring, summands, others):
     """The sum of the ideals ``summands`` and the ideal of ``others``,
-    generated by the other generators first, then each summand's in turn.
-
-    Its basis is one ``buchberger`` run under the caller's budget that
-    takes each summand's reduced basis as a known block, the first
-    summand's first, and the other generators as its loose ones, so no
-    pair inside a summand's basis is formed again.  The result is the
-    reduced basis a run from its generators returns."""
-    for s in summands:
-        if s.ring is not ring:
-            raise ValueError("a summand lives in a different ring")
-    out = Ideal(ring, [*others, *(g for s in summands for g in s.gens)])
-    out._summands = (tuple(summands), tuple(others))
-    return out
+    generated by the other generators first, then each summand's in turn,
+    with the summands named as such (see ``Ideal``)."""
+    return Ideal(ring, [*others, *(g for s in summands for g in s.gens)],
+                 summands)
 
 
 def inhomogeneous_generator(ideal, weights=None):
@@ -168,7 +189,9 @@ def pi_fiber(ideal, value, target):
     (Eisenbud, Commutative Algebra, Prop. 15.12) and G at pi = 1 one of the
     generic fiber (dehomogenization; Cox, Little, O'Shea, Ideals, Varieties,
     and Algorithms, ch. 8 sec. 4); ``reduce_basis`` makes either the unique
-    reduced basis.  Otherwise the basis is computed from the generators."""
+    reduced basis.  When pi is in no element of G, G itself, moved into
+    ``target``, is that reduced basis (``GroebnerBasis.without_pi``).
+    Otherwise the basis is computed from the generators."""
     out = Ideal(target, [specialize_pi(g, value, target) for g in ideal.gens])
     if ideal.ring.order == GRLEX and \
             inhomogeneous_generator(ideal, pi_weights(ideal.ring)) is None:

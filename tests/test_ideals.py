@@ -14,7 +14,7 @@ from olmcheck.ideals import (Ideal, hilbert_numerator, ideal_sum,
                              intersection_numerator, krull_dimension,
                              pure_power_free)
 from olmcheck.orders import GRLEX, Block
-from olmcheck.rings import Ring
+from olmcheck.rings import Ring, specialize_pi
 from olmcheck.verify import DEFAULT_SUITE, EngineConfig, verify_check
 from oracles import independent_set_dimension, is_regular_element, random_poly
 
@@ -300,6 +300,51 @@ def test_fiber_bases_match_buchberger(field, monkeypatch):
             assert ideal.groebner() == buchberger(ideal.gens), \
                 (c.d, c.l, name, fiber)
             assert (ideal.gens in runs) == (name == "+ x"), (name, fiber)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+@pytest.mark.parametrize("d, l", [(6, 2), (7, 3), (8, 4)])
+def test_special_minors_move_the_basis_of_M(d, l, field, monkeypatch):
+    # no element of the basis of M'' has pi, so the special minors' basis
+    # is that basis moved into the fiber ring, with no interreduction; it
+    # is the reduced basis the interreduction of its pi = 0 image gives
+    c = Chart(d, l, field)
+    minors = c.reduced_minors_ideal()
+    gb = minors.groebner()
+    want = ideals.reduce_basis(c.fiber_ring, [specialize_pi(g, 0, c.fiber_ring)
+                                              for g in gb])
+    calls = []
+    monkeypatch.setattr(ideals, "reduce_basis",
+                        lambda *args: calls.append(args))
+    special = c.specialize(minors, "special").groebner()
+    assert not calls
+    assert special == want and special.polys == want.polys
+    assert special == buchberger(c.specialize(minors, "special").gens)
+    # I'' has pi in its trace generator: its fiber still interreduces
+    assert c.reduced_ideal().groebner().without_pi(c.fiber_ring) is None
+
+
+def test_ideal_summands_count_with_multiplicity():
+    # a summand's generators must lie among the ideal's, each as often as
+    # the summands list it; a summand with a generator outside makes the
+    # basis a run from the ideal's own generators
+    R = _ring3()
+    x, y, z = R.gens()
+    m = Ideal(R, [x * y, y * z])
+    s = Ideal(R, [x - z, y * z, x * y, y * z], [m])
+    assert s._summands == ((m,), (x - z, y * z))
+    # the first list lacks m's x*y, the second the wider summand's z
+    for gens, summand in (([x - z, y * z], m),
+                          ([x - z, y * z, x * y], Ideal(R, [x * y, y * z, z]))):
+        plain = Ideal(R, gens, [summand])
+        assert plain._summands is None
+        assert plain.groebner() == buchberger(gens)
+    assert not plain.contains(z)
+    # repeated summand generators are each matched once
+    twice = Ideal(R, [y * z, x * y], [m, m])
+    assert twice._summands is None
+    assert Ideal(R, [y * z, x * y, y * z, x * y], [m, m])._summands == \
+        ((m, m), ())
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)],

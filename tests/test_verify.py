@@ -5,6 +5,7 @@ the tamperings are injected through the chart's ideal cache, which is what
 the checks read.
 """
 
+import hashlib
 import json
 import math
 import re
@@ -592,8 +593,8 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (70, 103)),
-                                                 (6, 2, 32003, (179, 227)),
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (48, 52)),
+                                                 (6, 2, 32003, (123, 122)),
                                                  (8, 4, 0, (513, 1076))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report, and the interreduction that
@@ -602,8 +603,10 @@ def test_chart_report_work_is_fixed(d, l, modulus, work):
     # inside M'', the special minors, J or I_m is formed again, and
     # B1JB2-symmetric reads the same basis of M''.  Under the chart ring's
     # block order each full-ring basis is the solved non-band variables plus
-    # a small basis over k[band, pi].  (8,4) runs the
-    # reduced-ring checks only, on a chart with two components.
+    # a small basis over k[band, pi]; only I' without Tr(X) and
+    # solve-plus-reduced run from their generators, and the three ideals
+    # chained over them form no pair.  (8,4) runs the reduced-ring checks
+    # only, on a chart with two components.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
     assert report.passed()
@@ -611,14 +614,92 @@ def test_chart_report_work_is_fixed(d, l, modulus, work):
 
 
 @pytest.mark.parametrize("modulus", [32003, 0])
-@pytest.mark.parametrize("d, l", [(5, 3), (6, 2)])
+@pytest.mark.parametrize("d, l", [(5, 3), (6, 2), (7, 3), (8, 4)])
 def test_lemma_bases_match_runs_from_scratch(d, l, modulus):
     c = _chart(d, l, modulus)
-    assert verify_check("reduction", c, EngineConfig(modulus=modulus)).status == "pass"
+    cfg = EngineConfig(modulus=modulus, full_matrix_limit=8)
+    assert verify_check("reduction", c, cfg).status == "pass"
     for ideal in (c.full_ideal(), c.intermediate_ideal(),
                   c.iprime_sans_trace_ideal(), c.solve_plus_reduced_ideal(),
                   c.solve_plus_band_ideal()):
         assert ideal.groebner() == buchberger(ideal.gens)
+
+
+# each chained ideal and its summand, by method name, with the summand's
+# cache key
+_CHAIN = (("intermediate_ideal", "iprime_sans_trace_ideal", "iprime-sans-trace"),
+          ("full_ideal", "intermediate_ideal", "intermediate"),
+          ("solve_plus_band_ideal", "solve_plus_reduced_ideal",
+           "solve-plus-reduced"))
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+@pytest.mark.parametrize("d, l", [(5, 3), (6, 2)])
+def test_chained_runs_form_no_pairs(d, l, modulus):
+    # I' over I' without Tr(X), I over I' and solve-plus-band over
+    # solve-plus-reduced are equal ideals: once the summand's basis is
+    # there, every loose generator reduces to zero over it
+    c = _chart(d, l, modulus)
+    c.iprime_sans_trace_ideal().groebner()
+    c.solve_plus_reduced_ideal().groebner()
+    for name, _, key in _CHAIN:
+        ideal = getattr(c, name)()
+        (summand,), loose = ideal._summands
+        assert summand is c._cache[key] and loose
+        meter = Budget()
+        assert ideal.groebner(meter) == summand.groebner()
+        assert meter.pairs == 0, name
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+@pytest.mark.parametrize("d, l, digests", [
+    (5, 3, {"full_ideal": (192, "5a4779d102c144d6"),
+            "intermediate_ideal": (136, "1926d6e444ec04e3"),
+            "solve_plus_band_ideal": {32003: (120, "701d103944301dc5"),
+                                      0: (120, "68baeb0430c29b82")}}),
+    (6, 2, {"full_ideal": (341, "672d48a4c973c7a6"),
+            "intermediate_ideal": (267, "f59699c37214fa3c"),
+            "solve_plus_band_ideal": {32003: (254, "894341560a6aa893"),
+                                      0: (254, "0142ef6eaacc5c41")}})])
+def test_chained_ideals_keep_their_generators(d, l, digests, modulus):
+    # the count and a digest of the generator texts in order: perfbench's
+    # membership workload draws its queries from full_ideal().gens by index
+    c = _chart(d, l, modulus)
+    for name, want in digests.items():
+        gens = getattr(c, name)().gens
+        text = "\n".join(map(str, gens)).encode()
+        got = (len(gens), hashlib.sha256(text).hexdigest()[:16])
+        assert got == (want[modulus] if isinstance(want, dict) else want), name
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+@pytest.mark.parametrize("name, summand_name, key", _CHAIN)
+def test_chained_basis_survives_a_tampered_summand(name, summand_name, key,
+                                                   modulus):
+    # a smaller summand (its linear generators dropped) leaves more of the
+    # chained ideal's generators loose, and a summand with a generator
+    # outside the chained ideal's is not used: either way the basis is the
+    # basis of the chained ideal's own generators
+    def tampered(c, kind):
+        summand = getattr(c, summand_name)()
+        if kind == "smaller":
+            return _drop(summand, lambda g: g.total_degree() == 1)
+        return Ideal(c.ring, summand.gens + (c.ring.var(c.ring.names[-2]),))
+
+    c = _chart(6, 2, modulus)
+    ideal = getattr(c, name)()
+    want = buchberger(ideal.gens)
+    # the generators the untouched summand leaves loose, handed over as a
+    # list, would lose the dropped ones
+    (_,), loose = ideal._summands
+    assert buchberger([tampered(c, "smaller").groebner(), *loose]) != want
+    for kind in ("smaller", "wider"):
+        c = _chart(6, 2, modulus)
+        c._cache[key] = tampered(c, kind)
+        chained = getattr(c, name)()
+        assert list(map(str, chained.gens)) == list(map(str, ideal.gens))
+        assert (chained._summands is None) == (kind == "wider")
+        assert chained.groebner() == buchberger(chained.gens)
 
 
 def test_expected_component_count_table():
