@@ -42,11 +42,13 @@ cases.
 """
 
 from fractions import Fraction
+from math import comb
 from types import SimpleNamespace
 
 from .errors import InvalidChart, NotApplicable
 from .fields import QQ
-from .ideals import Ideal, ideal_sum, pi_fiber
+from .groebner import reduce_basis
+from .ideals import Ideal, ideal_sum, monomial_numerator, pi_fiber, pi_weights
 from .matrices import PolyMatrix, constant_matrix, diagonal
 from .orders import GRLEX, Block
 from .rings import Ring, cast
@@ -103,6 +105,17 @@ def _solve_expressions(B1, A, B2, Je, Jm):
     L2 = Je @ B2.T @ Jm
     return [(L @ M).scale(-half)
             for L, M in ((L2, B1), (L2, B2), (L1, B1), (L1, B2), (L2, A), (L1, A))]
+
+
+def _segre_numerator(a, b):
+    """N(t) of k[x]/ker psi, psi(x_is) = u_i w_s on an a x b rectangle, over
+    (1 - t)^(ab): sum_k C(a-1, k) C(b-1, k) t^k (1 - t)^((a-1)(b-1))."""
+    e = (a - 1) * (b - 1)
+    out = [0] * (min(a, b) + e)
+    for k in range(min(a, b)):
+        for j in range(e + 1):
+            out[k + j] += comb(a - 1, k) * comb(b - 1, k) * (-1) ** j * comb(e, j)
+    return out
 
 
 class Chart:
@@ -347,6 +360,74 @@ class Chart:
         trace = self.trace_quadric(rr) + rr.var("pi").scale(2)
         return ideal_sum(rr, [minors], [trace])
 
+    def degeneration(self, budget=None):
+        """Certify I'' by its Groebner degeneration; True when it holds.
+
+        It applies to the chart's own I'' only: one summand, M'', the 2x2
+        minors of the a x b band rectangle, and one loose trace generator t.
+        R = k[band, pi], pi of weight 2.  (1) M'' lies in the kernel of
+        psi(x_is) = u_i w_s, so HS(R/M'') lies between the Segre series and
+        HS of the minors' grlex leads; equal numerators make the minors a
+        Groebner basis (Sturmfels, Math. Z. 205, 1990).  (2) t has x_11 x_ab
+        and x_1b x_a1 with one coefficient c, so f = t - c(x_11 x_ab -
+        x_1b x_a1) generates I'' with M''.  With omega(x_is) =
+        [i in {1, a}] + [s in {1, b}], f homogeneous and 2c x_1b x_a1 its
+        only term of omega 4, f leads with it under weighted degree, omega,
+        grlex, and the minors keep their leads.  J0, those leads and
+        x_1b x_a1, lies in in(I''), and 0 -> R/(M'':f)(-2) -> R/M'' ->
+        R/I'' -> 0 gives HS(R/I'') >= (1 - t^2) HS(R/M''); so
+        N(J0) = (1 - t^2) N(M'') proves in(I'') = J0.  pi is then in no
+        lead, hence regular on R/I'', and N(J0) is N(I'') for
+        ``pi_weights``, N(I_s) and N(I_g) (both fibers' grlex leads are
+        those of I'').
+
+        On success I'' and its fibers keep N(J0) and M'' keeps its minors'
+        reduced basis; on failure nothing is kept.  Meets the deadline
+        first, even when the result is cached."""
+        if budget is not None:
+            budget.deadline()
+        return self._cached("degeneration", lambda: self._degenerate(budget))
+
+    def _degenerate(self, budget):
+        rr = self.reduced_ring
+        red = self.reduced_ideal()
+        minors = self.reduced_minors_ideal()
+        a, b = len(self.rows), len(self.cols)
+        summands, loose = red._summands or ((), ())
+        if summands != (minors,) or len(loose) != 1 or \
+                list(minors.gens) != self._band_matrix(rr, self.cols).minors2():
+            return False
+        weights = tuple(pi_weights(rr))
+        leads = [max(g._d) for g in minors.gens]
+        n_m = monomial_numerator(rr, leads, weights, budget)
+        if n_m != _segre_numerator(a, b):
+            return False
+        corner = lambda i, s: max(rr.var(xname(self.rows[i], self.cols[s]))._d)
+        main = corner(0, 0) + corner(a - 1, b - 1)
+        anti = corner(0, b - 1) + corner(a - 1, 0)
+        f = dict(loose[0]._d)
+        c = f.pop(main, None)
+        if c is None or f.get(anti) != c:
+            return False
+        f[anti] = rr.field.add(c, c)
+        omega = [(i in (0, a - 1)) + (s in (0, b - 1))
+                 for i in range(a) for s in range(b)] + [0]
+        for m in f:
+            exps = rr.exponents(m)
+            if sum(map(int.__mul__, exps, weights)) != 2 or \
+                    (sum(map(int.__mul__, exps, omega)) == 4) != (m == anti):
+                return False
+        n_j0 = monomial_numerator(rr, leads + [anti], weights, budget)
+        if n_j0 != [x - y for x, y in zip(n_m + [0, 0], [0, 0] + n_m)]:
+            return False
+        if minors._gb is None:
+            minors._gb = reduce_basis(rr, minors.gens, budget)
+        red._numerators[weights] = tuple(n_j0)
+        for fiber in (self.special_fiber_ideal(), self.generic_fiber_ideal()):
+            if fiber._fiber_of is not None and fiber._fiber_of[0] is red:
+                fiber._numerators[(1,) * fiber.ring.nvars] = tuple(n_j0)
+        return True
+
     def reduced_minors_ideal(self):
         """M'', the minors of the band rectangle over k[band variables, pi]:
         the determinantal ideal that I'' and every quadric component extend,
@@ -423,7 +504,8 @@ class Chart:
             self.reduced_ideal(), "special"))
 
     def generic_fiber_ideal(self):
-        return self.specialize(self.reduced_ideal(), "generic")
+        return self._cached("generic", lambda: self.specialize(
+            self.reduced_ideal(), "generic"))
 
     def component_ideals(self):
         """Irreducible components of the special fiber, as a list of

@@ -418,7 +418,7 @@ class _Engine:
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def _interreduce(engine, ding, budget=None, count=True, arrays=None):
+def _interreduce(engine, ding, budget=None, arrays=None):
     """Auto-reduce the nonzero dicts in ``ding``: each, in ascending lead
     order, is fully reduced against the basis arrays, which start as
     ``arrays`` (empty by default) and take in every dict kept, and a zero
@@ -426,17 +426,16 @@ def _interreduce(engine, ding, budget=None, count=True, arrays=None):
     is at most the monomial it divides, so only elements with smaller leads
     can reduce g; on a minimal Groebner basis one pass from empty arrays
     therefore gives the reduced basis.  The budget's deadline is met once
-    per dict; its steps are counted only when ``count``.  Returns the kept
-    dicts and the arrays."""
+    per dict, and every reduction step is counted.  Returns the kept dicts
+    and the arrays."""
     kept = []
     if arrays is None:
         arrays = engine.arrays()
-    steps = budget if count else None
     for d in sorted(ding, key=max):
         if budget is not None:
             budget.deadline()
         if arrays[1]:
-            d = engine.normalise(engine.reduce(dict(d), *arrays, steps)[0])
+            d = engine.normalise(engine.reduce(dict(d), *arrays, budget)[0])
         if d:
             kept.append(d)
             engine.add(arrays, d)
@@ -533,11 +532,9 @@ def buchberger(generators, budget=None):
         lcs += block_lcs
         tails += block_tails
         hulls += block_hulls
-    # repeated and scalar-multiple generators reduce to zero here; this pass
-    # meets the deadline but counts no steps, so the step counter sees
-    # S-pairs and the final pass
+    # repeated and scalar-multiple generators reduce to zero here
     loose, _ = _interreduce(engine, [engine.prepare(g._d) for g in gens],
-                            budget, count=False, arrays=arrays)
+                            budget, arrays)
     below += range(len(basis), len(basis) + len(loose))
     basis += loose
     lts = leads.lts
@@ -614,7 +611,7 @@ class GroebnerBasis:
     a divisor index over the leading monomials and the normalised leading
     coefficients, tails and tail hulls (see ``_Engine.arrays``).  That is
     what normal forms, ``buchberger``'s known blocks, the length, the
-    unit-ideal test and equality read.  ``polys``, the elements as
+    leads and equality read.  ``polys``, the elements as
     ``Polynomial`` values, is built on first use, except when the basis is
     made from them."""
 
@@ -674,10 +671,6 @@ class GroebnerBasis:
         out_hulls += [h >> FIELD_BITS for h in hulls]
         gb._polys = None
         return gb
-
-    def is_unit_ideal(self):
-        lts = self._arrays[0].lts
-        return len(lts) == 1 and lts[0] == 0
 
     def normal_form(self, f):
         """Unique remainder of f against the reduced basis."""

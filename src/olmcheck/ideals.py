@@ -17,6 +17,9 @@ to do after the blocks: I' over I' without Tr(X), I over I' and
 solve-plus-band over solve-plus-reduced are equal ideals, and each loose
 generator reduces to zero over the block.  The trace generator of I'', a
 component's quadrics and the second summand of J + I_m do leave work.
+A numerator may be kept on an ideal without a basis: ``Chart.degeneration``
+certifies I'' by a monomial ideal J0 and keeps N(J0), from
+``monomial_numerator``, on I'' and its fibers.
 """
 
 from collections import Counter
@@ -95,9 +98,6 @@ class Ideal:
         if f.is_zero():
             return True
         return self.groebner(budget).contains(f)
-
-    def is_unit(self, budget=None):
-        return self.groebner(budget).is_unit_ideal()
 
     def equals(self, other, budget=None):
         """Reduced bases coincide term for term (canonical per order)."""
@@ -227,18 +227,23 @@ def hilbert_numerator(ideal, weights=None, budget=None):
     is the dimension of any ideal.  Kept on the ideal, one per weight
     tuple."""
     ring = ideal.ring
-    n = ring.nvars
-    weights = tuple(weights or (1,) * n)
+    weights = tuple(weights or (1,) * ring.nvars)
     if weights not in ideal._numerators:
-        monos = ideal.groebner(budget).lead_monomials()
-        # variable i in field i under a guard bit, the weighted degree above
-        leads = [sum(e << FIELD_BITS * i for i, e in enumerate(exps))
-                 + (sum(map(int.__mul__, exps, weights)) << FIELD_BITS * n)
-                 for exps in map(ring.exponents, monos)]
-        guard = sum(1 << FIELD_BITS * i - 1 for i in range(1, n + 1))
-        ideal._numerators[weights] = tuple(
-            _numerator(leads, weights, guard, budget))
+        ideal._numerators[weights] = tuple(monomial_numerator(
+            ring, ideal.groebner(budget).lead_monomials(), weights, budget))
     return list(ideal._numerators[weights])
+
+
+def monomial_numerator(ring, monos, weights, budget=None):
+    """N(t) of the monomial ideal minimally generated by ``monos``, packed
+    monomials of ``ring``, for the weight tuple ``weights``."""
+    n = ring.nvars
+    # variable i in field i under a guard bit, the weighted degree above
+    leads = [sum(e << FIELD_BITS * i for i, e in enumerate(exps))
+             + (sum(map(int.__mul__, exps, weights)) << FIELD_BITS * n)
+             for exps in map(ring.exponents, monos)]
+    guard = sum(1 << FIELD_BITS * i - 1 for i in range(1, n + 1))
+    return _numerator(leads, weights, guard, budget)
 
 
 def intersection_numerator(a, b, budget=None):
@@ -307,10 +312,11 @@ def _plus_shifted(p, q, shift, sign):
 
 def krull_dimension(ideal, budget=None):
     """Dimension of ring/I: nvars minus the power of (1 - t) dividing the
-    unit-weight Hilbert numerator, the pole order at t = 1."""
-    if ideal.is_unit(budget):
-        raise EmptyVariety("the unit ideal has no dimension")
+    unit-weight Hilbert numerator, the pole order at t = 1.  A numerator of
+    [] is the unit ideal's, which has no dimension."""
     num = hilbert_numerator(ideal, None, budget)
+    if not num:
+        raise EmptyVariety("the unit ideal has no dimension")
     dim = ideal.ring.nvars
     while not sum(num):
         num = list(accumulate(num))[:-1]    # N = (1 - t) q

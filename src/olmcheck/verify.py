@@ -17,6 +17,13 @@ component, and the Hilbert numerator of I_s equals that of the
 intersection, which the exact sequence of J cap I_m gives from J, I_m and
 J + I_m; for three components J is the product of the two linear ones.
 Every check computes in the chart's own field.
+
+The reduced-ring checks first ask for the chart's certificate of I''
+(``Chart.degeneration``).  When it holds, the numerators of I'', I_s and
+I_g and the basis of M'' are known with no Buchberger run, so dimensions
+and flatness read numerators only.  An I'' it does not certify, such as a
+tampered one, has its numerators read off Buchberger bases, with the same
+verdicts and witnesses.
 """
 
 import math
@@ -230,11 +237,12 @@ def _reduction(chart, budget):
 
 def _dimensions(chart, budget):
     """Special and generic fibers of the reduced ideal have dimension d-2;
-    an empty fiber (the unit ideal) has none and fails."""
+    an empty fiber (the unit ideal, numerator []) has none and fails."""
     want = chart.d - 2
-    ds, dg = (None if ideal.is_unit(budget) else ideal.dimension(budget)
-              for ideal in (chart.special_fiber_ideal(),
-                            chart.generic_fiber_ideal()))
+    chart.degeneration(budget)
+    ds, dg = (ideal.dimension(budget) if hilbert_numerator(ideal, None, budget)
+              else None for ideal in (chart.special_fiber_ideal(),
+                                      chart.generic_fiber_ideal()))
     if ds == want and dg == want:
         return "pass", None
     return "fail", {"expected": want, "special": ds, "generic": dg}
@@ -246,6 +254,7 @@ def _flatness(chart, budget):
     homogeneous, and N(I'') = N(I_s).  By
     0 -> R/(I'':pi)(-2) -> R/I'' -> R/(I''+pi) -> 0, with R/(I''+pi) = R'/I_s
     and I'' in (I'':pi), that holds exactly when (I'':pi) = I''."""
+    chart.degeneration(budget)
     red = chart.reduced_ideal()
     weights = pi_weights(red.ring)
     bad = inhomogeneous_generator(red, weights)
@@ -293,6 +302,7 @@ def _special_fiber(chart, budget):
     another; (v) the designated variable of each component is not a pure
     power in its leading-term ideal.
     """
+    chart.degeneration(budget)
     fiber = chart.special_fiber_ideal()
     comps = chart.component_ideals()
     expected = expected_component_count(chart)

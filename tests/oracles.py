@@ -232,6 +232,6 @@ def det(matrix):
 def is_regular_element(ideal, f):
     """True iff f is a non-zerodivisor mod the proper ideal I: (I : f) = I,
     with the colon ideal formed through an intersection."""
-    if ideal.is_unit():
+    if ideal.groebner().lead_monomials() == (0,):
         raise EmptyVariety("regularity is mod a proper ideal")
     return ideal.quotient(f).equals(ideal)

@@ -2,7 +2,8 @@
 
 Every check on all 44 charts with 5 <= d <= 12, over GF(32003) and over Q,
 then on each chart with d <= 9 at p = 3, 5 and 7, where the paper's special
-fiber lives.  Both limits are raised to 12 by an explicit config, so the
+fiber lives.  On each of them the certificate of I'' holds, so the
+reduced-ring checks read its numerators.  Both limits are raised to 12 by an explicit config, so the
 default limits, and the report bodies that carry them, stay as they are.
 Opposite-parity charts run the reduced-ring checks only: the lemma suite
 and ``reduction`` are for same-parity charts.
@@ -38,3 +39,4 @@ def test_every_check_passes_up_to_d12_and_at_small_primes():
             bad = [(c.name, c.status, c.witness) for c in report.checks
                    if c.status != "pass"]
             assert not bad, (modulus, d, l, bad)
+            assert chart.degeneration(), (modulus, d, l)

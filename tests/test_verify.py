@@ -66,9 +66,9 @@ def test_dimensions_fails_on_an_empty_fiber():
 
 
 def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
-    # the fiber bases are read off the basis of I''.  M'' runs from its
-    # generators, I'' is one run seeded with the basis of M'' and the trace
-    # generator, its first, and the components still run their own
+    # the certificate of I'' gives every numerator the checks read and the
+    # basis of M'', so neither M'', I'' nor a fiber runs Buchberger; only
+    # the components do, seeded with the special minors
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
                         lambda gens, budget=None: runs.append(list(gens))
@@ -76,25 +76,85 @@ def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
     c = _chart()
     for name in ("dimensions", "flatness", "special-fiber"):
         assert verify_check(name, c, CFG).status == "pass"
+    assert c.degeneration()
     minors, red = c.reduced_minors_ideal(), c.reduced_ideal()
-    assert runs.count(list(minors.gens)) == 1
-    assert runs.count([minors.groebner(), red.gens[0]]) == 1
-    assert list(red.gens) not in runs
-    fibers = (c.special_fiber_ideal().gens, c.generic_fiber_ideal().gens)
-    assert not any(list(gens) in runs for gens in fibers)
+    assert minors._gb is not None and red._gb is None
+    special, generic = c.special_fiber_ideal(), c.generic_fiber_ideal()
+    assert special._gb is None and generic._gb is None
+    for gens in (minors.gens, red.gens, special.gens, generic.gens):
+        assert list(gens) not in runs
+    gb = minors.groebner()
+    assert not any(g is gb or g is red.gens[0] for run in runs for g in run)
 
 
-def test_dimensions_times_out_with_the_basis_of_i2_cached():
+def test_reduced_ring_checks_time_out_with_the_certificate_cached():
     spent = EngineConfig(modulus=32003, timeout=1e-9)
     c = _chart()
     assert verify_check("dimensions", c, spent).status == "timeout"
     c = _chart()
     assert verify_check("flatness", c, CFG).status == "pass"
-    assert verify_check("dimensions", c, spent).status == "timeout"
-    # with the basis of I'' cached, reading a fiber basis off it is all
-    # interreduction, and that meets the deadline too
+    # every numerator dimensions and flatness read is cached with the
+    # certificate, which meets the deadline before it reads its cache
+    assert c.degeneration()
+    for name in ("dimensions", "flatness"):
+        assert verify_check(name, c, spent).status == "timeout"
     with pytest.raises(BudgetExceeded, match="time budget"):
-        c.generic_fiber_ideal().groebner(spent.budget())
+        c.degeneration(spent.budget())
+
+
+def _charts_up_to_9():
+    return [(d, l) for d in range(5, 10) for l in range(2, d - 1)]
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_degeneration_numerators_match_fresh_ideals(modulus):
+    # the numerators the certificate keeps are those a basis from the bare
+    # generators gives, and M'' keeps the basis Buchberger gives
+    assert len(_charts_up_to_9()) == 20
+    for d, l in _charts_up_to_9():
+        c = _chart(d, l, modulus)
+        assert c.degeneration(), (d, l)
+        red, minors = c.reduced_ideal(), c.reduced_minors_ideal()
+        assert red._gb is None and minors._gb == buchberger(minors.gens)
+        weights = ideals.pi_weights(red.ring)
+        pairs = [(red, weights), (c.special_fiber_ideal(), None),
+                 (c.generic_fiber_ideal(), None)]
+        for ideal, w in pairs:
+            fresh = Ideal(ideal.ring, ideal.gens)
+            assert ideals.hilbert_numerator(ideal, w) == \
+                ideals.hilbert_numerator(fresh, w), (d, l, ideal)
+            assert ideal._gb is None
+
+
+def _tampered_trace(c, trace):
+    """The chart's I'' with its trace generator replaced by ``trace``."""
+    c._cache["reduced"] = ideal_sum(c.reduced_ring, [c.reduced_minors_ideal()],
+                                    [trace])
+    return c._cache["reduced"]
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_degeneration_rejects_a_tampered_trace(modulus):
+    # a band minor in place of the trace generator lies in M'': no corner
+    # pair, I'' = M'', and both fibers have dimension d-1
+    c = _chart(6, 2, modulus)
+    minors = c.reduced_minors_ideal()
+    red = _tampered_trace(c, minors.gens[0])
+    assert not c.degeneration()
+    assert red._numerators == {} and minors._gb is None
+    res = verify_check("dimensions", c, CFG)
+    assert res.status == "fail"
+    assert res.witness == {"expected": 4, "special": 5, "generic": 5}
+    # one corner coefficient changed: x_11 x_ab and x_1b x_a1 differ
+    c = _chart(6, 2, modulus)
+    trace = c.reduced_ideal().gens[0]
+    rr = c.reduced_ring
+    corner = rr.var("x[3][1]") * rr.var("x[4][6]")
+    red = _tampered_trace(c, trace + corner)
+    assert not c.degeneration()
+    assert red._numerators == {} and c.reduced_minors_ideal()._gb is None
+    res = verify_check("flatness", c, CFG)
+    assert res.status == "pass" and red._gb is not None
 
 
 def test_flatness_passes():
@@ -297,10 +357,10 @@ def test_special_fiber_spent_budget_times_out():
 
 
 def test_spent_budget_in_a_seeded_run_times_out(monkeypatch):
-    # the basis of I'' is cached, so the special fiber reads its basis off
-    # it and the first Buchberger run of special-fiber is a component's,
-    # seeded with the special minors; a budget spent in that run alone
-    # makes the check time out
+    # the certificate of I'' gives the numerator of the special fiber, so
+    # the first Buchberger run of special-fiber is a component's, seeded
+    # with the special minors; a budget spent in that run alone makes the
+    # check time out
     c = _chart(8, 4)
     c.reduced_ideal().groebner()
     spent = EngineConfig(modulus=32003, timeout=1e-9)
@@ -593,20 +653,22 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (48, 52)),
-                                                 (6, 2, 32003, (123, 122)),
-                                                 (8, 4, 0, (513, 1076))])
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (48, 1576)),
+                                                 (6, 2, 32003, (123, 3083)),
+                                                 (8, 4, 0, (273, 512))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
-    # every Buchberger run of a whole report, and the interreduction that
-    # reads each fiber basis off the basis of I''.  I'', the quadric
-    # components and J + I_m start from their summands' bases, so no pair
-    # inside M'', the special minors, J or I_m is formed again, and
-    # B1JB2-symmetric reads the same basis of M''.  Under the chart ring's
-    # block order each full-ring basis is the solved non-band variables plus
-    # a small basis over k[band, pi]; only I' without Tr(X) and
-    # solve-plus-reduced run from their generators, and the three ideals
-    # chained over them form no pair.  (8,4) runs the reduced-ring checks
-    # only, on a chart with two components.
+    # every Buchberger run of a whole report, each loose generator's
+    # reduction included.  I'', the quadric components and J + I_m start
+    # from their summands' bases, so no pair inside M'', the special
+    # minors, J or I_m is formed again, and B1JB2-symmetric reads the same
+    # basis of M''.  Under the chart ring's block order each full-ring
+    # basis is the solved non-band variables plus a small basis over
+    # k[band, pi]; only I' without Tr(X) and solve-plus-reduced run from
+    # their generators, and the three ideals chained over them form no
+    # pair, though their loose generators take steps to reduce to zero.
+    # The certificate of I'' gives every fiber numerator, so no fiber basis
+    # is read.  (8,4) runs the reduced-ring checks only, on a chart with two
+    # components: neither M'' nor I'' runs Buchberger.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
     assert report.passed()
