@@ -374,12 +374,12 @@ class Chart:
         [i in {1, a}] + [s in {1, b}], f homogeneous and 2c x_1b x_a1 its
         only term of omega 4, f leads with it under weighted degree, omega,
         grlex, and the minors keep their leads.  J0, those leads and
-        x_1b x_a1, lies in in(I''), and 0 -> R/(M'':f)(-2) -> R/M'' ->
-        R/I'' -> 0 gives HS(R/I'') >= (1 - t^2) HS(R/M''); so
-        N(J0) = (1 - t^2) N(M'') proves in(I'') = J0.  pi is then in no
-        lead, hence regular on R/I'', and N(J0) is N(I'') for
-        ``pi_weights``, N(I_s) and N(I_g) (both fibers' grlex leads are
-        those of I'').
+        x_1b x_a1, lies in in(I''), so HS(R/J0) >= HS(R/I''), and
+        0 -> R/(M'':f)(-2) -> R/M'' -> R/I'' -> 0 gives HS(R/I'') >=
+        (1 - t^2) HS(R/M''), which is HS(R/J0) by the Bigatti split on
+        x_1b x_a1.  So in(I'') = J0.  pi is then in no lead, hence regular
+        on R/I'', and N(J0) is N(I'') for ``pi_weights``, N(I_s) and N(I_g)
+        (both fibers' grlex leads are those of I'').
 
         On success I'' and its fibers keep N(J0) and M'' keeps its minors'
         reduced basis; on failure nothing is kept.  Meets the deadline
@@ -417,15 +417,15 @@ class Chart:
             if sum(map(int.__mul__, exps, weights)) != 2 or \
                     (sum(map(int.__mul__, exps, omega)) == 4) != (m == anti):
                 return False
-        n_j0 = monomial_numerator(rr, leads + [anti], weights, budget)
-        if n_j0 != [x - y for x, y in zip(n_m + [0, 0], [0, 0] + n_m)]:
-            return False
-        if minors._gb is None:
-            minors._gb = reduce_basis(rr, minors.gens, budget)
-        red._numerators[weights] = tuple(n_j0)
+        # x_1b x_a1 shares no variable with a diagonal lead x_is x_jt
+        # (i < j, s < t), so (leads) : x_1b x_a1 = (leads), and the Bigatti
+        # split on x_1b x_a1 gives N(J0) = (1 - t^2) N(leads)
+        n_j0 = tuple(x - y for x, y in zip(n_m + [0, 0], [0, 0] + n_m))
+        minors._gb = reduce_basis(rr, minors.gens, budget)
+        red._numerators[weights] = n_j0
         for fiber in (self.special_fiber_ideal(), self.generic_fiber_ideal()):
-            if fiber._fiber_of is not None and fiber._fiber_of[0] is red:
-                fiber._numerators[(1,) * fiber.ring.nvars] = tuple(n_j0)
+            if fiber._fiber_of is red:
+                fiber._numerators[(1,) * fiber.ring.nvars] = n_j0
         return True
 
     def reduced_minors_ideal(self):
@@ -486,8 +486,7 @@ class Chart:
         ``fiber`` is "special" (pi -> 0), "generic" (pi -> 1) or
         "arithmetic"; an arithmetic fiber, or an ideal without pi, is
         returned unchanged.  Only reduced-ring ideals are expected here, but
-        any ideal whose ring ends in pi works.  The fiber of I'' reads its
-        basis off the basis of I'' (see ``ideals.pi_fiber``).
+        any ideal whose ring ends in pi works (see ``ideals.pi_fiber``).
         """
         if fiber not in FIBER_PI:
             raise ValueError("fiber must be one of %s, got %r"

@@ -7,10 +7,10 @@ its single reduction loop serves Buchberger, the auto-reduction and
 ``_interreduce``, cleans the input generators and turns the minimal basis
 into the reduced one.  That tail, minimalize then interreduce (``_reduced``),
 ends every Buchberger run and is all of ``reduce_basis``, which turns a
-Groebner basis found some other way (a fiber's, read off the basis over
-k[pi]) into the reduced one.  A ``GroebnerBasis`` keeps the engine's arrays
-the tail leaves, so a reduced basis never goes back through ``Polynomial``
-values: its ``polys`` are built on demand.
+Groebner basis found some other way (the band minors, certified by
+``Chart.degeneration``) into the reduced one.  A ``GroebnerBasis`` keeps
+the engine's arrays the tail leaves, so a reduced basis never goes back
+through ``Polynomial`` values: its ``polys`` are built on demand.
 
 ``buchberger`` also takes reduced bases among its generators as known
 blocks, so the basis of a sum of ideals starts from its summands' bases.
@@ -653,14 +653,11 @@ class GroebnerBasis:
 
     def without_pi(self, target):
         """The same elements in ``target``, this ring without its last
-        variable pi (see ``rings.specialize_pi``), or None when pi occurs in
-        one.  pi's exponent is the lowest field, so a pi-free monomial moves
-        by one field shift, which keeps the term order: the elements stay a
+        variable pi (see ``rings.specialize_pi``); no element may have pi.
+        pi's exponent is the lowest field, so a pi-free monomial moves by
+        one field shift, which keeps the term order: the elements stay a
         reduced basis, with the same normalised coefficients."""
-        low = (1 << FIELD_BITS) - 1
         leads, lcs, tails, hulls = self._arrays
-        if any(m & low for m in leads.lts) or any(h & low for h in hulls):
-            return None
         gb = GroebnerBasis(target, ())
         out_leads, out_lcs, out_tails, out_hulls = gb._arrays
         for m in leads.lts:

@@ -5,18 +5,18 @@ monomials and the Krull dimension they give, and the leading-term criteria
 used by the component checks.  An ``Ideal`` caches its reduced Groebner
 basis (one per ring order; moving an ideal to a ring with a different order
 is an explicit re-generation) and the Hilbert numerators read off it, one
-per weight vector.  A fiber made by ``pi_fiber`` reads its basis off its
-source's when that is graded with pi of weight 2, so the fibers of I'' cost
-no Buchberger run of their own; when the source's basis has no pi at all
-(M'') the fiber's basis is that basis, moved.  An ideal may name summands,
-ideals whose generators lie among its own.  Its one Buchberger run then
-starts from the summands' bases as known blocks (see ``groebner``), so the
-pairs inside each are not formed again, and its loose generators are its
-own less the summands'.  Most of the chart's seeded runs have nothing left
-to do after the blocks: I' over I' without Tr(X), I over I' and
-solve-plus-band over solve-plus-reduced are equal ideals, and each loose
-generator reduces to zero over the block.  The trace generator of I'', a
-component's quadrics and the second summand of J + I_m do leave work.
+per weight vector.  A fiber made by ``pi_fiber`` keeps a link to its
+source; when no source generator has pi (M'') the fiber's basis is the
+source's, moved, and otherwise it is run from the fiber's own generators.
+An ideal may name summands, ideals whose generators lie among its own.
+Its one Buchberger run then starts from the summands' bases as known
+blocks (see ``groebner``), so the pairs inside each are not formed again,
+and its loose generators are its own less the summands'.  Most of the
+chart's seeded runs have nothing left to do after the blocks: I' over I'
+without Tr(X), I over I' and solve-plus-band over solve-plus-reduced are
+equal ideals, and each loose generator reduces to zero over the block.
+The trace generator of I'', a component's quadrics and the second summand
+of J + I_m do leave work.
 A numerator may be kept on an ideal without a basis: ``Chart.degeneration``
 certifies I'' by a monomial ideal J0 and keeps N(J0), from
 ``monomial_numerator``, on I'' and its fibers.
@@ -26,10 +26,12 @@ from collections import Counter
 from itertools import accumulate
 
 from .errors import EmptyVariety, InvalidDivisor
-from .groebner import (GroebnerBasis, buchberger, multivariate_division,
-                       reduce_basis)
-from .orders import FIELD_BITS, GRLEX, Block
+from .groebner import GroebnerBasis, buchberger, multivariate_division
+from .orders import FIELD_BITS, Block
 from .rings import Ring, cast, specialize_pi
+
+# the exponent of pi, the last variable, is the lowest field of every layout
+_PI = (1 << FIELD_BITS) - 1
 
 
 class Ideal:
@@ -48,7 +50,7 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
         self._numerators = {}
-        self._fiber_of = None   # (source, pi value): see pi_fiber
+        self._fiber_of = None   # the source ideal: see pi_fiber
         self._summands = None   # (summands, loose generators)
         for s in summands:
             if s.ring is not ring:
@@ -73,14 +75,10 @@ class Ideal:
 
     def groebner(self, budget=None):
         if self._gb is None:
-            if self._fiber_of is not None:
-                source, value = self._fiber_of
-                gb = source.groebner(budget)
-                self._gb = gb.without_pi(self.ring)
-                if self._gb is None:
-                    self._gb = reduce_basis(
-                        self.ring, [specialize_pi(g, value, self.ring)
-                                    for g in gb], budget)
+            source = self._fiber_of
+            if source is not None and not any(
+                    m & _PI for g in source.gens for m in g._d):
+                self._gb = source.groebner(budget).without_pi(self.ring)
             elif self._summands is not None:
                 summands, rest = self._summands
                 blocks = [s.groebner(budget) for s in summands]
@@ -180,22 +178,14 @@ def pi_fiber(ideal, value, target):
     """The ideal at pi = value (0 or 1) in ``target``, the ideal's ring
     without its last variable pi.
 
-    Its reduced basis is read off the source's when the source ring is
-    grlex and every source generator is homogeneous for ``pi_weights``.
-    Then so is every element g of the source's reduced basis G, and its
-    terms of least pi-degree have the greatest total degree, so pi | lm(g)
-    exactly when pi | g, and lm(g at pi=1) is lm(g) with pi set to 1.  So
-    G at pi = 0 less its zeros is a Groebner basis of the special fiber
-    (Eisenbud, Commutative Algebra, Prop. 15.12) and G at pi = 1 one of the
-    generic fiber (dehomogenization; Cox, Little, O'Shea, Ideals, Varieties,
-    and Algorithms, ch. 8 sec. 4); ``reduce_basis`` makes either the unique
-    reduced basis.  When pi is in no element of G, G itself, moved into
-    ``target``, is that reduced basis (``GroebnerBasis.without_pi``).
-    Otherwise the basis is computed from the generators."""
+    The fiber keeps a link to its source, through which
+    ``Chart.degeneration`` knows the fibers of the I'' it certified.  When
+    no source generator has pi, the fiber has the source's generators and
+    the source's reduced basis, moved into ``target``, is its reduced basis
+    (``GroebnerBasis.without_pi``); otherwise its basis is run from its own
+    generators."""
     out = Ideal(target, [specialize_pi(g, value, target) for g in ideal.gens])
-    if ideal.ring.order == GRLEX and \
-            inhomogeneous_generator(ideal, pi_weights(ideal.ring)) is None:
-        out._fiber_of = (ideal, value)
+    out._fiber_of = ideal
     return out
 
 

@@ -18,12 +18,12 @@ intersection, which the exact sequence of J cap I_m gives from J, I_m and
 J + I_m; for three components J is the product of the two linear ones.
 Every check computes in the chart's own field.
 
-The reduced-ring checks first ask for the chart's certificate of I''
-(``Chart.degeneration``).  When it holds, the numerators of I'', I_s and
-I_g and the basis of M'' are known with no Buchberger run, so dimensions
-and flatness read numerators only.  An I'' it does not certify, such as a
-tampered one, has its numerators read off Buchberger bases, with the same
-verdicts and witnesses.
+Every check that reads M'' or I'' first asks for the chart's certificate
+of I'' (``Chart.degeneration``).  When it holds, the numerators of I'',
+I_s and I_g and the basis of M'' are known with no Buchberger run, so
+dimensions and flatness read numerators only.  An I'' it does not certify,
+such as a tampered one, falls back to Buchberger on its own generators and
+its fibers', with the same verdicts and witnesses.
 """
 
 import math
@@ -163,7 +163,7 @@ def _a_relations(eq):
 # read through the chart instance, so a replaced method or a cached ideal is
 # what the check sees.  The entries of theta - theta^t have band variables
 # only, so B1JB2-symmetric tests them in M'' over k[band, pi], whose basis
-# the reduced-ring checks share; its targets are cast there.
+# the certificate of I'' gives; its targets are cast there.
 _LEMMAS = {
     "X2-in-Iprime": (lambda c: c.intermediate_ideal(),
                      lambda eq: _tagged_entries("X^2", eq.square)),
@@ -189,6 +189,8 @@ def _lemma(name):
     def body(chart, budget):
         targets = targets_of(chart._equations())
         ideal = ideal_of(chart)
+        if ideal.ring is chart.reduced_ring:
+            chart.degeneration(budget)
         for tag, g in targets:
             if g.ring is not ideal.ring:
                 g = cast(g, ideal.ring)
@@ -213,8 +215,10 @@ def _reduction(chart, budget):
     each of them is tested in I''.  With (d), f = phi(f) mod I for every f,
     so phi(g) lies in I cap k[band, pi] for g in I: together (b) and (d)
     give phi(I) in I''.  A failing band element is its own phi-image, since
-    phi fixes the band variables and pi.
+    phi fixes the band variables and pi.  The basis of I'' that (b) reads
+    starts from the basis of M'' the certificate of I'' gives.
     """
+    chart.degeneration(budget)
     full = chart.full_ideal()
     inter = chart.intermediate_ideal()
     if not full.equals(inter, budget):

@@ -9,7 +9,7 @@ from olmcheck import ideals
 from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded, EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.groebner import Budget, GroebnerBasis, buchberger
+from olmcheck.groebner import Budget, GroebnerBasis, buchberger, reduce_basis
 from olmcheck.ideals import (Ideal, hilbert_numerator, ideal_sum,
                              intersection_numerator, krull_dimension,
                              pure_power_free)
@@ -282,8 +282,8 @@ def _reduced_tampers(c):
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_fiber_bases_match_buchberger(field, monkeypatch):
     # both fibers of I'' on every chart with 5 <= d <= 9, and of four
-    # tamperings on a few; only the inhomogeneous "+ x" runs Buchberger on
-    # a fiber's generators
+    # tamperings on a few; only a fiber of the pi-free "no trace" reads its
+    # source's basis, and every other runs Buchberger on its own generators
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
                         lambda gens, budget=None: runs.append(gens)
@@ -299,29 +299,28 @@ def test_fiber_bases_match_buchberger(field, monkeypatch):
             runs.clear()
             assert ideal.groebner() == buchberger(ideal.gens), \
                 (c.d, c.l, name, fiber)
-            assert (ideal.gens in runs) == (name == "+ x"), (name, fiber)
+            assert (ideal.gens in runs) == (name != "no trace"), (name, fiber)
+            assert (source._gb is not None) == (name == "no trace"), \
+                (name, fiber)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
 @pytest.mark.parametrize("d, l", [(6, 2), (7, 3), (8, 4)])
 def test_special_minors_move_the_basis_of_M(d, l, field, monkeypatch):
-    # no element of the basis of M'' has pi, so the special minors' basis
-    # is that basis moved into the fiber ring, with no interreduction; it
-    # is the reduced basis the interreduction of its pi = 0 image gives
+    # no generator of M'' has pi, so the special minors' basis is the basis
+    # of M'' moved into the fiber ring, with no run of its own; it is the
+    # reduced basis the interreduction of its pi = 0 image gives
     c = Chart(d, l, field)
     minors = c.reduced_minors_ideal()
     gb = minors.groebner()
-    want = ideals.reduce_basis(c.fiber_ring, [specialize_pi(g, 0, c.fiber_ring)
-                                              for g in gb])
-    calls = []
-    monkeypatch.setattr(ideals, "reduce_basis",
-                        lambda *args: calls.append(args))
+    want = reduce_basis(c.fiber_ring, [specialize_pi(g, 0, c.fiber_ring)
+                                       for g in gb])
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger", lambda *args: runs.append(args))
     special = c.specialize(minors, "special").groebner()
-    assert not calls
+    assert not runs
     assert special == want and special.polys == want.polys
     assert special == buchberger(c.specialize(minors, "special").gens)
-    # I'' has pi in its trace generator: its fiber still interreduces
-    assert c.reduced_ideal().groebner().without_pi(c.fiber_ring) is None
 
 
 def test_ideal_summands_count_with_multiplicity():

@@ -3,15 +3,18 @@
 Every check on all 44 charts with 5 <= d <= 12, over GF(32003) and over Q,
 then on each chart with d <= 9 at p = 3, 5 and 7, where the paper's special
 fiber lives.  On each of them the certificate of I'' holds, so the
-reduced-ring checks read its numerators.  Both limits are raised to 12 by an explicit config, so the
-default limits, and the report bodies that carry them, stay as they are.
+reduced-ring checks read its numerators, and the numerator it keeps on I''
+is that of J0, the minors' leads plus x_1b x_a1, read by Bigatti afresh.
+Both limits are raised to 12 by an explicit config, so the default limits,
+and the report bodies that carry them, stay as they are.
 Opposite-parity charts run the reduced-ring checks only: the lemma suite
 and ``reduction`` are for same-parity charts.
 """
 
 import pytest
 
-from olmcheck.charts import Chart
+from olmcheck.charts import Chart, xname
+from olmcheck.ideals import monomial_numerator, pi_weights
 from olmcheck.verify import CHECK_NAMES, LEMMA_CHECKS, EngineConfig, chart_report
 
 REDUCED_CHECKS = ["dimensions", "flatness", "special-fiber"]
@@ -40,3 +43,11 @@ def test_every_check_passes_up_to_d12_and_at_small_primes():
                    if c.status != "pass"]
             assert not bad, (modulus, d, l, bad)
             assert chart.degeneration(), (modulus, d, l)
+            rr = chart.reduced_ring
+            (first, *_, last), cols = chart.rows, chart.cols
+            anti = rr.var(xname(first, cols[-1])) * rr.var(xname(last, cols[0]))
+            j0 = [g.lm() for g in chart.reduced_minors_ideal().gens]
+            j0.append(anti.lm())
+            weights = tuple(pi_weights(rr))
+            assert chart.reduced_ideal()._numerators[weights] == \
+                tuple(monomial_numerator(rr, j0, weights)), (modulus, d, l)

@@ -52,8 +52,9 @@ def test_dimensions_mutation_fails():
 
 
 def test_dimensions_fails_on_an_empty_fiber():
-    # I'' + (pi) is homogeneous, so its fibers read their bases off its
-    # basis; the generic fiber is the unit ideal, which has no dimension
+    # I'' + (pi) is not certified, so its fibers run Buchberger on their
+    # generators; the generic fiber is the unit ideal, which has no
+    # dimension
     from olmcheck.cli import report_json
     c = Chart(6, 2, QQ)
     red = c.reduced_ideal()
@@ -85,6 +86,32 @@ def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
         assert list(gens) not in runs
     gb = minors.groebner()
     assert not any(g is gb or g is red.gens[0] for run in runs for g in run)
+
+
+@pytest.mark.parametrize("d, l", [(6, 2), (5, 3)])
+def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
+    # every check that reads M'' asks for the certificate first, so a whole
+    # report, the lemmas and reduction included, runs Buchberger on
+    # neither M'', the special minors nor a fiber of I''; I'' itself runs
+    # once, for reduction (b), seeded with the basis of M''
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda gens, budget=None: runs.append(list(gens))
+                        or buchberger(gens, budget))
+    c = _chart(d, l)
+    assert chart_report(c, CFG).passed()
+    minors, red = c.reduced_minors_ideal(), c.reduced_ideal()
+    special_minors = c.component_ideals()[-1][1]._summands[0][0]
+    for ideal in (minors, special_minors, c.special_fiber_ideal(),
+                  c.generic_fiber_ideal()):
+        assert list(ideal.gens) not in runs, ideal
+    gb = minors.groebner()
+    assert [run for run in runs if red.gens[0] in run] == [[gb, red.gens[0]]]
+    # reduction alone asks for the certificate too
+    runs.clear()
+    c = _chart(d, l)
+    assert verify_check("reduction", c, CFG).status == "pass"
+    assert list(c.reduced_minors_ideal().gens) not in runs
 
 
 def test_reduced_ring_checks_time_out_with_the_certificate_cached():
@@ -653,22 +680,23 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (48, 1576)),
-                                                 (6, 2, 32003, (123, 3083)),
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (46, 1574)),
+                                                 (6, 2, 32003, (115, 3075)),
                                                  (8, 4, 0, (273, 512))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report, each loose generator's
-    # reduction included.  I'', the quadric components and J + I_m start
-    # from their summands' bases, so no pair inside M'', the special
-    # minors, J or I_m is formed again, and B1JB2-symmetric reads the same
-    # basis of M''.  Under the chart ring's block order each full-ring
-    # basis is the solved non-band variables plus a small basis over
-    # k[band, pi]; only I' without Tr(X) and solve-plus-reduced run from
-    # their generators, and the three ideals chained over them form no
-    # pair, though their loose generators take steps to reduce to zero.
-    # The certificate of I'' gives every fiber numerator, so no fiber basis
-    # is read.  (8,4) runs the reduced-ring checks only, on a chart with two
-    # components: neither M'' nor I'' runs Buchberger.
+    # reduction included.  The certificate of I'', which B1JB2-symmetric
+    # asks for first, gives M'' its basis with no run, and every fiber
+    # numerator, so no fiber basis is read.  I'' (for reduction (b)), the
+    # quadric components and J + I_m start from their summands' bases, so
+    # no pair inside M'', the special minors, J or I_m is formed.  Under
+    # the chart ring's block order each full-ring basis is the solved
+    # non-band variables plus a small basis over k[band, pi]; only I'
+    # without Tr(X) and solve-plus-reduced run from their generators, and
+    # the three ideals chained over them form no pair, though their loose
+    # generators take steps to reduce to zero.  (8,4) runs the reduced-ring
+    # checks only, on a chart with two components: neither M'' nor I''
+    # runs Buchberger.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
     assert report.passed()
