@@ -213,10 +213,6 @@ def cmd_verify(args):
     except (InvalidChart, ValueError) as exc:
         sys.stderr.write("%s\n" % exc)
         return EXIT_USAGE
-    if args.check not in CHECK_NAMES:
-        sys.stderr.write("unknown check %r; choose from: %s\n"
-                         % (args.check, ", ".join(CHECK_NAMES)))
-        return EXIT_USAGE
     report = chart_report(chart, cfg, checks=[args.check])
     code = report_emit([report], args.format, args.out)
     if code:
@@ -226,7 +222,8 @@ def cmd_verify(args):
 
 def cmd_suite(args):
     try:
-        charts = _parse_charts(args.charts) if args.charts else list(DEFAULT_SUITE)
+        charts = (list(DEFAULT_SUITE) if args.charts is None
+                  else _parse_charts(args.charts))
         cfg = EngineConfig(modulus=args.modulus, timeout=args.timeout)
         cfg.field()
         for d, l in charts:
@@ -269,7 +266,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run one named check on one chart")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--check", required=True)
+    p.add_argument("--check", required=True, choices=CHECK_NAMES, metavar="NAME")
     p.add_argument("--modulus", type=int, default=32003)
     p.add_argument("--timeout", type=_seconds, default=_default_timeout())
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -15,13 +15,23 @@ from .errors import DivisionByZero
 
 
 def _is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
+    """Deterministic Miller-Rabin over the first twelve prime bases, exact
+    for p < 2^64; larger p are refused."""
+    if p < 3 or p % 2 == 0 or p >= 1 << 64:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, p)
+        if x in (0, 1, p - 1):    # 0 only when p is the base a
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -87,7 +97,8 @@ class PrimeField:
 
     def __init__(self, p):
         if not _is_odd_prime(p):
-            raise ValueError("modulus must be an odd prime >= 3, got %r" % (p,))
+            raise ValueError("modulus must be an odd prime below 2^64, got %r"
+                             % (p,))
         self.p = p
         self.characteristic = p
         self.zero = 0

@@ -18,12 +18,12 @@ intersection, which the exact sequence of J cap I_m gives from J, I_m and
 J + I_m; for three components J is the product of the two linear ones.
 Every check computes in the chart's own field.
 
-Every check that reads M'' or I'' first asks for the chart's certificate
-of I'' (``Chart.degeneration``).  When it holds, the numerators of I'',
-I_s and I_g and the basis of M'' are known with no Buchberger run, so
-dimensions and flatness read numerators only.  An I'' it does not certify,
-such as a tampered one, falls back to Buchberger on its own generators and
-its fibers', with the same verdicts and witnesses.
+Before every check body the runner asks once for the chart's certificate
+of I'' (``Chart.degeneration``), which the chart caches.  When it holds,
+the numerators of I'', I_s and I_g and the basis of M'' are known with no
+Buchberger run, so dimensions and flatness read numerators only.  An I''
+it does not certify, such as a tampered one, falls back to Buchberger on
+its own generators and its fibers', with the same verdicts and witnesses.
 """
 
 import math
@@ -158,39 +158,18 @@ def _a_relations(eq):
     return targets
 
 
-# The seven reduction lemmas, in report order: name -> (the chart's ideal,
-# the targets read off chart._equations() that must belong to it).  Both are
-# read through the chart instance, so a replaced method or a cached ideal is
-# what the check sees.  The entries of theta - theta^t have band variables
-# only, so B1JB2-symmetric tests them in M'' over k[band, pi], whose basis
-# the certificate of I'' gives; its targets are cast there.
-_LEMMAS = {
-    "X2-in-Iprime": (lambda c: c.intermediate_ideal(),
-                     lambda eq: _tagged_entries("X^2", eq.square)),
-    "antisym": (lambda c: c.intermediate_ideal(),
-                lambda eq: _tagged_entries("AJ-JAt", eq.antisym)),
-    "B1JB2-symmetric": (lambda c: c.reduced_minors_ideal(), _theta_asym),
-    "S0-relation": (lambda c: c.intermediate_ideal(),
-                    lambda eq: _tagged_entries("S0-rel", eq.rel0)),
-    "trace-in-ideal": (lambda c: c.iprime_sans_trace_ideal(),
-                       lambda eq: [("Tr(X)", eq.trace)]),
-    "A-relations": (lambda c: c.solve_plus_band_ideal(), _a_relations),
-    "minors-reduce": (lambda c: c.solve_plus_reduced_ideal(),
-                      lambda eq: [("minor[%d]" % k, g)
-                                  for k, g in enumerate(eq.minors)]),
-}
-LEMMA_CHECKS = tuple(_LEMMAS)
+_LEMMA_PARITY = "lemma suite is for same-parity charts"
 
 
-def _lemma(name):
-    """One of the seven reduction lemmas as a membership check."""
-    ideal_of, targets_of = _LEMMAS[name]
-
+def _lemma(name, ideal_of, targets_of):
+    """The table row of one of the seven reduction lemmas, a membership
+    check: every target read off ``chart._equations()`` lies in the chart's
+    ideal.  Both are read through the chart instance, so a replaced method
+    or a cached ideal is what the check sees; a target in another ring is
+    cast to the ideal's."""
     def body(chart, budget):
         targets = targets_of(chart._equations())
         ideal = ideal_of(chart)
-        if ideal.ring is chart.reduced_ring:
-            chart.degeneration(budget)
         for tag, g in targets:
             if g.ring is not ideal.ring:
                 g = cast(g, ideal.ring)
@@ -198,7 +177,7 @@ def _lemma(name):
                 return "fail", {"target": name, "offending": tag,
                                 "generator": _clip(chart, g)}
         return "pass", None
-    return body
+    return body, _LEMMA_PARITY
 
 
 def _reduction(chart, budget):
@@ -218,7 +197,6 @@ def _reduction(chart, budget):
     phi fixes the band variables and pi.  The basis of I'' that (b) reads
     starts from the basis of M'' the certificate of I'' gives.
     """
-    chart.degeneration(budget)
     full = chart.full_ideal()
     inter = chart.intermediate_ideal()
     if not full.equals(inter, budget):
@@ -243,7 +221,6 @@ def _dimensions(chart, budget):
     """Special and generic fibers of the reduced ideal have dimension d-2;
     an empty fiber (the unit ideal, numerator []) has none and fails."""
     want = chart.d - 2
-    chart.degeneration(budget)
     ds, dg = (ideal.dimension(budget) if hilbert_numerator(ideal, None, budget)
               else None for ideal in (chart.special_fiber_ideal(),
                                       chart.generic_fiber_ideal()))
@@ -258,7 +235,6 @@ def _flatness(chart, budget):
     homogeneous, and N(I'') = N(I_s).  By
     0 -> R/(I'':pi)(-2) -> R/I'' -> R/(I''+pi) -> 0, with R/(I''+pi) = R'/I_s
     and I'' in (I'':pi), that holds exactly when (I'':pi) = I''."""
-    chart.degeneration(budget)
     red = chart.reduced_ideal()
     weights = pi_weights(red.ring)
     bad = inhomogeneous_generator(red, weights)
@@ -306,7 +282,6 @@ def _special_fiber(chart, budget):
     another; (v) the designated variable of each component is not a pure
     power in its leading-term ideal.
     """
-    chart.degeneration(budget)
     fiber = chart.special_fiber_ideal()
     comps = chart.component_ideals()
     expected = expected_component_count(chart)
@@ -357,42 +332,6 @@ def _special_fiber(chart, budget):
     return "pass", {"components": [label for label, _, _ in comps]}
 
 
-def _full_ring_gate(parity_reason):
-    """Checks on the full d*d ring: same-parity charts with d at most
-    ``full_matrix_limit``.  The default listing leaves out charts this gate
-    rejects."""
-    def gate(chart, cfg):
-        if not chart.same_parity:
-            return parity_reason
-        if chart.d > cfg.full_matrix_limit:
-            return "full-matrix checks gated to d <= %d" % cfg.full_matrix_limit
-        return None
-    return gate
-
-
-def _reduced_ring_gate(chart, cfg):
-    """Checks on the reduced ring: d at most ``reduced_limit``.  The default
-    listing keeps charts this gate rejects, as not-applicable."""
-    if chart.d > cfg.reduced_limit:
-        return "reduced-ring checks gated to d <= %d" % cfg.reduced_limit
-    return None
-
-
-# name -> (gate, body), in report order.  A gate returns None when the check
-# applies to the chart and the not-applicable reason otherwise; a body
-# (chart, budget) returns (status, witness).
-_lemma_gate = _full_ring_gate("lemma suite is for same-parity charts")
-_CHECKS = {name: (_lemma_gate, _lemma(name)) for name in LEMMA_CHECKS}
-_CHECKS.update({
-    "reduction": (_full_ring_gate("substitution map is printed for "
-                                  "same-parity charts only"), _reduction),
-    "dimensions": (_reduced_ring_gate, _dimensions),
-    "flatness": (_reduced_ring_gate, _flatness),
-    "special-fiber": (_reduced_ring_gate, _special_fiber),
-})
-CHECK_NAMES = tuple(_CHECKS)
-
-
 def expected_component_count(chart):
     """The case table: EE has three components when l = 2 or l = d-2, OO
     when l = d-2, OE when l = 2; every other case has two."""
@@ -406,17 +345,72 @@ def expected_component_count(chart):
     return 2
 
 
-def _run(name, chart, cfg):
-    """Gate, then body under the check's single budget; budget exhaustion
+# name -> (body, parity), in report order.  A body (chart, budget) returns
+# (status, witness); ``_gate`` reads parity.  The entries of theta - theta^t
+# have band variables only, so B1JB2-symmetric tests them in M'' over
+# k[band, pi], whose basis the certificate of I'' gives.
+_CHECKS = {
+    "X2-in-Iprime": _lemma("X2-in-Iprime", lambda c: c.intermediate_ideal(),
+                           lambda eq: _tagged_entries("X^2", eq.square)),
+    "antisym": _lemma("antisym", lambda c: c.intermediate_ideal(),
+                      lambda eq: _tagged_entries("AJ-JAt", eq.antisym)),
+    "B1JB2-symmetric": _lemma("B1JB2-symmetric",
+                              lambda c: c.reduced_minors_ideal(), _theta_asym),
+    "S0-relation": _lemma("S0-relation", lambda c: c.intermediate_ideal(),
+                          lambda eq: _tagged_entries("S0-rel", eq.rel0)),
+    "trace-in-ideal": _lemma("trace-in-ideal",
+                             lambda c: c.iprime_sans_trace_ideal(),
+                             lambda eq: [("Tr(X)", eq.trace)]),
+    "A-relations": _lemma("A-relations", lambda c: c.solve_plus_band_ideal(),
+                          _a_relations),
+    "minors-reduce": _lemma("minors-reduce",
+                            lambda c: c.solve_plus_reduced_ideal(),
+                            lambda eq: [("minor[%d]" % k, g)
+                                        for k, g in enumerate(eq.minors)]),
+    "reduction": (_reduction, "substitution map is printed for same-parity "
+                              "charts only"),
+    "dimensions": (_dimensions, None),
+    "flatness": (_flatness, None),
+    "special-fiber": (_special_fiber, None),
+}
+CHECK_NAMES = tuple(_CHECKS)
+LEMMA_CHECKS = tuple(name for name, (_, parity) in _CHECKS.items()
+                     if parity == _LEMMA_PARITY)
+
+
+def _gate(parity, chart, cfg):
+    """None when a check applies to the chart, else the not-applicable
+    reason.  A check on the full d*d ring (``parity`` its reason on an
+    opposite-parity chart) needs a same-parity chart with d at most
+    ``full_matrix_limit``; a check on the reduced ring (``parity`` None)
+    needs d at most ``reduced_limit``."""
+    if parity is None:
+        if chart.d > cfg.reduced_limit:
+            return "reduced-ring checks gated to d <= %d" % cfg.reduced_limit
+    elif not chart.same_parity:
+        return parity
+    elif chart.d > cfg.full_matrix_limit:
+        return "full-matrix checks gated to d <= %d" % cfg.full_matrix_limit
+    return None
+
+
+def verify_check(name, chart, cfg):
+    """Run a named check: its gate, then, under the check's single budget,
+    the chart's certificate of I'' and the check's body.  Budget exhaustion
     maps to a timeout result."""
+    if name not in _CHECKS:
+        raise ValueError("unknown check %r (choose from %s)"
+                         % (name, ", ".join(CHECK_NAMES)))
     t0 = time.monotonic()
-    gate, body = _CHECKS[name]
-    reason = gate(chart, cfg)
+    body, parity = _CHECKS[name]
+    reason = _gate(parity, chart, cfg)
     if reason is not None:
         status, witness = "not-applicable", {"reason": reason}
     else:
+        budget = cfg.budget()
         try:
-            status, witness = body(chart, cfg.budget())
+            chart.degeneration(budget)
+            status, witness = body(chart, budget)
         except BudgetExceeded as exc:
             status, witness = "timeout", {"budget": str(exc)}
         except NotApplicable as exc:
@@ -424,19 +418,11 @@ def _run(name, chart, cfg):
     return CheckResult(name, status, witness, (time.monotonic() - t0) * 1000.0)
 
 
-def verify_check(name, chart, cfg):
-    """Run a named check."""
-    if name not in _CHECKS:
-        raise ValueError("unknown check %r (choose from %s)"
-                         % (name, ", ".join(CHECK_NAMES)))
-    return _run(name, chart, cfg)
-
-
 def applicable_checks(chart, cfg):
-    """The default check list: every check whose gate admits the chart, and
-    the reduced-ring checks in any case."""
-    return [name for name, (gate, _) in _CHECKS.items()
-            if gate is _reduced_ring_gate or gate(chart, cfg) is None]
+    """The default check list: every full-ring check whose gate admits the
+    chart, and the reduced-ring checks in any case."""
+    return [name for name, (_, parity) in _CHECKS.items()
+            if parity is None or _gate(parity, chart, cfg) is None]
 
 
 def chart_report(chart, cfg, checks=None):

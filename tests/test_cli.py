@@ -347,6 +347,21 @@ def test_suite_rejects_bad_parameters(capsys):
     assert run(capsys, "suite", "--charts", "6;2")[0] == 2
     assert run(capsys, "suite", "--charts", "4,2")[0] == 2
     assert run(capsys, "suite", "--charts", "6,2", "--modulus", "4")[0] == 2
+    assert run(capsys, "suite", "--charts", "5,2",
+               "--modulus", str(2 ** 64 + 13))[0] == 2
+
+
+def test_suite_runs_under_a_61_bit_prime(capsys):
+    code, out, _ = run(capsys, "suite", "--charts", "5,2",
+                       "--modulus", str(2 ** 61 - 1))
+    assert code == 0
+    assert out.count(": PASS") == 3
+
+
+@pytest.mark.parametrize("charts", ["", ";", " ; "])
+def test_empty_suite_runs_no_checks_and_exits_1(capsys, charts):
+    code, out, _ = run(capsys, "suite", "--charts", charts)
+    assert (code, out) == (1, "NOTE no checks run\n")
 
 
 def test_suite_runs_reduced_checks(capsys):

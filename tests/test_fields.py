@@ -1,12 +1,13 @@
 """Coefficient field tests: exact rationals and odd prime fields."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from olmcheck.errors import DivisionByZero
-from olmcheck.fields import QQ, PrimeField, coefficient_field
+from olmcheck.fields import QQ, PrimeField, _is_odd_prime, coefficient_field
 from oracles import inverse_mod
 
 
@@ -60,6 +61,22 @@ def test_characteristic_two_rejected():
         PrimeField(2)
     with pytest.raises(ValueError):
         PrimeField(9)
+
+
+def test_primality_is_exact_below_2_64():
+    def trial(n):
+        return n > 2 and n % 2 == 1 and \
+            all(n % f for f in range(3, int(n ** 0.5) + 1, 2))
+    assert [p for p in range(3000) if _is_odd_prime(p)] == \
+        [p for p in range(3000) if trial(p)]
+    t0 = time.monotonic()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.monotonic() - t0 < 0.1
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # a modulus past the range where the bases are exact
+    for n in (561, 3215031751, 2 ** 64 + 13):
+        with pytest.raises(ValueError, match="odd prime"):
+            PrimeField(n)
 
 
 def test_half_exists_everywhere():

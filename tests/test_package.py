@@ -1,8 +1,14 @@
 """The package's public surface."""
 
+import pathlib
+import re
+
 import pytest
 
 import olmcheck
+from olmcheck.verify import CHECK_NAMES
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 REMOVED = ["s_polynomial", "is_regular_element", "DivisionResult",
            "multivariate_division"]
@@ -21,3 +27,9 @@ def test_removed_names_do_not_import(name):
     with pytest.raises(ImportError):
         exec("from olmcheck import %s" % name, {})
 
+
+
+def test_readme_lists_every_check_in_order():
+    text = README.read_text(encoding="utf-8")
+    listing = text.split("Check names:", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", listing)) == CHECK_NAMES

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from olmcheck import ideals
+from olmcheck import ideals, verify
 from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded
 from olmcheck.fields import PrimeField, QQ
@@ -90,8 +90,8 @@ def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
 
 @pytest.mark.parametrize("d, l", [(6, 2), (5, 3)])
 def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
-    # every check that reads M'' asks for the certificate first, so a whole
-    # report, the lemmas and reduction included, runs Buchberger on
+    # the runner asks for the certificate once, before every check body, so
+    # a whole report, the lemmas and reduction included, runs Buchberger on
     # neither M'', the special minors nor a fiber of I''; I'' itself runs
     # once, for reduction (b), seeded with the basis of M''
     runs = []
@@ -107,11 +107,15 @@ def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
         assert list(ideal.gens) not in runs, ideal
     gb = minors.groebner()
     assert [run for run in runs if red.gens[0] in run] == [[gb, red.gens[0]]]
-    # reduction alone asks for the certificate too
-    runs.clear()
-    c = _chart(d, l)
-    assert verify_check("reduction", c, CFG).status == "pass"
-    assert list(c.reduced_minors_ideal().gens) not in runs
+    # so does every check alone, on a fresh chart
+    for name in CHECK_NAMES:
+        runs.clear()
+        c = _chart(d, l)
+        assert verify_check(name, c, CFG).status == "pass", name
+        special_minors = c.component_ideals()[-1][1]._summands[0][0]
+        for ideal in (c.reduced_minors_ideal(), special_minors,
+                      c.special_fiber_ideal(), c.generic_fiber_ideal()):
+            assert list(ideal.gens) not in runs, (name, ideal)
 
 
 def test_reduced_ring_checks_time_out_with_the_certificate_cached():
@@ -656,6 +660,11 @@ def test_membership_loops_meet_the_deadline():
     c.intermediate_ideal().groebner()
     res = verify_check("X2-in-Iprime", c, EngineConfig(modulus=32003, timeout=1e-9))
     assert res.status == "timeout"
+    # the runner's certificate meets the deadline first; the body alone
+    # meets it too
+    body, _ = verify._CHECKS["X2-in-Iprime"]
+    with pytest.raises(BudgetExceeded, match="time budget"):
+        body(c, Budget(seconds=1e-9))
 
 
 @pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf, "5"])
@@ -685,9 +694,9 @@ class _Metered(EngineConfig):
                                                  (8, 4, 0, (273, 512))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report, each loose generator's
-    # reduction included.  The certificate of I'', which B1JB2-symmetric
-    # asks for first, gives M'' its basis with no run, and every fiber
-    # numerator, so no fiber basis is read.  I'' (for reduction (b)), the
+    # reduction included.  The certificate of I'', which the runner asks
+    # for before the first check body, gives M'' its basis with no run,
+    # and every fiber numerator, so no fiber basis is read.  I'' (for reduction (b)), the
     # quadric components and J + I_m start from their summands' bases, so
     # no pair inside M'', the special minors, J or I_m is formed.  Under
     # the chart ring's block order each full-ring basis is the solved
