@@ -381,9 +381,9 @@ class Chart:
         on R/I'', and N(J0) is N(I'') for ``pi_weights``, N(I_s) and N(I_g)
         (both fibers' grlex leads are those of I'').
 
-        On success I'' and its fibers keep N(J0) and M'' keeps its minors'
-        reduced basis; on failure nothing is kept.  Meets the deadline
-        first, even when the result is cached."""
+        On success I'' and its fibers keep N(J0), and M'' and the special
+        minors keep the minors' reduced basis; on failure nothing is kept.
+        Meets the deadline first, even when the result is cached."""
         if budget is not None:
             budget.deadline()
         return self._cached("degeneration", lambda: self._degenerate(budget))
@@ -422,6 +422,8 @@ class Chart:
         # split on x_1b x_a1 gives N(J0) = (1 - t^2) N(leads)
         n_j0 = tuple(x - y for x, y in zip(n_m + [0, 0], [0, 0] + n_m))
         minors._gb = reduce_basis(rr, minors.gens, budget)
+        # no minor has pi, so moving the basis keeps it reduced
+        self._special_minors()._gb = minors._gb.without_pi(self.fiber_ring)
         red._numerators[weights] = n_j0
         for fiber in (self.special_fiber_ideal(), self.generic_fiber_ideal()):
             if fiber._fiber_of is red:
@@ -436,6 +438,11 @@ class Chart:
         return self._cached("reduced-minors", lambda: Ideal(
             self.reduced_ring, self._band_matrix(self.reduced_ring,
                                                  self.cols).minors2()))
+
+    def _special_minors(self):
+        """M'' at pi = 0, whose basis the certificate of I'' gives."""
+        return self._cached("special-minors", lambda: self.specialize(
+            self.reduced_minors_ideal(), "special"))
 
     def trace_quadric(self, ring):
         """The quadric t_r with t_r + 2*pi the hypersurface equation:
@@ -533,9 +540,8 @@ class Chart:
         ring = self.fiber_ring
         var = lambda i, j: ring.var(xname(i, j))
         linear = lambda gens: Ideal(ring, gens)
-        # a quadric component extends M'' at pi = 0, the special minors,
-        # whose basis is read off the basis of M''
-        minors = self.specialize(self.reduced_minors_ideal(), "special")
+        # a quadric component extends the special minors, a known block
+        minors = self._special_minors()
         quadric = lambda gens: ideal_sum(ring, [minors], gens)
         Y = self._band_matrix(ring, self.cols)
         U = self._half_form(ring, 1, self.rows)

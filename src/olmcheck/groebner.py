@@ -82,7 +82,7 @@ class Budget:
         nothing, so callers between pairs and steps leave the counters as
         they are."""
         if self.seconds is not None and time.monotonic() - self._t0 > self.seconds:
-            raise BudgetExceeded("time budget %.1fs exhausted" % self.seconds)
+            raise BudgetExceeded("time budget %gs exhausted" % self.seconds)
 
     def pair(self):
         self.pairs += 1

@@ -5,18 +5,17 @@ monomials and the Krull dimension they give, and the leading-term criteria
 used by the component checks.  An ``Ideal`` caches its reduced Groebner
 basis (one per ring order; moving an ideal to a ring with a different order
 is an explicit re-generation) and the Hilbert numerators read off it, one
-per weight vector.  A fiber made by ``pi_fiber`` keeps a link to its
-source; when no source generator has pi (M'') the fiber's basis is the
-source's, moved, and otherwise it is run from the fiber's own generators.
-An ideal may name summands, ideals whose generators lie among its own.
-Its one Buchberger run then starts from the summands' bases as known
-blocks (see ``groebner``), so the pairs inside each are not formed again,
-and its loose generators are its own less the summands'.  Most of the
-chart's seeded runs have nothing left to do after the blocks: I' over I'
-without Tr(X), I over I' and solve-plus-band over solve-plus-reduced are
-equal ideals, and each loose generator reduces to zero over the block.
-The trace generator of I'', a component's quadrics and the second summand
-of J + I_m do leave work.
+per weight vector.  It runs its basis from its own generators; the only
+bases it is handed are those ``Chart.degeneration`` certifies.  An ideal
+may name summands, ideals whose generators lie among its own.  Its one
+Buchberger run then starts from the summands' bases as known blocks (see
+``groebner``), so the pairs inside each are not formed again, and its
+loose generators are its own less the summands'.  Most of the chart's
+seeded runs have nothing left to do after the blocks: I' over I' without
+Tr(X), I over I' and solve-plus-band over solve-plus-reduced are equal
+ideals, and each loose generator reduces to zero over the block.  The
+trace generator of I'', a component's quadrics and the second summand of
+J + I_m do leave work.
 A numerator may be kept on an ideal without a basis: ``Chart.degeneration``
 certifies I'' by a monomial ideal J0 and keeps N(J0), from
 ``monomial_numerator``, on I'' and its fibers.
@@ -29,9 +28,6 @@ from .errors import EmptyVariety, InvalidDivisor
 from .groebner import GroebnerBasis, buchberger, multivariate_division
 from .orders import FIELD_BITS, Block
 from .rings import Ring, cast, specialize_pi
-
-# the exponent of pi, the last variable, is the lowest field of every layout
-_PI = (1 << FIELD_BITS) - 1
 
 
 class Ideal:
@@ -75,11 +71,7 @@ class Ideal:
 
     def groebner(self, budget=None):
         if self._gb is None:
-            source = self._fiber_of
-            if source is not None and not any(
-                    m & _PI for g in source.gens for m in g._d):
-                self._gb = source.groebner(budget).without_pi(self.ring)
-            elif self._summands is not None:
+            if self._summands is not None:
                 summands, rest = self._summands
                 blocks = [s.groebner(budget) for s in summands]
                 self._gb = buchberger(blocks + list(rest), budget)
@@ -178,12 +170,8 @@ def pi_fiber(ideal, value, target):
     """The ideal at pi = value (0 or 1) in ``target``, the ideal's ring
     without its last variable pi.
 
-    The fiber keeps a link to its source, through which
-    ``Chart.degeneration`` knows the fibers of the I'' it certified.  When
-    no source generator has pi, the fiber has the source's generators and
-    the source's reduced basis, moved into ``target``, is its reduced basis
-    (``GroebnerBasis.without_pi``); otherwise its basis is run from its own
-    generators."""
+    The fiber keeps a link to its source only so that
+    ``Chart.degeneration`` can tell the fibers of the I'' it certified."""
     out = Ideal(target, [specialize_pi(g, value, target) for g in ideal.gens])
     out._fiber_of = ideal
     return out

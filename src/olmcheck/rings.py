@@ -10,6 +10,7 @@ convention, the last and therefore least variable wherever it occurs.
 """
 
 import re
+from fractions import Fraction
 
 from .errors import TableMismatch, MissingImage
 from .fields import QQ
@@ -317,6 +318,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not self._d and other == 0:
                 return True
             return len(self._d) == 1 and 0 in self._d \

@@ -16,14 +16,16 @@ intersection: I_s and the components are homogeneous, I_s lies in every
 component, and the Hilbert numerator of I_s equals that of the
 intersection, which the exact sequence of J cap I_m gives from J, I_m and
 J + I_m; for three components J is the product of the two linear ones.
-Every check computes in the chart's own field.
+Every check computes in the chart's own field, which its report names.
 
-Before every check body the runner asks once for the chart's certificate
-of I'' (``Chart.degeneration``), which the chart caches.  When it holds,
-the numerators of I'', I_s and I_g and the basis of M'' are known with no
-Buchberger run, so dimensions and flatness read numerators only.  An I''
-it does not certify, such as a tampered one, falls back to Buchberger on
-its own generators and its fibers', with the same verdicts and witnesses.
+Only the gate (``_gate``) reports a check not applicable.  Before every
+check body the runner asks once for the chart's certificate of I''
+(``Chart.degeneration``), which the chart caches.  When it holds, the
+numerators of I'', I_s and I_g and the bases of M'' and the special minors
+are known with no Buchberger run, so dimensions and flatness read
+numerators only.  An I'' it does not certify, such as a tampered one,
+falls back to Buchberger on its own generators and its fibers', with the
+same verdicts and witnesses.
 """
 
 import math
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 
 from .charts import Chart
-from .errors import BudgetExceeded, NotApplicable
+from .errors import BudgetExceeded
 from .fields import coefficient_field
 from .groebner import Budget
 from .ideals import (Ideal, hilbert_numerator, inhomogeneous_generator,
@@ -87,9 +89,9 @@ class EngineConfig:
     def budget(self):
         return None if self.timeout is None else Budget(seconds=self.timeout)
 
-    def describe(self):
+    def describe(self, field):
         return {
-            "modulus": self.modulus,
+            "modulus": field.characteristic,
             "order": ENGINE_ORDER,
             "budgets": {"timeout_seconds": self.timeout,
                         "full_matrix_limit": self.full_matrix_limit,
@@ -413,8 +415,6 @@ def verify_check(name, chart, cfg):
             status, witness = body(chart, budget)
         except BudgetExceeded as exc:
             status, witness = "timeout", {"budget": str(exc)}
-        except NotApplicable as exc:
-            status, witness = "not-applicable", {"reason": str(exc)}
     return CheckResult(name, status, witness, (time.monotonic() - t0) * 1000.0)
 
 
@@ -429,7 +429,7 @@ def chart_report(chart, cfg, checks=None):
     names = checks if checks is not None else applicable_checks(chart, cfg)
     results = [verify_check(nm, chart, cfg) for nm in names]
     return ChartReport(chart.d, chart.l, chart.case, results,
-                       cfg.describe(), [PRIMALITY_NOTE])
+                       cfg.describe(chart.field), [PRIMALITY_NOTE])
 
 
 def run_suite(charts, cfg=None):

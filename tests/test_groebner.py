@@ -400,6 +400,16 @@ def test_spent_deadline_stops_before_the_first_pair():
         buchberger(gens, budget)
     assert budget.pairs == 0
 
+def test_deadline_names_the_budget_it_spent():
+    # a budget below 0.1 s is not printed as 0.0s
+    for seconds, text in ((0.001, "0.001s"), (2.5, "2.5s"), (60, "60s")):
+        budget = Budget(seconds=seconds)
+        budget._t0 -= seconds + 1.0
+        with pytest.raises(BudgetExceeded) as exc:
+            budget.deadline()
+        assert str(exc.value) == "time budget %s exhausted" % text
+
+
 _SEED_CASES = [(field, order) for field in (QQ, PrimeField(32003))
                for order in (GRLEX, LEX, Block(1))]
 

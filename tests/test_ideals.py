@@ -282,8 +282,9 @@ def _reduced_tampers(c):
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_fiber_bases_match_buchberger(field, monkeypatch):
     # both fibers of I'' on every chart with 5 <= d <= 9, and of four
-    # tamperings on a few; only a fiber of the pi-free "no trace" reads its
-    # source's basis, and every other runs Buchberger on its own generators
+    # tamperings on a few, the pi-free "no trace" among them: every fiber
+    # runs Buchberger on its own generators and leaves its source without
+    # a basis
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
                         lambda gens, budget=None: runs.append(gens)
@@ -299,28 +300,50 @@ def test_fiber_bases_match_buchberger(field, monkeypatch):
             runs.clear()
             assert ideal.groebner() == buchberger(ideal.gens), \
                 (c.d, c.l, name, fiber)
-            assert (ideal.gens in runs) == (name != "no trace"), (name, fiber)
-            assert (source._gb is not None) == (name == "no trace"), \
-                (name, fiber)
+            assert ideal.gens in runs, (name, fiber)
+            assert source._gb is None, (name, fiber)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
 @pytest.mark.parametrize("d, l", [(6, 2), (7, 3), (8, 4)])
 def test_special_minors_move_the_basis_of_M(d, l, field, monkeypatch):
-    # no generator of M'' has pi, so the special minors' basis is the basis
-    # of M'' moved into the fiber ring, with no run of its own; it is the
-    # reduced basis the interreduction of its pi = 0 image gives
+    # no generator of M'' has pi, so the certificate hands the special
+    # minors the basis of M'' moved into the fiber ring, with no run of
+    # their own; it is the basis Buchberger gives on their generators
     c = Chart(d, l, field)
-    minors = c.reduced_minors_ideal()
-    gb = minors.groebner()
-    want = reduce_basis(c.fiber_ring, [specialize_pi(g, 0, c.fiber_ring)
-                                       for g in gb])
     runs = []
     monkeypatch.setattr(ideals, "buchberger", lambda *args: runs.append(args))
-    special = c.specialize(minors, "special").groebner()
+    assert c.degeneration()
+    special = c._special_minors()
+    assert special._gb is not None
+    moved = reduce_basis(c.fiber_ring, [
+        specialize_pi(g, 0, c.fiber_ring)
+        for g in c.reduced_minors_ideal().groebner()])
     assert not runs
-    assert special == want and special.polys == want.polys
-    assert special == buchberger(c.specialize(minors, "special").gens)
+    want = buchberger(special.gens)
+    for gb in (moved, want):
+        assert special.groebner() == gb and special.groebner().polys == gb.polys
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+def test_uncertified_special_minors_run_their_own_basis(field, monkeypatch):
+    # with the trace generator tampered the certificate fails and hands no
+    # basis: the special minors run Buchberger on their own generators,
+    # and none runs on M''
+    c = Chart(6, 2, field)
+    pi = c.reduced_ring.var("pi")
+    c._cache["reduced"] = ideal_sum(
+        c.reduced_ring, [c.reduced_minors_ideal()],
+        [g * pi for g in c.reduced_ideal()._summands[1]])
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda gens, budget=None: runs.append(gens)
+                        or buchberger(gens, budget))
+    assert not c.degeneration()
+    special = c._special_minors()
+    assert special.groebner() == buchberger(special.gens)
+    assert runs == [special.gens]
+    assert c.reduced_minors_ideal()._gb is None
 
 
 def test_ideal_summands_count_with_multiplicity():

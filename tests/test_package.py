@@ -28,8 +28,18 @@ def test_removed_names_do_not_import(name):
         exec("from olmcheck import %s" % name, {})
 
 
-
 def test_readme_lists_every_check_in_order():
     text = README.read_text(encoding="utf-8")
     listing = text.split("Check names:", 1)[1].split("\n\n", 1)[0]
     assert tuple(re.findall(r"`([^`]+)`", listing)) == CHECK_NAMES
+
+
+def test_readme_layout_names_every_module():
+    text = README.read_text(encoding="utf-8")
+    layout = text.split("## Layout", 1)[1].split("src/olmcheck/\n", 1)[1]
+    listed = re.findall(r"^  (\w+\.py) ", layout.split("\ntests/", 1)[0],
+                        re.MULTILINE)
+    package = pathlib.Path(olmcheck.__file__).parent
+    modules = sorted(p.name for p in package.glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    assert sorted(listed) == modules

@@ -164,6 +164,20 @@ def test_poly_arith_examples():
     assert (x + 2 * y).scale(Fraction(1, 2)) == x.scale(Fraction(1, 2)) + y
 
 
+def test_equality_with_other_types():
+    # ints and Fractions compare as constants; anything else is not equal
+    # and does not raise
+    for field in (QQ, PrimeField(7)):
+        R = Ring(["x"], field, GRLEX)
+        one, x = R.one(), R.var("x")
+        assert R.zero() == 0 and one == 1 and one != 2
+        assert x.scale(Fraction(1, 2)) != Fraction(1, 2)
+        assert one.scale(Fraction(1, 2)) == Fraction(1, 2)
+        for other in (None, "x", "1", 1.0, [1]):
+            assert not one == other and one != other
+            assert not x == other and x != other
+
+
 def test_ring_axioms_random():
     rng = random.Random(5)
     for field in (QQ, PrimeField(7)):

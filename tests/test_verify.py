@@ -193,6 +193,15 @@ def test_flatness_passes():
     assert res.status == "pass"
 
 
+def test_report_names_the_chart_field():
+    # a rational chart under a config at 32003 computes over Q, and its
+    # report says so
+    for field, modulus in ((QQ, 0), (PrimeField(32003), 32003),
+                           (PrimeField(7), 7)):
+        report = chart_report(Chart(6, 2, field), CFG, ["flatness"])
+        assert report.engine["modulus"] == modulus
+
+
 def _pi_times_trace(c):
     """The reduced ideal with its trace generator t replaced by pi*t, which
     makes pi a zero divisor."""
@@ -602,16 +611,31 @@ def test_witness_prints_as_build_prints():
 
 
 def test_gates_and_not_applicable():
-    res = verify_check("reduction", _chart(6, 3), CFG)
-    assert res.status == "not-applicable"
-    res = verify_check("X2-in-Iprime", _chart(6, 3), CFG)
-    assert res.status == "not-applicable"
-    big = Chart(8, 4, PrimeField(32003))
-    res = verify_check("reduction", big, CFG)
-    assert res.status == "not-applicable"
+    # the gate gives every not-applicable reason: opposite parity by each
+    # full-ring check's own text, then the full-matrix and reduced-ring
+    # limits; a check the gate admits (reason None) runs and passes
+    parity = dict.fromkeys(LEMMA_CHECKS, "lemma suite is for same-parity charts")
+    parity["reduction"] = \
+        "substitution map is printed for same-parity charts only"
+    full = dict.fromkeys(parity, "full-matrix checks gated to d <= 6")
+    reduced = ("dimensions", "flatness", "special-fiber")
+    gated = lambda limit: dict.fromkeys(
+        reduced, "reduced-ring checks gated to d <= %d" % limit)
     tiny_gate = EngineConfig(modulus=32003, reduced_limit=7)
-    res = verify_check("dimensions", big, tiny_gate)
-    assert res.status == "not-applicable"
+    cases = [((6, 3), CFG, {**parity, **dict.fromkeys(reduced)}),
+             ((5, 2), CFG, {**parity, **dict.fromkeys(reduced)}),
+             ((9, 3), CFG, {**full, **gated(8)}),
+             ((8, 4), tiny_gate, {**full, **gated(7)})]
+    for (d, l), cfg, reasons in cases:
+        assert tuple(reasons) == CHECK_NAMES
+        chart = _chart(d, l)
+        for name, reason in reasons.items():
+            res = verify_check(name, chart, cfg)
+            if reason is None:
+                assert res.status == "pass", (d, l, name)
+            else:
+                assert (res.status, res.witness) == \
+                    ("not-applicable", {"reason": reason}), (d, l, name)
 
 
 def test_applicable_checks_listing_rule():
