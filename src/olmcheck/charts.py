@@ -48,10 +48,10 @@ from types import SimpleNamespace
 from .errors import InvalidChart, NotApplicable
 from .fields import QQ
 from .groebner import reduce_basis
-from .ideals import Ideal, ideal_sum, monomial_numerator, pi_fiber, pi_weights
+from .ideals import Ideal, ideal_sum, monomial_numerator, pi_weights
 from .matrices import PolyMatrix, constant_matrix, diagonal
 from .orders import GRLEX, Block
-from .rings import Ring, cast
+from .rings import Ring, cast, specialize_pi
 
 
 def xname(i, j):
@@ -381,8 +381,10 @@ class Chart:
         on R/I'', and N(J0) is N(I'') for ``pi_weights``, N(I_s) and N(I_g)
         (both fibers' grlex leads are those of I'').
 
-        On success I'' and its fibers keep N(J0), and M'' and the special
-        minors keep the minors' reduced basis; on failure nothing is kept.
+        On success I'' keeps N(J0) and M'' the minors' reduced basis, and
+        so do the chart's fibers and special minors (the basis moved) whose
+        generators are those of I'' or M'' at their pi.  On failure nothing
+        is kept.
         Meets the deadline first, even when the result is cached."""
         if budget is not None:
             budget.deadline()
@@ -422,12 +424,23 @@ class Chart:
         # split on x_1b x_a1 gives N(J0) = (1 - t^2) N(leads)
         n_j0 = tuple(x - y for x, y in zip(n_m + [0, 0], [0, 0] + n_m))
         minors._gb = reduce_basis(rr, minors.gens, budget)
-        # no minor has pi, so moving the basis keeps it reduced
-        self._special_minors()._gb = minors._gb.without_pi(self.fiber_ring)
         red._numerators[weights] = n_j0
-        for fiber in (self.special_fiber_ideal(), self.generic_fiber_ideal()):
-            if fiber._fiber_of is red:
-                fiber._numerators[(1,) * fiber.ring.nvars] = n_j0
+
+        def at(key, source, fiber):
+            # the chart's ideal under key (built now if it is not cached)
+            # when its generators are the source's on the fiber, else None
+            want = self.specialize(source, fiber)
+            ideal = self._cached(key, lambda: want)
+            return ideal if ideal.gens == want.gens else None
+
+        special = at("special-minors", minors, "special")
+        if special is not None:
+            # no minor has pi, so moving the basis keeps it reduced
+            special._gb = minors._gb.without_pi(self.fiber_ring)
+        for fiber in ("special", "generic"):
+            ideal = at(fiber, red, fiber)
+            if ideal is not None:
+                ideal._numerators[(1,) * ideal.ring.nvars] = n_j0
         return True
 
     def reduced_minors_ideal(self):
@@ -493,7 +506,7 @@ class Chart:
         ``fiber`` is "special" (pi -> 0), "generic" (pi -> 1) or
         "arithmetic"; an arithmetic fiber, or an ideal without pi, is
         returned unchanged.  Only reduced-ring ideals are expected here, but
-        any ideal whose ring ends in pi works (see ``ideals.pi_fiber``).
+        any ideal whose ring ends in pi works (see ``rings.specialize_pi``).
         """
         if fiber not in FIBER_PI:
             raise ValueError("fiber must be one of %s, got %r"
@@ -503,7 +516,8 @@ class Chart:
             return ideal
         target = self.fiber_ring if src is self.reduced_ring \
             else Ring(src.names[:-1], src.field, src.order)
-        return pi_fiber(ideal, FIBER_PI[fiber], target)
+        return Ideal(target, [specialize_pi(g, FIBER_PI[fiber], target)
+                              for g in ideal.gens])
 
     def special_fiber_ideal(self):
         return self._cached("special", lambda: self.specialize(

@@ -18,7 +18,8 @@ trace generator of I'', a component's quadrics and the second summand of
 J + I_m do leave work.
 A numerator may be kept on an ideal without a basis: ``Chart.degeneration``
 certifies I'' by a monomial ideal J0 and keeps N(J0), from
-``monomial_numerator``, on I'' and its fibers.
+``monomial_numerator``, on it and on the ideals whose generators are its
+own at pi = 0 or 1.
 """
 
 from collections import Counter
@@ -27,7 +28,7 @@ from itertools import accumulate
 from .errors import EmptyVariety, InvalidDivisor
 from .groebner import GroebnerBasis, buchberger, multivariate_division
 from .orders import FIELD_BITS, Block
-from .rings import Ring, cast, specialize_pi
+from .rings import Ring, cast
 
 
 class Ideal:
@@ -46,7 +47,6 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
         self._numerators = {}
-        self._fiber_of = None   # the source ideal: see pi_fiber
         self._summands = None   # (summands, loose generators)
         for s in summands:
             if s.ring is not ring:
@@ -164,17 +164,6 @@ def inhomogeneous_generator(ideal, weights=None):
 def pi_weights(ring):
     """Unit weights with pi of weight 2, the grading of the chart's I''."""
     return [2 if nm == "pi" else 1 for nm in ring.names]
-
-
-def pi_fiber(ideal, value, target):
-    """The ideal at pi = value (0 or 1) in ``target``, the ideal's ring
-    without its last variable pi.
-
-    The fiber keeps a link to its source only so that
-    ``Chart.degeneration`` can tell the fibers of the I'' it certified."""
-    out = Ideal(target, [specialize_pi(g, value, target) for g in ideal.gens])
-    out._fiber_of = ideal
-    return out
 
 
 def _eliminate_first(gens, k, sub, budget):

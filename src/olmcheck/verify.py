@@ -15,7 +15,8 @@ carries a note saying so.  The equality is proved without forming the
 intersection: I_s and the components are homogeneous, I_s lies in every
 component, and the Hilbert numerator of I_s equals that of the
 intersection, which the exact sequence of J cap I_m gives from J, I_m and
-J + I_m; for three components J is the product of the two linear ones.
+J + I_m; for three components J, the meet of two monomial ones, is
+generated by their pairwise lcms.
 Every check computes in the chart's own field, which its report names.
 
 Only the gate (``_gate``) reports a check not applicable.  Before every
@@ -23,9 +24,9 @@ check body the runner asks once for the chart's certificate of I''
 (``Chart.degeneration``), which the chart caches.  When it holds, the
 numerators of I'', I_s and I_g and the bases of M'' and the special minors
 are known with no Buchberger run, so dimensions and flatness read
-numerators only.  An I'' it does not certify, such as a tampered one,
-falls back to Buchberger on its own generators and its fibers', with the
-same verdicts and witnesses.
+numerators only.  A fiber whose generators are not those of I'' or M''
+at its pi, or one of an I'' the certificate fails on, falls back to
+Buchberger on its own generators, with the same verdicts and witnesses.
 """
 
 import math
@@ -92,7 +93,7 @@ class EngineConfig:
     def describe(self, field):
         return {
             "modulus": field.characteristic,
-            "order": ENGINE_ORDER,
+            "order": dict(ENGINE_ORDER),
             "budgets": {"timeout_seconds": self.timeout,
                         "full_matrix_limit": self.full_matrix_limit,
                         "reduced_limit": self.reduced_limit},
@@ -251,20 +252,6 @@ def _flatness(chart, budget):
                     "reduced": reduced, "special": special}
 
 
-def _not_disjoint_linear(comps, budget):
-    """The first (label, element) of the components' reduced bases that is
-    not a single term of degree 1 in a variable no earlier basis uses, or
-    None."""
-    used = set()
-    for label, ideal, _ in comps:
-        basis = ideal.groebner(budget)
-        for g in basis:
-            if len(g) != 1 or g.total_degree() != 1 or g.lm() in used:
-                return label, g
-        used.update(g.lm() for g in basis)
-    return None
-
-
 def _special_fiber(chart, budget):
     """Decomposition and reducedness of the special fiber.
 
@@ -273,16 +260,16 @@ def _special_fiber(chart, budget):
     it: every generator of I_s and of each I_j is homogeneous, every
     generator of I_s lies in each I_j, and
     N(I_s) = N(J) + N(I_m) - N(J + I_m) for J = I_1 cap ... cap I_{m-1}
-    (I_1 itself for two components).  For three, I_1 and I_2 are linear:
-    their reduced bases must be single variables, no variable in both, and
-    J is the product I_1 I_2, since the intersection of two monomial ideals
-    is generated by the pairwise lcms, here the products.  By
+    (I_1 itself for two components).  For three, the reduced bases of I_1
+    and I_2 must be monomials, and J is generated by the pairwise lcms of
+    their leads, as is the intersection of any two monomial ideals.  By
     0 -> R/(J cap I_m) -> R/J + R/I_m -> R/(J + I_m) -> 0 the right side is
     the numerator of cap I_j, and I_s inside the homogeneous cap I_j with
     the same Hilbert series equals it;
-    (iii) every component has dimension d-2; (iv) no component contains
-    another; (v) the designated variable of each component is not a pure
-    power in its leading-term ideal.
+    (iii) every component has dimension d-2 (a unit component has none,
+    and fails); (iv) no component contains another; (v) the designated
+    variable of each component is not a pure power in its leading-term
+    ideal.
     """
     fiber = chart.special_fiber_ideal()
     comps = chart.component_ideals()
@@ -304,13 +291,18 @@ def _special_fiber(chart, budget):
     *head, (_, last, _) = comps
     meet = head[0][1]
     if len(head) == 2:
-        bad = _not_disjoint_linear(head, budget)
-        if bad is not None:
-            return "fail", {"subcheck": "intersection-equality",
-                            "component": bad[0],
-                            "generator": _clip(chart, bad[1])}
-        b1, b2 = (ideal.groebner(budget) for _, ideal, _ in head)
-        meet = Ideal(fiber.ring, [g * h for g in b1 for h in b2])
+        leads = []
+        for label, ideal, _ in head:
+            basis = ideal.groebner(budget)
+            for g in basis:
+                if len(g) != 1:
+                    return "fail", {"subcheck": "intersection-equality",
+                                    "component": label,
+                                    "generator": _clip(chart, g)}
+            leads.append(basis.lead_monomials())
+        ring, one = fiber.ring, fiber.ring.field.one
+        meet = Ideal(ring, [ring.from_dict({ring.mono_lcm(m, n): one})
+                            for m in leads[0] for n in leads[1]])
     cap = intersection_numerator(meet, last, budget)
     special = hilbert_numerator(fiber, None, budget)
     if cap != special:
@@ -318,7 +310,8 @@ def _special_fiber(chart, budget):
                         "special": special, "intersection": cap}
     want = chart.d - 2
     for label, ideal, _ in comps:
-        dim = ideal.dimension(budget)
+        dim = (ideal.dimension(budget)
+               if hilbert_numerator(ideal, None, budget) else None)
         if dim != want:
             return "fail", {"subcheck": "component-dimension",
                             "component": label, "expected": want, "got": dim}

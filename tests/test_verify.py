@@ -116,6 +116,28 @@ def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
         for ideal in (c.reduced_minors_ideal(), special_minors,
                       c.special_fiber_ideal(), c.generic_fiber_ideal()):
             assert list(ideal.gens) not in runs, (name, ideal)
+    # the certificate hands its facts on by generators: a fresh Ideal with
+    # the special fiber's generators, cached before it runs, takes N(J0)
+    # with no run; the band minors in its place, and special minors short
+    # of a generator, take nothing
+    runs.clear()
+    c = _chart(d, l)
+    fresh = Ideal(c.fiber_ring, c.special_fiber_ideal().gens)
+    c._cache["special"] = fresh
+    assert c.degeneration() and not runs
+    weights = tuple(ideals.pi_weights(c.reduced_ring))
+    n_j0 = c.reduced_ideal()._numerators[weights]
+    assert fresh._numerators == {(1,) * c.fiber_ring.nvars: n_j0}
+    assert verify_check("dimensions", c, CFG).status == "pass"
+    assert fresh._gb is None and not runs
+    c = _chart(d, l)
+    _minors_as_special(c)
+    short = c._special_minors()
+    c._cache["special-minors"] = Ideal(c.fiber_ring, short.gens[:-1])
+    assert c.degeneration()
+    assert not c.special_fiber_ideal()._numerators
+    assert c._special_minors()._gb is None
+    assert c.generic_fiber_ideal()._numerators
 
 
 def test_reduced_ring_checks_time_out_with_the_certificate_cached():
@@ -200,6 +222,19 @@ def test_report_names_the_chart_field():
                            (PrimeField(7), 7)):
         report = chart_report(Chart(6, 2, field), CFG, ["flatness"])
         assert report.engine["modulus"] == modulus
+
+
+def test_report_bodies_do_not_share_the_engine_order(monkeypatch):
+    # each body gets its own copy of the fixed orders: editing one body
+    # changes neither the table nor a later report
+    from olmcheck.cli import report_json
+    monkeypatch.setattr(verify, "ENGINE_ORDER", dict(verify.ENGINE_ORDER))
+    want = dict(verify.ENGINE_ORDER)
+    body = report_json(chart_report(_chart(), CFG, ["dimensions"]))
+    body["engine"]["order"]["reduced_ring"] = "lex"
+    assert verify.ENGINE_ORDER == want
+    later = report_json(chart_report(_chart(), CFG, ["dimensions"]))
+    assert later["engine"]["order"] == want
 
 
 def _pi_times_trace(c):
@@ -308,41 +343,79 @@ def test_special_fiber_homogeneous_mutation_fails():
                            "generator": "x[3][1]*x[3][2] + x[3][1]"}
 
 
-@pytest.mark.parametrize("modulus", [32003, 0])
-def test_special_fiber_overlapping_linear_components_fail(modulus):
-    # I1 replaced by I2: both linear components use the same variables, so
-    # their product is not their intersection
-    c = _chart(6, 2, modulus)
+def _overlapping(c):
+    """I1 replaced by I2: both linear components use the same variables."""
     comps = c.component_ideals()
     label, _, v = comps[0]
     c._cache["components"] = [(label, comps[1][1], v)] + comps[1:]
-    res = verify_check("special-fiber", c, CFG)
+    return c
+
+
+def _with_extra(c, text):
+    """I1 with the generator ``text`` added."""
+    comps = c.component_ideals()
+    label, ideal, v = comps[0]
+    g = c.fiber_ring.parse(text)
+    c._cache["components"] = [
+        (label, Ideal(ideal.ring, ideal.gens + (g,)), v)] + comps[1:]
+    return c
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_special_fiber_overlapping_linear_components_fail(modulus):
+    # the meet of the two linear components is then I2 itself, generated
+    # by the pairwise lcms, and I2 cap I3 is larger than I_s: the numerator
+    # identity fails
+    res = verify_check("special-fiber", _overlapping(_chart(6, 2, modulus)),
+                       CFG)
     assert res.status == "fail"
     assert res.witness == {"subcheck": "intersection-equality",
-                           "component": "I2", "generator": "x[4][1]"}
+                           "special": [1, 0, -7, 8, 3, -8, 3],
+                           "intersection": [1, 0, -8, 12, -3, -4, 2]}
 
 
 @pytest.mark.parametrize("modulus", [32003, 0])
 def test_special_fiber_non_linear_component_fails(modulus):
     # I1 = (x[2][1], x[3][1], x[4][1]) of the three-component (5,3) chart
-    # with one generator added
+    # with one generator added; a monomial component meets I2 by the lcm
+    # rule whatever its degrees
     def with_extra(text):
-        c = _chart(5, 3, modulus)
-        comps = c.component_ideals()
-        label, ideal, v = comps[0]
-        g = c.fiber_ring.parse(text)
-        c._cache["components"] = [
-            (label, Ideal(ideal.ring, ideal.gens + (g,)), v)] + comps[1:]
-        return verify_check("special-fiber", c, CFG)
+        return verify_check("special-fiber",
+                            _with_extra(_chart(5, 3, modulus), text), CFG)
 
-    # the square of a variable I1 does not contain
+    # the square of a variable I1 does not contain: a larger meet, whose
+    # numerator is not that of I_s
     res = with_extra("x[4][5]^2")
     assert res.status == "fail"
     assert res.witness == {"subcheck": "intersection-equality",
-                           "component": "I1", "generator": "x[4][5]^2"}
+                           "special": [1, 0, -4, 2, 3, -2],
+                           "intersection": [1, 0, -4, 2, 2, 1, -3, 1]}
     # a generator already in I1 leaves its reduced basis, and the verdict,
     # as they were
     assert with_extra("x[4][1]*x[4][5]").status == "pass"
+    # a basis element of two terms is not monomial: the lcm rule does not
+    # apply, and the element is the witness
+    res = with_extra("x[4][5] + x[2][5]")
+    assert res.status == "fail"
+    assert res.witness == {"subcheck": "intersection-equality",
+                           "component": "I1",
+                           "generator": "x[2][5] + x[4][5]"}
+
+
+def test_special_fiber_unit_component_fails():
+    # a unit component has no dimension: read as None, as the dimensions
+    # check reads an empty fiber, it fails the dimension subcheck instead
+    # of raising
+    c = Chart(7, 3, PrimeField(32003))
+    fr = c.fiber_ring
+    (_, _, v1), (_, _, v2) = c.component_ideals()
+    c._cache["components"] = [
+        ("I1", Ideal(fr, [fr.one()]), v1),
+        ("I2", Ideal(fr, c.special_fiber_ideal().gens), v2)]
+    res = verify_check("special-fiber", c, CFG)
+    assert res.status == "fail"
+    assert res.witness == {"subcheck": "component-dimension",
+                           "component": "I1", "expected": 5, "got": None}
 
 
 def test_special_fiber_verdict_matches_the_intersection():
@@ -359,8 +432,11 @@ def test_special_fiber_verdict_matches_the_intersection():
     label, ideal, v = comps[0]
     weakened._cache["components"] = [
         (label, _drop(ideal, lambda g: g not in band), v)] + comps[1:]
+    # monomial components the lcm rule meets: overlapping, and not linear
+    overlap = _overlapping(Chart(6, 2, QQ))
+    square = _with_extra(Chart(5, 3, QQ), "x[4][5]^2")
     verdicts = []
-    for c in charts + [minors, weakened]:
+    for c in charts + [minors, overlap, square, weakened]:
         inter = None
         for _, ideal, _ in c.component_ideals():
             inter = ideal if inter is None else inter.intersect(ideal)
@@ -368,7 +444,7 @@ def test_special_fiber_verdict_matches_the_intersection():
         res = verify_check("special-fiber", c, EngineConfig(modulus=0))
         assert (res.status == "pass") == equal, (c.d, c.l, res.witness)
         verdicts.append(res.status)
-    assert verdicts == ["pass"] * 14 + ["fail"] * 2
+    assert verdicts == ["pass"] * 14 + ["fail"] * 4
     # the weakened I1 fails the inclusion, not the numerators
     assert res.witness["component"] == "I1"
 
