@@ -17,8 +17,7 @@ from .fields import QQ, PrimeField, coefficient_field
 from .orders import GRLEX, LEX, Block, order_from_name
 from .rings import Polynomial, Ring, cast, parse_polynomial
 from .groebner import Budget, GroebnerBasis, buchberger
-from .ideals import (Ideal, hilbert_numerator, intersection_numerator,
-                     krull_dimension, pure_power_free)
+from .ideals import Ideal, hilbert_numerator, krull_dimension
 from .charts import Chart, gram_matrices
 from .verify import (CHECK_NAMES, DEFAULT_SUITE, CheckResult, ChartReport,
                      EngineConfig, SuiteReport, run_suite, verify_check)
@@ -28,8 +27,7 @@ __all__ = [
     "GRLEX", "LEX", "Block", "order_from_name",
     "Polynomial", "Ring", "cast", "parse_polynomial",
     "Budget", "GroebnerBasis", "buchberger",
-    "Ideal", "hilbert_numerator", "intersection_numerator",
-    "krull_dimension", "pure_power_free",
+    "Ideal", "hilbert_numerator", "krull_dimension",
     "Chart", "gram_matrices",
     "CHECK_NAMES", "DEFAULT_SUITE", "CheckResult", "ChartReport",
     "EngineConfig", "SuiteReport", "run_suite", "verify_check",

@@ -47,7 +47,7 @@ from types import SimpleNamespace
 
 from .errors import InvalidChart, NotApplicable
 from .fields import QQ
-from .groebner import reduce_basis
+from .groebner import GroebnerBasis, reduce_basis
 from .ideals import Ideal, ideal_sum, monomial_numerator, pi_weights
 from .matrices import PolyMatrix, constant_matrix, diagonal
 from .orders import GRLEX, Block
@@ -85,6 +85,15 @@ def gram_matrices(d, l):
 FIBER_PI = {"special": 0, "generic": 1, "arithmetic": None}
 
 
+def _image(g, images, target):
+    """g under the monomial map x_k -> images[k], packed in ``target``."""
+    out = {}
+    for m, c in g._d.items():
+        key = sum(map(int.__mul__, g.ring.exponents(m), images))
+        out[key] = target.field.add(out.get(key, target.field.zero), c)
+    return target.from_dict(out)
+
+
 def _validate(d, l):
     if not (isinstance(d, int) and isinstance(l, int)):
         raise InvalidChart("d and l must be integers")
@@ -107,14 +116,17 @@ def _solve_expressions(B1, A, B2, Je, Jm):
             for L, M in ((L2, B1), (L2, B2), (L1, B1), (L1, B2), (L2, A), (L1, A))]
 
 
-def _segre_numerator(a, b):
-    """N(t) of k[x]/ker psi, psi(x_is) = u_i w_s on an a x b rectangle, over
-    (1 - t)^(ab): sum_k C(a-1, k) C(b-1, k) t^k (1 - t)^((a-1)(b-1))."""
-    e = (a - 1) * (b - 1)
-    out = [0] * (min(a, b) + e)
-    for k in range(min(a, b)):
-        for j in range(e + 1):
-            out[k + j] += comb(a - 1, k) * comb(b - 1, k) * (-1) ** j * comb(e, j)
+def _kernel_numerator(a, b, quadric):
+    """N(t) of k[x]/ker psi, psi(x_is) = u_i w_s on an a x b rectangle into
+    k[u, w], or k[u, w]/(q) for a quadric q in u: (1 - t)^(ab) times
+    sum_k [C(a+k-1, k) - C(a+k-3, k-2) for q] C(b+k-1, k) t^k."""
+    n = a * b
+    series = [(comb(a + k - 1, k) - (quadric and k > 1 and comb(a + k - 3, k - 2)))
+              * comb(b + k - 1, k) for k in range(n + 1)]
+    out = [sum((-1) ** j * comb(n, j) * series[k - j] for j in range(k + 1))
+           for k in range(n + 1)]
+    while not out[-1]:
+        out.pop()
     return out
 
 
@@ -382,9 +394,8 @@ class Chart:
         (both fibers' grlex leads are those of I'').
 
         On success I'' keeps N(J0) and M'' the minors' reduced basis, and
-        so do the chart's fibers and special minors (the basis moved) whose
-        generators are those of I'' or M'' at their pi.  On failure nothing
-        is kept.
+        the chart's fibers whose generators are those of I'' at their pi
+        keep N(J0).  On failure nothing is kept.
         Meets the deadline first, even when the result is cached."""
         if budget is not None:
             budget.deadline()
@@ -402,7 +413,7 @@ class Chart:
         weights = tuple(pi_weights(rr))
         leads = [max(g._d) for g in minors.gens]
         n_m = monomial_numerator(rr, leads, weights, budget)
-        if n_m != _segre_numerator(a, b):
+        if n_m != _kernel_numerator(a, b, False):
             return False
         corner = lambda i, s: max(rr.var(xname(self.rows[i], self.cols[s]))._d)
         main = corner(0, 0) + corner(a - 1, b - 1)
@@ -425,37 +436,28 @@ class Chart:
         n_j0 = tuple(x - y for x, y in zip(n_m + [0, 0], [0, 0] + n_m))
         minors._gb = reduce_basis(rr, minors.gens, budget)
         red._numerators[weights] = n_j0
-
-        def at(key, source, fiber):
-            # the chart's ideal under key (built now if it is not cached)
-            # when its generators are the source's on the fiber, else None
-            want = self.specialize(source, fiber)
-            ideal = self._cached(key, lambda: want)
-            return ideal if ideal.gens == want.gens else None
-
-        special = at("special-minors", minors, "special")
-        if special is not None:
-            # no minor has pi, so moving the basis keeps it reduced
-            special._gb = minors._gb.without_pi(self.fiber_ring)
         for fiber in ("special", "generic"):
-            ideal = at(fiber, red, fiber)
+            ideal = self.reduced_fiber(fiber)
             if ideal is not None:
                 ideal._numerators[(1,) * ideal.ring.nvars] = n_j0
         return True
 
+    def reduced_fiber(self, fiber):
+        """The chart's fiber ideal ("special" or "generic", built now if it
+        is not cached) when its generators are those of I'' at its pi,
+        compared by value, else None: a fiber the certificate speaks for."""
+        want = self.specialize(self.reduced_ideal(), fiber)
+        ideal = self._cached(fiber, lambda: want)
+        return ideal if ideal.gens == want.gens else None
+
     def reduced_minors_ideal(self):
         """M'', the minors of the band rectangle over k[band variables, pi]:
-        the determinantal ideal that I'' and every quadric component extend,
-        so its basis is their known block (see ``ideals.ideal_sum``), and the
-        ideal the B1JB2-symmetric lemma tests its band-only targets in."""
+        the determinantal ideal that I'' extends, so its basis is the known
+        block of I'' (see ``ideals.ideal_sum``), and the ideal the
+        B1JB2-symmetric lemma tests its band-only targets in."""
         return self._cached("reduced-minors", lambda: Ideal(
             self.reduced_ring, self._band_matrix(self.reduced_ring,
                                                  self.cols).minors2()))
-
-    def _special_minors(self):
-        """M'' at pi = 0, whose basis the certificate of I'' gives."""
-        return self._cached("special-minors", lambda: self.specialize(
-            self.reduced_minors_ideal(), "special"))
 
     def trace_quadric(self, ring):
         """The quadric t_r with t_r + 2*pi the hypersurface equation:
@@ -529,8 +531,8 @@ class Chart:
 
     def component_ideals(self):
         """Irreducible components of the special fiber, as a list of
-        (label, ideal, variable) triples labeled I1, I2[, I3]; the variable
-        is the component's designated regular element.
+        (label, ideal, variable) triples labeled I1, I2[, I3]; ``build``
+        prints the variable as the component's regular variable.
 
         The trace quadric factors over rank-one band matrices as
         2 q_u(rows) q_w(columns); the components are the two quadric loci,
@@ -543,21 +545,18 @@ class Chart:
         """The upper triangle of the G_k block on ``idx``, diagonal halved:
         U with u^t U u = q(u) = 1/2 u^t G_k u, as a constant matrix."""
         G = self._gram_block(ring, k, idx, idx)
-        m = len(idx)
-        rows = [[G[i, j] if i < j else ring.zero() for j in range(m)]
-                for i in range(m)]
-        for i in range(m):
-            rows[i][i] = G[i, i].scale(Fraction(1, 2))
-        return PolyMatrix(ring, rows)
+        half = lambda i, j: G[i, j] if i < j else ring.zero() if i > j \
+            else G[i, i].scale(Fraction(1, 2))
+        return PolyMatrix(ring, [[half(i, j) for j in range(len(idx))]
+                                 for i in range(len(idx))])
 
     def _build_components(self):
         ring = self.fiber_ring
         var = lambda i, j: ring.var(xname(i, j))
-        linear = lambda gens: Ideal(ring, gens)
-        # a quadric component extends the special minors, a known block
-        minors = self._special_minors()
-        quadric = lambda gens: ideal_sum(ring, [minors], gens)
         Y = self._band_matrix(ring, self.cols)
+        linear = lambda gens: Ideal(ring, gens)
+        minors = Y.minors2()    # a quadric component: its quadrics, then these
+        quadric = lambda gens: Ideal(ring, gens + minors)
         U = self._half_form(ring, 1, self.rows)
         W = self._half_form(ring, 0, self.cols)
         # q_u(f, g) for all columns f, g and q_w(i, t) for all band rows i, t
@@ -578,6 +577,68 @@ class Chart:
                     ("I3", quadric(row_quadric), xname(first_row, 1))]
         return [("I1", quadric(row_quadric), xname(first_row, 1)),
                 ("I2", quadric(col_quadric), xname(first_row, 1))]
+
+    def _forms(self):
+        """psi(x_is) = u_i w_s as packed monomials of k[u, w], and for q_u
+        and q_w: (name, {q} as a basis, rank of q, the ring whose grlex
+        interreduces a component on q, its closed-form numerator)."""
+        u = ["u%d" % i for i in self.rows]
+        w = ["w%d" % s for s in self.cols]
+        uw = Ring(u + w, self.field, GRLEX)
+        col_ring = Ring([xname(i, s) for s in self.cols for i in self.rows],
+                        self.field, GRLEX)
+        forms = []
+        for name, k, idx, names, ring, other in (
+                ("row", 1, self.rows, u, self.fiber_ring, self.cols),
+                ("column", 0, self.cols, w, col_ring, self.rows)):
+            U = self._half_form(uw, k, idx)
+            vec = PolyMatrix(uw, [[uw.var(nm)] for nm in names])
+            # the rank of q is that of the span of its partials (char != 2)
+            rank = len(reduce_basis(uw, ((U + U.T) @ vec).entries()))
+            forms.append((name, GroebnerBasis(uw, [(vec.T @ U @ vec)[0, 0]]), rank,
+                          ring, _kernel_numerator(len(idx), len(other), True)))
+        return [uw.monomial({ui: 1, ws: 1}) for ui in u for ws in w], forms
+
+    def certify_component(self, ideal, budget=None):
+        """Certify a special-fiber component from its generators alone:
+        (reduced basis, Hilbert numerator), or a dict naming the failing
+        step.  A generator of degree at most 1 makes it linear: its reduced
+        basis must be n - (d - 2) variables.  Else psi must map every
+        generator into (q), q = q_u or q_w ("map"); q of rank >= 3 ("rank")
+        makes ker psi_j prime; and the generators interreduced with no
+        S-pair, under grlex on the row-major names for q_u or column-major
+        for q_w, must have leads with the closed-form numerator of ker psi_j
+        ("numerator"): then I_j = ker psi_j, and this is its basis."""
+        ring = self.fiber_ring
+        if min((g.total_degree() for g in ideal.gens), default=0) < 2:
+            basis = reduce_basis(ring, ideal.gens, budget)
+            bad = [g for g in basis if len(g) != 1 or g.total_degree() != 1]
+            if bad:
+                return {"subcheck": "component-linear", "generator": bad[0]}
+            c = len(basis)
+            if ring.nvars - c != self.d - 2:
+                return {"subcheck": "component-dimension", "expected": self.d - 2,
+                        "got": ring.nvars - c}
+            return basis, [(-1) ** j * comb(c, j) for j in range(c + 1)]
+        images, forms = self._cached("forms", self._forms)
+        outside = {}
+        for name, q, rank, order_ring, numerator in forms:
+            outside[name] = next((g for g in ideal.gens
+                                  if not q.contains(_image(g, images, q.ring))), None)
+            if outside[name] is None:
+                break
+        else:
+            return {"subcheck": "component-map", **outside}
+        if rank < 3:
+            return {"subcheck": "component-rank", "form": name, "rank": rank}
+        basis = reduce_basis(order_ring, [cast(g, order_ring) for g in ideal.gens]
+                             if order_ring is not ring else ideal.gens, budget)
+        got = monomial_numerator(order_ring, basis.lead_monomials(),
+                                 (1,) * ring.nvars, budget)
+        if got != numerator:
+            return {"subcheck": "component-numerator", "form": name,
+                    "expected": numerator, "got": got}
+        return basis, numerator
 
     # -- serialization ------------------------------------------------------------------
 

@@ -83,7 +83,6 @@ def report_json(report):
     return {
         "chart": {"d": report.d, "l": report.l, "case": report.case},
         "engine": report.engine,
-        "notes": report.notes,
         "checks": [_check_json(c) for c in report.checks],
         "timing": {c.name: round(c.millis, 3) for c in report.checks},
     }

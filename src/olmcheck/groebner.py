@@ -6,9 +6,10 @@ its single reduction loop serves Buchberger, the auto-reduction and
 ``GroebnerBasis.normal_form`` alike.  One auto-reduction pass,
 ``_interreduce``, cleans the input generators and turns the minimal basis
 into the reduced one.  That tail, minimalize then interreduce (``_reduced``),
-ends every Buchberger run and is all of ``reduce_basis``, which turns a
-Groebner basis found some other way (the band minors, certified by
-``Chart.degeneration``) into the reduced one.  A ``GroebnerBasis`` keeps
+ends every Buchberger run; ``reduce_basis`` is the cleaning pass and the
+tail with no S-pair, for generators that ``Chart`` proves to be a basis by
+Hilbert numerators (the band minors, each special-fiber component).  A
+``GroebnerBasis`` keeps
 the engine's arrays the tail leaves, so a reduced basis never goes back
 through ``Polynomial`` values: its ``polys`` are built on demand.
 
@@ -571,23 +572,30 @@ def buchberger(generators, budget=None):
         basis.append(r)
         engine.add(arrays, r)
         push_pairs(len(basis) - 1, len(basis) - 1)
-    return _reduced(engine, basis, budget)
+    return _basis_of(ring, _reduced(engine, basis, budget))
 
 
 def reduce_basis(ring, polys, budget=None):
-    """The reduced Groebner basis of the ideal generated by ``polys``, which
-    must already be a Groebner basis of it in ``ring``; zeros are dropped.
-    This is the tail of ``buchberger`` without its pairs.  Raises
-    BudgetExceeded when the optional budget runs out."""
+    """``polys`` auto-reduced with no S-pair, zeros dropped: elements of
+    their ideal with minimal leads, which are its reduced Groebner basis
+    exactly when those leads generate its initial ideal (always for a
+    Groebner basis; else the caller proves it, as ``Chart`` does by Hilbert
+    numerators).  Raises BudgetExceeded when the optional budget runs out."""
     engine = _Engine(ring)
-    return _reduced(engine, [engine.prepare(p._d) for p in polys
-                             if not p.is_zero()], budget)
+    kept, arrays = _interreduce(engine, [engine.prepare(p._d) for p in polys
+                                         if not p.is_zero()], budget)
+    lts = arrays[0].lts
+    # a pass whose leads ascend left each element reduced against every
+    # smaller lead, and a larger lead divides no term; else run the tail
+    if any(s >= t for s, t in zip(lts, lts[1:])):
+        arrays = _reduced(engine, kept, budget)
+    return _basis_of(ring, arrays)
 
 
 def _reduced(engine, basis, budget):
     """Minimalize the Groebner basis ``basis`` of normalised dicts, dropping
     every element whose lead another lead divides, then interreduce it into
-    the reduced basis, kept in engine form."""
+    the arrays of the reduced basis."""
     ring = engine.ring
     minimal, leads = [], _DivisorIndex(ring)
     for d in sorted(basis, key=max):
@@ -595,7 +603,13 @@ def _reduced(engine, basis, budget):
         if leads.first(lt) < 0:
             leads.append(lt)
             minimal.append(d)
-    _, (up, lcs, tails, hulls) = _interreduce(engine, minimal, budget)
+    return _interreduce(engine, minimal, budget)[1]
+
+
+def _basis_of(ring, arrays):
+    """The basis whose elements the arrays of ``_interreduce`` hold, in
+    ascending lead order: the same arrays, in descending order."""
+    up, lcs, tails, hulls = arrays
     gb = GroebnerBasis(ring, ())
     for dst, src in zip(gb._arrays, (up.lts, lcs, tails, hulls)):
         for x in reversed(src):
@@ -650,24 +664,6 @@ class GroebnerBasis:
 
     def lead_monomials(self):
         return tuple(self._arrays[0].lts)
-
-    def without_pi(self, target):
-        """The same elements in ``target``, this ring without its last
-        variable pi (see ``rings.specialize_pi``); no element may have pi.
-        pi's exponent is the lowest field, so a pi-free monomial moves by
-        one field shift, which keeps the term order: the elements stay a
-        reduced basis, with the same normalised coefficients."""
-        leads, lcs, tails, hulls = self._arrays
-        gb = GroebnerBasis(target, ())
-        out_leads, out_lcs, out_tails, out_hulls = gb._arrays
-        for m in leads.lts:
-            out_leads.append(m >> FIELD_BITS)
-        out_lcs += lcs
-        out_tails += [tuple((m >> FIELD_BITS, c) for m, c in tail)
-                      for tail in tails]
-        out_hulls += [h >> FIELD_BITS for h in hulls]
-        gb._polys = None
-        return gb
 
     def normal_form(self, f):
         """Unique remainder of f against the reduced basis."""

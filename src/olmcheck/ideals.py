@@ -1,25 +1,15 @@
 """Ideal-level operations built on Groebner bases.
 
-Intersection, colon ideals, equality, Hilbert numerators read off leading
-monomials and the Krull dimension they give, and the leading-term criteria
-used by the component checks.  An ``Ideal`` caches its reduced Groebner
-basis (one per ring order; moving an ideal to a ring with a different order
-is an explicit re-generation) and the Hilbert numerators read off it, one
-per weight vector.  It runs its basis from its own generators; the only
-bases it is handed are those ``Chart.degeneration`` certifies.  An ideal
-may name summands, ideals whose generators lie among its own.  Its one
-Buchberger run then starts from the summands' bases as known blocks (see
-``groebner``), so the pairs inside each are not formed again, and its
-loose generators are its own less the summands'.  Most of the chart's
-seeded runs have nothing left to do after the blocks: I' over I' without
-Tr(X), I over I' and solve-plus-band over solve-plus-reduced are equal
-ideals, and each loose generator reduces to zero over the block.  The
-trace generator of I'', a component's quadrics and the second summand of
-J + I_m do leave work.
-A numerator may be kept on an ideal without a basis: ``Chart.degeneration``
-certifies I'' by a monomial ideal J0 and keeps N(J0), from
-``monomial_numerator``, on it and on the ideals whose generators are its
-own at pi = 0 or 1.
+Intersection, colon ideals, equality, and Hilbert numerators read off
+leading monomials with the dimension and multiplicity they give.  An
+``Ideal`` caches its reduced Groebner basis (one per ring order; moving an
+ideal to a ring with a different order is an explicit re-generation) and
+the Hilbert numerators read off it, one per weight vector.  It runs its
+basis from its own generators, starting from the bases of the summands it
+names (see ``Ideal``); the only basis it is handed is the one
+``Chart.degeneration`` certifies for M''.  A numerator may be kept on an
+ideal without a basis: the certificate keeps N(J0), from
+``monomial_numerator``, on I'' and on its fibers.
 """
 
 from collections import Counter
@@ -213,19 +203,6 @@ def monomial_numerator(ring, monos, weights, budget=None):
     return _numerator(leads, weights, guard, budget)
 
 
-def intersection_numerator(a, b, budget=None):
-    """N(a cap b) for homogeneous ideals a and b, unit weights, without
-    forming a cap b: by 0 -> R/(a cap b) -> R/a + R/b -> R/(a + b) -> 0 it
-    is N(a) + N(b) - N(a + b)."""
-    if b.ring is not a.ring:
-        raise ValueError("ideals live in different rings")
-    joined = ideal_sum(a.ring, (a, b), ())
-    return _plus_shifted(_plus_shifted(hilbert_numerator(a, None, budget),
-                                       hilbert_numerator(b, None, budget),
-                                       0, 1),
-                         hilbert_numerator(joined, None, budget), 0, -1)
-
-
 def _numerator(gens, weights, guard, budget):
     """N(t) of the monomial ideal minimally generated by packed ``gens``:
     N(I) = N(I + x^k) + t^(k w_x) N(I : x^k) for x in the most generators
@@ -278,26 +255,21 @@ def _plus_shifted(p, q, shift, sign):
 
 
 def krull_dimension(ideal, budget=None):
-    """Dimension of ring/I: nvars minus the power of (1 - t) dividing the
-    unit-weight Hilbert numerator, the pole order at t = 1.  A numerator of
-    [] is the unit ideal's, which has no dimension."""
+    """Dimension of ring/I, read off the unit-weight Hilbert numerator (see
+    ``dimension_and_degree``).  A numerator of [] is the unit ideal's, which
+    has no dimension."""
     num = hilbert_numerator(ideal, None, budget)
     if not num:
         raise EmptyVariety("the unit ideal has no dimension")
-    dim = ideal.ring.nvars
+    return dimension_and_degree(num, ideal.ring.nvars)[0]
+
+
+def dimension_and_degree(num, nvars):
+    """(dim, e) of R/I for a nonzero unit-weight numerator N(I) over
+    ``nvars`` variables: with N = (1 - t)^c h and h(1) != 0, dim = nvars - c,
+    the pole order at t = 1, and e = h(1) is the multiplicity."""
+    dim = nvars
     while not sum(num):
         num = list(accumulate(num))[:-1]    # N = (1 - t) q
         dim -= 1
-    return dim
-
-
-def pure_power_free(gb, name):
-    """True iff no element of the basis has leading monomial v^m, m >= 1."""
-    ring = gb.ring
-    idx = ring.index(name)
-    for m in gb.lead_monomials():
-        exps = ring.exponents(m)
-        if exps[idx] > 0 and all(e == 0 for i, e in enumerate(exps) if i != idx):
-            return False
-    return True
-
+    return dim, sum(num)

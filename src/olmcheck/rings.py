@@ -74,6 +74,8 @@ class Ring:
         deg_shifts = [shift for shift, _, _ in self._deg_fields]
         self._top_deg = deg_shifts[0] if deg_shifts else None
         self._low_deg = deg_shifts[1] if len(deg_shifts) > 1 else None
+        # pi packed, its exponent field and the degree fields that count it
+        self._pi = self.monomial({"pi": 1}) if "pi" in self._index else None
 
     def __repr__(self):
         return "Ring(%d vars, %r, %r)" % (self.nvars, self.field, self.order)
@@ -438,8 +440,7 @@ def specialize_pi(f, value, target):
         raise TableMismatch("target must be the source ring without pi")
     if value not in (0, 1):
         raise ValueError("pi specializes to 0 or 1, got %r" % (value,))
-    field = ring.field
-    unit = ring.monomial({"pi": 1})
+    field, unit = ring.field, ring._pi
     mask = (1 << FIELD_BITS) - 1
     out = {}
     for m, c in f._d.items():

@@ -1,6 +1,7 @@
 """Derived ideal operations: intersection, colon, dimension."""
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -9,12 +10,12 @@ from olmcheck import ideals
 from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded, EmptyVariety, InvalidDivisor
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.groebner import Budget, GroebnerBasis, buchberger, reduce_basis
-from olmcheck.ideals import (Ideal, hilbert_numerator, ideal_sum,
-                             intersection_numerator, krull_dimension,
-                             pure_power_free)
+from olmcheck.groebner import (Budget, GroebnerBasis, buchberger,
+                               reduce_basis)
+from olmcheck.ideals import (Ideal, dimension_and_degree, hilbert_numerator,
+                             ideal_sum, krull_dimension)
 from olmcheck.orders import GRLEX, Block
-from olmcheck.rings import Ring, specialize_pi
+from olmcheck.rings import Ring, cast, specialize_pi
 from olmcheck.verify import DEFAULT_SUITE, EngineConfig, verify_check
 from oracles import independent_set_dimension, is_regular_element, random_poly
 
@@ -144,19 +145,43 @@ def test_hilbert_numerator_is_kept_on_the_ideal(monkeypatch):
         hilbert_numerator(Ideal(ideal.ring, ideal.gens))
 
 
+def _sum_numerator(a, b):
+    """N(a) + N(b) - N(a + b), unit weights, trailing zeros trimmed."""
+    out = [x + y for x, y in itertools.zip_longest(
+        hilbert_numerator(a), hilbert_numerator(b), fillvalue=0)]
+    joined = hilbert_numerator(ideal_sum(a.ring, (a, b), ()))
+    out = [x - y for x, y in itertools.zip_longest(out, joined, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def test_intersection_numerator_matches_the_intersection():
-    # N(a) + N(b) - N(a + b) against the numerator of a.intersect(b)
+    # 0 -> R/(a cap b) -> R/a + R/b -> R/(a + b) -> 0 is exact, so
+    # N(a) + N(b) - N(a + b) is the numerator of a.intersect(b)
     R = Ring(["x", "y", "z"], QQ, GRLEX)
     x, y, z = R.gens()
     pairs = [([x], [y]), ([x, y], [y, z]), ([x**2 - y * z], [x, z]),
              ([x * y], [x * y]), ([x], [R.one()])]
     for ga, gb in pairs:
         a, b = Ideal(R, ga), Ideal(R, gb)
-        assert intersection_numerator(a, b) == \
+        assert _sum_numerator(a, b) == \
             hilbert_numerator(a.intersect(b)), (ga, gb)
-    assert intersection_numerator(Ideal(R, [x]), Ideal(R, [y])) == [1, 0, -1]
+    assert _sum_numerator(Ideal(R, [x]), Ideal(R, [y])) == [1, 0, -1]
     with pytest.raises(ValueError):
-        intersection_numerator(Ideal(R, [x]), Ideal(_ring3(), []))
+        Ideal(R, [x]).intersect(Ideal(_ring3(), []))
+
+
+def test_dimension_and_degree_read_off_the_numerator():
+    # N = (1 - t)^c h: dim = nvars - c and e = h(1), the multiplicity
+    R = _ring3()
+    x, y, z = R.gens()
+    cases = [([x], (2, 1)), ([x * y], (2, 2)), ([x**2 - y * z, x * z], (1, 4)),
+             ([x * y, y * z, x * z], (1, 3)), ([x, y, z], (0, 1))]
+    for gens, want in cases:
+        ideal = Ideal(R, gens)
+        assert dimension_and_degree(hilbert_numerator(ideal), 3) == want, gens
+        assert krull_dimension(ideal) == want[0]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
@@ -235,16 +260,6 @@ def test_krull_dimension_monotone_under_inclusion():
         assert small.dimension() >= big.dimension()
 
 
-def test_pure_power_free():
-    R = Ring(["w1", "w2", "v1", "v2"], QQ, GRLEX)
-    w1, w2, v1, v2 = R.gens()
-    gb = Ideal(R, [w1 * v2 - w2 * v1]).groebner()
-    assert pure_power_free(gb, "w1")
-    gb2 = Ideal(R, [w1**2]).groebner()
-    assert not pure_power_free(gb2, "w1")
-    assert pure_power_free(gb2, "w2")
-
-
 def test_is_regular_element():
     R = Ring(["x", "y"], QQ, GRLEX)
     x, y = R.gens()
@@ -306,30 +321,57 @@ def test_fiber_bases_match_buchberger(field, monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
 @pytest.mark.parametrize("d, l", [(6, 2), (7, 3), (8, 4)])
+def test_component_certificate_gives_the_buchberger_basis(d, l, field,
+                                                          monkeypatch):
+    # each component's certificate interreduces its generators with no
+    # S-pair and no Buchberger run, under grlex on the row-major names for a
+    # row quadric or a linear component and on the column-major names for a
+    # column quadric; the result is the basis Buchberger gives in that ring,
+    # and the numerator is the closed form
+    c = Chart(d, l, field)
+    runs = []
+    monkeypatch.setattr(ideals, "buchberger", lambda *args: runs.append(args))
+    certified = [c.certify_component(ideal) for _, ideal, _ in c.component_ideals()]
+    assert not runs
+    monkeypatch.undo()
+    rings = set()
+    for (_, ideal, _), (basis, numerator) in zip(c.component_ideals(),
+                                                 certified):
+        rings.add(basis.ring)
+        gens = [cast(g, basis.ring) for g in ideal.gens]
+        want = buchberger(gens)
+        assert basis == want and basis.polys == want.polys
+        assert hilbert_numerator(Ideal(basis.ring, gens)) == numerator
+    # (7,3) and (8,4) have a row and a column quadric, (6,2) two linear
+    # components and a column quadric: both orders are used
+    assert len(rings) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+@pytest.mark.parametrize("d, l", [(6, 2), (7, 3), (8, 4)])
 def test_special_minors_move_the_basis_of_M(d, l, field, monkeypatch):
-    # no generator of M'' has pi, so the certificate hands the special
-    # minors the basis of M'' moved into the fiber ring, with no run of
-    # their own; it is the basis Buchberger gives on their generators
+    # no generator of M'' has pi, so the basis the certificate gives M''
+    # with no run moves into the fiber ring at pi = 0; it is the basis
+    # Buchberger gives on the special minors, M'' at pi = 0
     c = Chart(d, l, field)
     runs = []
     monkeypatch.setattr(ideals, "buchberger", lambda *args: runs.append(args))
     assert c.degeneration()
-    special = c._special_minors()
-    assert special._gb is not None
+    minors = c.reduced_minors_ideal()
+    assert minors._gb is not None
     moved = reduce_basis(c.fiber_ring, [
-        specialize_pi(g, 0, c.fiber_ring)
-        for g in c.reduced_minors_ideal().groebner()])
+        specialize_pi(g, 0, c.fiber_ring) for g in minors.groebner()])
     assert not runs
-    want = buchberger(special.gens)
-    for gb in (moved, want):
-        assert special.groebner() == gb and special.groebner().polys == gb.polys
+    monkeypatch.undo()
+    want = buchberger(c.specialize(minors, "special").gens)
+    assert moved == want and moved.polys == want.polys
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
-def test_uncertified_special_minors_run_their_own_basis(field, monkeypatch):
-    # with the trace generator tampered the certificate fails and hands no
-    # basis: the special minors run Buchberger on their own generators,
-    # and none runs on M''
+def test_uncertified_special_fiber_fails(field, monkeypatch):
+    # with the trace generator tampered the certificate of I'' fails: the
+    # special fiber has no proof of being reduced and Cohen-Macaulay, so
+    # special-fiber fails with no Buchberger run, and M'' keeps no basis
     c = Chart(6, 2, field)
     pi = c.reduced_ring.var("pi")
     c._cache["reduced"] = ideal_sum(
@@ -340,10 +382,10 @@ def test_uncertified_special_minors_run_their_own_basis(field, monkeypatch):
                         lambda gens, budget=None: runs.append(gens)
                         or buchberger(gens, budget))
     assert not c.degeneration()
-    special = c._special_minors()
-    assert special.groebner() == buchberger(special.gens)
-    assert runs == [special.gens]
-    assert c.reduced_minors_ideal()._gb is None
+    res = verify_check("special-fiber", c, EngineConfig(modulus=32003))
+    assert res.status == "fail"
+    assert res.witness == {"subcheck": "certificate", "ideal": "I''"}
+    assert not runs and c.reduced_minors_ideal()._gb is None
 
 
 def test_ideal_summands_count_with_multiplicity():
@@ -372,10 +414,9 @@ def test_ideal_summands_count_with_multiplicity():
 @pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)],
                          ids=repr)
 def test_seeded_bases_match_runs_from_scratch(field, monkeypatch):
-    # on every chart with 5 <= d <= 9: I'' over M'', every quadric
-    # component over the special minors and the J + I_m of
-    # intersection_numerator over J and I_m each take one seeded run, whose
-    # basis is the run from the ideal's generators
+    # on every chart with 5 <= d <= 9, I'' over M'' takes one seeded run,
+    # whose basis is the run from its generators; a component names no
+    # summand, since its certificate gives its basis with no run
     seeded = []
 
     def run(gens, budget=None):
@@ -388,23 +429,13 @@ def test_seeded_bases_match_runs_from_scratch(field, monkeypatch):
     for d in range(5, 10):
         for l in range(2, d - 1):
             c = Chart(d, l, field)
-            comps = [ideal for _, ideal, _ in c.component_ideals()]
-            for ideal in [c.reduced_ideal()] + comps:
-                seeded.clear()
-                gb = ideal.groebner()
-                assert seeded == ([gb] if ideal._summands else []), (d, l)
-                assert gb == buchberger(ideal.gens), (d, l)
-            assert c.reduced_ideal()._summands and comps[-1]._summands
-            *head, last = comps
-            meet = head[0]
-            if len(head) == 2:
-                meet = Ideal(c.fiber_ring, [g * h for g in head[0].groebner()
-                                            for h in head[1].groebner()])
-            meet.groebner()
+            red = c.reduced_ideal()
+            assert red._summands
+            gb = red.groebner()
+            assert seeded == [gb] and gb == buchberger(red.gens), (d, l)
             seeded.clear()
-            intersection_numerator(meet, last)
-            assert len(seeded) == 1, (d, l)
-            assert seeded[0] == buchberger(meet.gens + last.gens), (d, l)
+            assert all(ideal._summands is None
+                       for _, ideal, _ in c.component_ideals())
 
 
 def test_ideal_sum_lists_others_then_summands(monkeypatch):

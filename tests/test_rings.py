@@ -1,5 +1,6 @@
 """Polynomial ring tests: orders, packed monomials, arithmetic, maps, text."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -248,6 +249,23 @@ def test_specialize_pi_examples():
                 Ring(["x"], PrimeField(7), GRLEX), R):
         with pytest.raises(TableMismatch):
             specialize_pi(f, 0, bad)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=repr)
+@pytest.mark.parametrize("d, l, value, want", [
+    (6, 2, 0, "2763b9e4d4a334fb"), (6, 2, 1, "6d1ccbe2ac7b244a"),
+    (5, 3, 0, "ba58d69492a82cd2"), (5, 3, 1, "5495d51391a9dcad")])
+def test_specialize_pi_output_is_pinned(d, l, value, want, field, monkeypatch):
+    # the generators of I'' at pi = 0 and pi = 1, by a digest of their
+    # texts in order; the ring packs pi once, so specializing packs no
+    # monomial
+    from olmcheck.charts import Chart
+    c = Chart(d, l, field)
+    gens = c.reduced_ideal().gens
+    monkeypatch.setattr(Ring, "monomial", None)
+    out = [specialize_pi(g, value, c.fiber_ring) for g in gens]
+    text = "\n".join(map(str, out)).encode()
+    assert hashlib.sha256(text).hexdigest()[:16] == want
 
 
 def test_pi_must_be_last():

@@ -12,15 +12,15 @@ import re
 
 import pytest
 
-from olmcheck import ideals, verify
+from olmcheck import groebner, ideals, verify
 from olmcheck.charts import Chart
 from olmcheck.errors import BudgetExceeded
 from olmcheck.fields import PrimeField, QQ
 from olmcheck.groebner import Budget, GroebnerBasis, buchberger
 from olmcheck.ideals import Ideal, ideal_sum
 from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
-                             PRIMALITY_NOTE, chart_report,
-                             expected_component_count, run_suite, verify_check)
+                             chart_report, expected_component_count, run_suite,
+                             verify_check)
 from oracles import is_regular_element
 
 CFG = EngineConfig(modulus=32003)
@@ -68,8 +68,8 @@ def test_dimensions_fails_on_an_empty_fiber():
 
 def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
     # the certificate of I'' gives every numerator the checks read and the
-    # basis of M'', so neither M'', I'' nor a fiber runs Buchberger; only
-    # the components do, seeded with the special minors
+    # basis of M'', and each component certifies its own basis, so the
+    # reduced-ring checks run Buchberger on nothing at all
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
                         lambda gens, budget=None: runs.append(list(gens))
@@ -82,18 +82,15 @@ def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
     assert minors._gb is not None and red._gb is None
     special, generic = c.special_fiber_ideal(), c.generic_fiber_ideal()
     assert special._gb is None and generic._gb is None
-    for gens in (minors.gens, red.gens, special.gens, generic.gens):
-        assert list(gens) not in runs
-    gb = minors.groebner()
-    assert not any(g is gb or g is red.gens[0] for run in runs for g in run)
+    assert not runs
 
 
 @pytest.mark.parametrize("d, l", [(6, 2), (5, 3)])
 def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
     # the runner asks for the certificate once, before every check body, so
     # a whole report, the lemmas and reduction included, runs Buchberger on
-    # neither M'', the special minors nor a fiber of I''; I'' itself runs
-    # once, for reduction (b), seeded with the basis of M''
+    # neither M'', a fiber of I'' nor a component; I'' itself runs once,
+    # for reduction (b), seeded with the basis of M''
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
                         lambda gens, budget=None: runs.append(list(gens))
@@ -101,9 +98,8 @@ def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
     c = _chart(d, l)
     assert chart_report(c, CFG).passed()
     minors, red = c.reduced_minors_ideal(), c.reduced_ideal()
-    special_minors = c.component_ideals()[-1][1]._summands[0][0]
-    for ideal in (minors, special_minors, c.special_fiber_ideal(),
-                  c.generic_fiber_ideal()):
+    comps = [ideal for _, ideal, _ in c.component_ideals()]
+    for ideal in [minors, c.special_fiber_ideal(), c.generic_fiber_ideal()] + comps:
         assert list(ideal.gens) not in runs, ideal
     gb = minors.groebner()
     assert [run for run in runs if red.gens[0] in run] == [[gb, red.gens[0]]]
@@ -112,14 +108,13 @@ def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
         runs.clear()
         c = _chart(d, l)
         assert verify_check(name, c, CFG).status == "pass", name
-        special_minors = c.component_ideals()[-1][1]._summands[0][0]
-        for ideal in (c.reduced_minors_ideal(), special_minors,
-                      c.special_fiber_ideal(), c.generic_fiber_ideal()):
+        comps = [ideal for _, ideal, _ in c.component_ideals()]
+        for ideal in [c.reduced_minors_ideal(), c.special_fiber_ideal(),
+                      c.generic_fiber_ideal()] + comps:
             assert list(ideal.gens) not in runs, (name, ideal)
     # the certificate hands its facts on by generators: a fresh Ideal with
     # the special fiber's generators, cached before it runs, takes N(J0)
-    # with no run; the band minors in its place, and special minors short
-    # of a generator, take nothing
+    # with no run; the band minors in its place take nothing
     runs.clear()
     c = _chart(d, l)
     fresh = Ideal(c.fiber_ring, c.special_fiber_ideal().gens)
@@ -132,11 +127,8 @@ def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
     assert fresh._gb is None and not runs
     c = _chart(d, l)
     _minors_as_special(c)
-    short = c._special_minors()
-    c._cache["special-minors"] = Ideal(c.fiber_ring, short.gens[:-1])
     assert c.degeneration()
     assert not c.special_fiber_ideal()._numerators
-    assert c._special_minors()._gb is None
     assert c.generic_fiber_ideal()._numerators
 
 
@@ -299,8 +291,8 @@ def test_special_fiber_mutations_fail():
     res = verify_check("special-fiber", c, CFG)
     assert res.status == "fail" and res.witness["subcheck"] == "component-count"
 
-    # dropping generators shrinks a component's ideal, so I_s no longer
-    # lies in it (and its dimension grows)
+    # I3 cut down to its first two quadrics: they map into (q_w), but their
+    # leads fall short of the closed-form numerator
     c = _chart()
     comps = c.component_ideals()
     label, ideal, v = comps[2]
@@ -308,13 +300,16 @@ def test_special_fiber_mutations_fail():
     c._cache["components"] = comps[:2] + [(label, weakened, v)]
     res = verify_check("special-fiber", c, CFG)
     assert res.status == "fail"
-    assert res.witness["subcheck"] in ("intersection-equality",
-                                       "component-dimension", "incomparability")
+    assert res.witness == {"subcheck": "component-numerator", "component": "I3",
+                           "form": "column",
+                           "expected": [1, 0, -9, 16, -9, 0, 1],
+                           "got": [1, 0, -2, 1]}
 
 
 def _minors_as_special(c):
     """The cached special fiber replaced by the band minors alone: they lie
-    in every component, but cut out a variety of dimension d-1."""
+    in every component, but cut out a variety of dimension d-1, and are not
+    the generators of I'' at pi = 0 the certificate speaks for."""
     ring = c.fiber_ring
     c._cache["special"] = Ideal(ring, c._band_matrix(ring, c.cols).minors2())
 
@@ -324,9 +319,7 @@ def test_special_fiber_numerator_mutation_fails():
     _minors_as_special(c)
     res = verify_check("special-fiber", c, CFG)
     assert res.status == "fail"
-    assert res.witness["subcheck"] == "intersection-equality"
-    assert set(res.witness) == {"subcheck", "special", "intersection"}
-    assert res.witness["special"] != res.witness["intersection"]
+    assert res.witness == {"subcheck": "certificate", "ideal": "I_s"}
 
 
 def test_special_fiber_homogeneous_mutation_fails():
@@ -363,49 +356,43 @@ def _with_extra(c, text):
 
 @pytest.mark.parametrize("modulus", [32003, 0])
 def test_special_fiber_overlapping_linear_components_fail(modulus):
-    # the meet of the two linear components is then I2 itself, generated
-    # by the pairwise lcms, and I2 cap I3 is larger than I_s: the numerator
-    # identity fails
+    # each component is a certified prime holding I_s, and the multiplicity
+    # sum 1 + 1 + 6 still equals e(R/I_s) = 8: only distinctness catches
+    # the copy
     res = verify_check("special-fiber", _overlapping(_chart(6, 2, modulus)),
                        CFG)
     assert res.status == "fail"
-    assert res.witness == {"subcheck": "intersection-equality",
-                           "special": [1, 0, -7, 8, 3, -8, 3],
-                           "intersection": [1, 0, -8, 12, -3, -4, 2]}
+    assert res.witness == {"subcheck": "incomparability",
+                           "contained": "I1", "in": "I2"}
 
 
 @pytest.mark.parametrize("modulus", [32003, 0])
 def test_special_fiber_non_linear_component_fails(modulus):
     # I1 = (x[2][1], x[3][1], x[4][1]) of the three-component (5,3) chart
-    # with one generator added; a monomial component meets I2 by the lcm
-    # rule whatever its degrees
+    # with one generator added; a component with a generator of degree at
+    # most 1 is certified as linear, so its reduced basis must be variables
     def with_extra(text):
         return verify_check("special-fiber",
                             _with_extra(_chart(5, 3, modulus), text), CFG)
 
-    # the square of a variable I1 does not contain: a larger meet, whose
-    # numerator is not that of I_s
+    # the square of a variable I1 does not contain stays in the basis
     res = with_extra("x[4][5]^2")
     assert res.status == "fail"
-    assert res.witness == {"subcheck": "intersection-equality",
-                           "special": [1, 0, -4, 2, 3, -2],
-                           "intersection": [1, 0, -4, 2, 2, 1, -3, 1]}
+    assert res.witness == {"subcheck": "component-linear", "component": "I1",
+                           "generator": "x[4][5]^2"}
     # a generator already in I1 leaves its reduced basis, and the verdict,
     # as they were
     assert with_extra("x[4][1]*x[4][5]").status == "pass"
-    # a basis element of two terms is not monomial: the lcm rule does not
-    # apply, and the element is the witness
+    # a basis element of two terms is not a variable, and is the witness
     res = with_extra("x[4][5] + x[2][5]")
     assert res.status == "fail"
-    assert res.witness == {"subcheck": "intersection-equality",
-                           "component": "I1",
+    assert res.witness == {"subcheck": "component-linear", "component": "I1",
                            "generator": "x[2][5] + x[4][5]"}
 
 
 def test_special_fiber_unit_component_fails():
-    # a unit component has no dimension: read as None, as the dimensions
-    # check reads an empty fiber, it fails the dimension subcheck instead
-    # of raising
+    # a unit component has a generator of degree 0, so it is certified as
+    # linear, and its reduced basis, 1, is not a variable
     c = Chart(7, 3, PrimeField(32003))
     fr = c.fiber_ring
     (_, _, v1), (_, _, v2) = c.component_ideals()
@@ -414,13 +401,13 @@ def test_special_fiber_unit_component_fails():
         ("I2", Ideal(fr, c.special_fiber_ideal().gens), v2)]
     res = verify_check("special-fiber", c, CFG)
     assert res.status == "fail"
-    assert res.witness == {"subcheck": "component-dimension",
-                           "component": "I1", "expected": 5, "got": None}
+    assert res.witness == {"subcheck": "component-linear", "component": "I1",
+                           "generator": "1"}
 
 
 def test_special_fiber_verdict_matches_the_intersection():
     # the intersection cap I_j formed by Ideal.intersect is the reference
-    # for the numerator certificate
+    # for the decomposition by certificates and multiplicities
     charts = [Chart(d, l, QQ) for d in range(5, 9) for l in range(2, d - 1)]
     minors = Chart(6, 2, QQ)
     _minors_as_special(minors)
@@ -432,7 +419,7 @@ def test_special_fiber_verdict_matches_the_intersection():
     label, ideal, v = comps[0]
     weakened._cache["components"] = [
         (label, _drop(ideal, lambda g: g not in band), v)] + comps[1:]
-    # monomial components the lcm rule meets: overlapping, and not linear
+    # linear components: overlapping, and one not linear
     overlap = _overlapping(Chart(6, 2, QQ))
     square = _with_extra(Chart(5, 3, QQ), "x[4][5]^2")
     verdicts = []
@@ -445,7 +432,7 @@ def test_special_fiber_verdict_matches_the_intersection():
         assert (res.status == "pass") == equal, (c.d, c.l, res.witness)
         verdicts.append(res.status)
     assert verdicts == ["pass"] * 14 + ["fail"] * 4
-    # the weakened I1 fails the inclusion, not the numerators
+    # the weakened I1 fails its own certificate
     assert res.witness["component"] == "I1"
 
 
@@ -472,68 +459,150 @@ def test_special_fiber_spent_budget_times_out():
     assert res.status == "timeout" and "budget" in res.witness
 
 
-def test_spent_budget_in_a_seeded_run_times_out(monkeypatch):
-    # the certificate of I'' gives the numerator of the special fiber, so
-    # the first Buchberger run of special-fiber is a component's, seeded
-    # with the special minors; a budget spent in that run alone makes the
-    # check time out
-    c = _chart(8, 4)
-    c.reduced_ideal().groebner()
-    spent = EngineConfig(modulus=32003, timeout=1e-9)
-    assert verify_check("special-fiber", c, spent).status == "timeout"
-
-    class SpentWhenSeeded(Budget):
-        def __init__(self, seeded=False):
-            super().__init__()
-            self.seeded = seeded
-
-        def deadline(self):
-            if self.seeded:
-                raise BudgetExceeded("time budget spent in a seeded run")
-
-    class Config(EngineConfig):
-        def budget(self):
-            return SpentWhenSeeded()
-
+def test_spent_budget_in_a_seeded_run_times_out():
     # with M'' cached, the seeded run is all that I'' runs, and it meets
     # the deadline too
+    class Spent(Budget):
+        def deadline(self):
+            raise BudgetExceeded("time budget spent in a seeded run")
+
     fresh = _chart(8, 4)
     fresh.reduced_minors_ideal().groebner()
     with pytest.raises(BudgetExceeded, match="seeded run"):
-        fresh.reduced_ideal().groebner(SpentWhenSeeded(seeded=True))
+        fresh.reduced_ideal().groebner(Spent())
 
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_special_fiber_meets_the_deadline_per_component(modulus, monkeypatch):
+    # special-fiber runs no Buchberger; its budget is met between the
+    # component certificates and inside each interreduction, so a budget
+    # spent at any of those calls makes the check time out
+    events = []
+    real = groebner._interreduce
+
+    def interreduce(*args, **kwargs):
+        events.append("enter")
+        try:
+            return real(*args, **kwargs)
+        finally:
+            events.append("leave")
+
+    class Recording(Budget):
+        spend_at = None
+
+        def deadline(self):
+            inside = events.count("enter") > events.count("leave")
+            events.append("inside" if inside else "outside")
+            if sum(e in ("inside", "outside") for e in events) == self.spend_at:
+                raise BudgetExceeded("time budget spent at call %d" % self.spend_at)
+
+    class Config(EngineConfig):
+        def budget(self):
+            return Recording()
+
+    monkeypatch.setattr(groebner, "_interreduce", interreduce)
+    c = _chart(6, 2, modulus)
+    assert c.degeneration()
+    assert verify_check("special-fiber", c, Config(modulus=modulus)).status == "pass"
+    calls = [e for e in events if e in ("inside", "outside")]
+    # each of the three components interreduces with the deadline met
+    # inside, and a call outside comes before each certificate
+    runs = "".join("o" if e == "outside" else "i" for e in calls)
+    assert runs.count("oi") == 3 and "ii" in runs
+    for k in range(1, len(calls) + 1):
+        events.clear()
+        Recording.spend_at = k
+        res = verify_check("special-fiber", c, Config(modulus=modulus))
+        assert res.status == "timeout", k
+        assert res.witness == {"budget": "time budget spent at call %d" % k}
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_special_fiber_runs_no_buchberger(modulus, monkeypatch):
+    # on every chart with 5 <= d <= 9 the certificate of I'' and the
+    # components' own certificates leave nothing for Buchberger
     runs = []
-
-    def run(gens, budget=None):
-        budget.seeded = any(isinstance(g, GroebnerBasis) for g in gens)
-        runs.append(budget.seeded)
-        return buchberger(gens, budget)
-
-    monkeypatch.setattr(ideals, "buchberger", run)
-    res = verify_check("special-fiber", c, Config(modulus=32003))
-    assert res.status == "timeout"
-    assert "seeded run" in res.witness["budget"]
-    assert runs == [True]
+    monkeypatch.setattr(ideals, "buchberger",
+                        lambda gens, budget=None: runs.append(gens)
+                        or buchberger(gens, budget))
+    cfg = EngineConfig(modulus=modulus, reduced_limit=9)
+    charts = _charts_up_to_9()
+    for d, l in charts:
+        res = verify_check("special-fiber", _chart(d, l, modulus), cfg)
+        assert res.status == "pass", (d, l, res.witness)
+    assert len(charts) == 20 and not runs
 
 
 def test_component_mutations_are_plain_ideals():
-    # a quadric component is the sum of its quadrics and the special
-    # minors; the mutations that drop or add a generator build plain
-    # ideals, whose bases are runs from their generators
+    # a quadric component is a plain ideal, its quadrics then the band
+    # minors; the mutations that drop or add a generator are plain ideals
+    # too, and each is certified, or not, from its generators alone
     c = _chart()
+    ring = c.fiber_ring
     label, ideal, v = c.component_ideals()[2]
-    (minors,), quadrics = ideal._summands
-    assert set(minors.gens) <= set(ideal.gens) and quadrics
-    g = c.fiber_ring.parse("x[3][1]^2")
-    for mutated in (Ideal(ideal.ring, ideal.gens[:2]),
-                    Ideal(ideal.ring, ideal.gens + (g,))):
+    minors = tuple(c._band_matrix(ring, c.cols).minors2())
+    k = len(ideal.gens) - len(minors)
+    assert ideal._summands is None and k > 0 and ideal.gens[k:] == minors
+    assert not isinstance(c.certify_component(ideal), dict)
+    g = ring.parse("x[3][1]^2")
+    for mutated in (Ideal(ring, ideal.gens[:2]), Ideal(ring, ideal.gens + (g,))):
         assert mutated._summands is None
-        assert mutated.groebner() == buchberger(mutated.gens)
-    # the quadrics come first, then the special minors
-    assert ideal.gens == quadrics + minors.gens
-    # M'' lives in k[band, pi], not in the fiber ring: refused as a summand
-    with pytest.raises(ValueError, match="different ring"):
-        ideal_sum(ideal.ring, [c.reduced_minors_ideal()], quadrics)
+        assert isinstance(c.certify_component(mutated), dict)
+
+
+def _replaced(c, k, ideal):
+    """The chart with component k's ideal replaced."""
+    comps = c.component_ideals()
+    label, _, v = comps[k]
+    c._cache["components"] = comps[:k] + [(label, ideal, v)] + comps[k + 1:]
+    return c
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_component_certificate_mutations_fail(modulus):
+    def witness(c):
+        res = verify_check("special-fiber", c, CFG)
+        assert res.status == "fail"
+        return res.witness
+
+    # I3 of (6,2) built on the row form q_u = u_3 u_4, of rank 2: its
+    # quadrics map into (q_u), but k[u, w]/(q_u) is no domain
+    c = _chart(6, 2, modulus)
+    ring = c.fiber_ring
+    Y = c._band_matrix(ring, c.cols)
+    U = c._half_form(ring, 1, c.rows)
+    _replaced(c, 2, Ideal(ring, (Y.T @ U @ Y).entries() + Y.minors2()))
+    assert witness(c) == {"subcheck": "component-rank", "component": "I3",
+                          "form": "row", "rank": 2}
+    # I1 of (8,4) without its first quadric: the leads fall short
+    c = _chart(8, 4, modulus)
+    ideal = c.component_ideals()[0][1]
+    _replaced(c, 0, Ideal(ideal.ring, ideal.gens[1:]))
+    assert witness(c) == {
+        "subcheck": "component-numerator", "component": "I1", "form": "row",
+        "expected": [1, 0, -46, 240, -585, 768, -420, -288, 735, -640, 306,
+                     -80, 9],
+        "got": [1, 0, -45, 228, -519, 548, 75, -1080, 1659, -1432, 801, -300,
+                75, -12, 1]}
+    # a component replaced by a copy of another: a certified prime holding
+    # I_s, but not a new one
+    c = _chart(8, 4, modulus)
+    _replaced(c, 1, c.component_ideals()[0][1])
+    assert witness(c) == {"subcheck": "incomparability",
+                          "contained": "I1", "in": "I2"}
+    c = _chart(6, 2, modulus)
+    _replaced(c, 2, c.component_ideals()[0][1])
+    assert witness(c) == {"subcheck": "incomparability",
+                          "contained": "I1", "in": "I3"}
+    # I1 of (6,2) with two of its variables swapped for I2's: a certified
+    # linear prime, but the trace generator leaves it
+    c = _chart(6, 2, modulus)
+    (_, i1, _), (_, i2, _), _ = c.component_ideals()
+    _replaced(c, 0, Ideal(ring, i1.gens[:2] + i2.gens[2:]))
+    assert witness(c) == {
+        "subcheck": "containment", "component": "I1",
+        "generator": "x[3][1]*x[4][6] + x[3][2]*x[4][5] + x[3][5]*x[4][2]"
+                     " + x[3][6]*x[4][1]"}
 
 
 def test_reduction_passes_six_two():
@@ -789,23 +858,23 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (46, 1574)),
-                                                 (6, 2, 32003, (115, 3075)),
-                                                 (8, 4, 0, (273, 512))])
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (12, 1555)),
+                                                 (6, 2, 32003, (44, 3046)),
+                                                 (8, 4, 0, (0, 36))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report, each loose generator's
-    # reduction included.  The certificate of I'', which the runner asks
-    # for before the first check body, gives M'' its basis with no run,
-    # and every fiber numerator, so no fiber basis is read.  I'' (for reduction (b)), the
-    # quadric components and J + I_m start from their summands' bases, so
-    # no pair inside M'', the special minors, J or I_m is formed.  Under
-    # the chart ring's block order each full-ring basis is the solved
+    # reduction included, and the steps of the interreductions that
+    # certify M'' and the components.  The certificate of I'', which the
+    # runner asks for before the first check body, gives M'' its basis with
+    # no run, and every fiber numerator, so no fiber basis is read; each
+    # component certifies its basis with no S-pair.  I'' (for reduction
+    # (b)) starts from the basis of M'', so no pair inside M'' is formed.
+    # Under the chart ring's block order each full-ring basis is the solved
     # non-band variables plus a small basis over k[band, pi]; only I'
     # without Tr(X) and solve-plus-reduced run from their generators, and
     # the three ideals chained over them form no pair, though their loose
     # generators take steps to reduce to zero.  (8,4) runs the reduced-ring
-    # checks only, on a chart with two components: neither M'' nor I''
-    # runs Buchberger.
+    # checks only: no S-pair at all.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
     assert report.passed()
@@ -906,13 +975,6 @@ def test_expected_component_count_table():
              (6, 3): 2, (5, 2): 3, (7, 4): 2, (8, 3): 2}
     for (d, l), want in table.items():
         assert expected_component_count(Chart(d, l)) == want
-
-
-def test_chart_report_carries_primality_note():
-    c = _chart()
-    report = chart_report(c, CFG, checks=["dimensions"])
-    assert PRIMALITY_NOTE in report.notes
-    assert report.passed()
 
 
 def test_report_determinism():
