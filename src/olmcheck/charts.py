@@ -28,20 +28,23 @@ center row n+1 (it is solved for by the unit diagonal entry of the Gram
 matrix) while the center column n+1 survives as the extra column Q; with
 that convention the rectangle is l x (d-l) in every case.
 
-Every pairing the chart uses is a block of (G0, G1), read through one
-helper: J_e is G0 on the right x left outer columns, J_m is G1 on the middle
-rows (for opposite parity its center row is zero, and for d even row n is
-paired with itself), and the quadratic forms are q_u(u) = 1/2 u^t G1 u on
-the band rows and q_w(w) = 1/2 w^t G0 w on the columns.  The trace quadric is
+Every pairing the chart uses is a block of (G0, G1): J_e is G0 on the
+right x left outer columns, J_m is G1 on the middle rows (for opposite
+parity its center row is zero, and for d even row n is paired with itself),
+and the quadratic forms are q_u(u) = 1/2 u^t G1 u on the band rows and
+q_w(w) = 1/2 w^t G0 w on the columns.  The trace quadric is
 1/2 Tr(G1 Y G0 Y^t) on the band rectangle Y, so on rank-one matrices u (X) w
 it factors as 2*q_u(u)*q_w(w).  The special fiber then decomposes along q_u
 and q_w, which is exactly what the component builder emits; a form on two
 indices that pairs them with each other (two band rows, or columns {1, d})
 splits into linear factors, which produces the three-component boundary
-cases.
+cases.  Each Gram block is a partial permutation, so the 2x2 minors and all
+these quadrics are written term by term from its pairs (``_written``); only
+the full-ring relations and the substitution map are matrix products.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from types import SimpleNamespace
 
@@ -94,6 +97,17 @@ def _image(g, images, target):
     return target.from_dict(out)
 
 
+def _written(ring, terms):
+    """The quadric sum c*p*q over its terms (c, p, q), p and q variable names:
+    each term packed as the sum of their units, c added where terms meet."""
+    unit, index, add = ring._units, ring._index, ring.field.add
+    d = {}
+    for c, p, q in terms:
+        m = unit[index[p]] + unit[index[q]]
+        d[m] = add(d[m], c) if m in d else c
+    return ring.from_dict(d)
+
+
 def _validate(d, l):
     if not (isinstance(d, int) and isinstance(l, int)):
         raise InvalidChart("d and l must be integers")
@@ -134,7 +148,7 @@ class Chart:
     """All named ideals of the chart at one (d, l) over one field."""
 
     def __init__(self, d, l, field=QQ):
-        G1 = gram_matrices(d, l)[1]
+        self._gram = gram_matrices(d, l)
         self.d = d
         self.l = l
         self.field = field
@@ -143,7 +157,7 @@ class Chart:
         # the band rows are the rows G1 pairs; the middle rows run from the
         # first of them to the last, taking in the center row n+1 for
         # opposite parity
-        self.rows = [i for i in range(1, d + 1) if any(G1[i - 1])]
+        self.rows = [i for i in range(1, d + 1) if any(self._gram[1][i - 1])]
         self.cols = [j for j in range(1, d + 1) if j not in set(self.rows)]
         self.mid = list(range(self.rows[0], self.rows[-1] + 1))
         self.e = self.rows[0] - 1
@@ -174,9 +188,7 @@ class Chart:
     # -- matrices in the full ring -------------------------------------------------
 
     def x_matrix(self):
-        return PolyMatrix(self.ring, [[self.ring.var(xname(i, j))
-                                       for j in range(1, self.d + 1)]
-                                      for i in range(1, self.d + 1)])
+        return self._matrix(self.ring, range(1, self.d + 1), range(1, self.d + 1))
 
     def pi(self):
         return self.ring.var("pi")
@@ -184,15 +196,16 @@ class Chart:
     def gram(self):
         return gram_matrices(self.d, self.l)
 
-    def _sub(self, X, rows, cols):
-        return PolyMatrix(X.ring, [[X[i - 1, j - 1] for j in cols] for i in rows])
+    def _matrix(self, ring, rows, cols):
+        """X on rows x cols, its entries variables of ``ring``."""
+        return PolyMatrix(ring, [[ring.var(xname(i, j)) for j in cols] for i in rows])
 
-    def _blocks(self, X):
-        """B1, A, B2 (and Q for opposite parity) from the band rows of X."""
-        B1 = self._sub(X, self.mid, self._left)
-        B2 = self._sub(X, self.mid, self._right)
-        A = self._sub(X, self.mid, self.mid)
-        Q = None if self.same_parity else self._sub(X, self.mid, [self.center])
+    def _blocks(self, ring):
+        """B1, A, B2 (and Q for opposite parity) from the middle rows of X."""
+        B1 = self._matrix(ring, self.mid, self._left)
+        B2 = self._matrix(ring, self.mid, self._right)
+        A = self._matrix(ring, self.mid, self.mid)
+        Q = None if self.same_parity else self._matrix(ring, self.mid, [self.center])
         return B1, A, B2, Q
 
     def _solve_blocks(self):
@@ -210,15 +223,32 @@ class Chart:
     def _gram_block(self, ring, k, rows, cols):
         """G_k (k = 0 or 1) on the given rows x columns, as a constant matrix
         over ``ring``.  Every pairing the chart uses is one of these blocks."""
-        G = self.gram()[k]
+        G = self._gram[k]
         return constant_matrix(ring, [[G[i - 1][j - 1] for j in cols] for i in rows])
+
+    def _pairs(self, k, idx):
+        """G_k on idx x idx as the partial permutation it is: its (i, j), by row."""
+        return [(i, j) for i in idx for j in idx if self._gram[k][i - 1][j - 1]]
+
+    def _form(self, field, k, idx):
+        """q(v) = 1/2 v^t G_k v as terms (c, i, j), i <= j, in column order."""
+        return [(field.one if i < j else field.coerce(Fraction(1, 2)), i, j)
+                for j, i in self._pairs(k, idx) if i <= j]    # G_k is symmetric
+
+    def _minors(self, ring, rows, cols):
+        """The 2x2 minors x_ij x_ts - x_is x_tj of X, rows i < t and columns
+        j < s in row-major order, over ``ring``."""
+        one, minus = ring.field.one, ring.field.neg(ring.field.one)
+        return [_written(ring, ((one, xname(i, j), xname(t, s)),
+                                (minus, xname(i, s), xname(t, j))))
+                for i, t in combinations(rows, 2) for j, s in combinations(cols, 2)]
 
     def _build_equations(self):
         ring = self.ring
         X = self.x_matrix()
-        B1, A, B2, Q = self._blocks(X)
+        B1, A, B2, Q = self._blocks(ring)
         pi = self.pi()
-        G0, G1 = self.gram()
+        G0, G1 = self._gram
         S0X = constant_matrix(ring, G0) @ X
         S1X = constant_matrix(ring, G1) @ X
         lin = S0X + S1X.scale(pi)          # (S0 + pi S1) X
@@ -231,8 +261,8 @@ class Chart:
         return SimpleNamespace(
             X=X, B1=B1, A=A, B2=B2, Q=Q, pi=pi, Je=Je, Jm=Jm, H=H,
             square=X @ X,
-            minors=X.minors2(),
-            band_minors=self._sub(X, self.rows, self.cols).minors2(),
+            minors=self._minors(ring, range(1, self.d + 1), range(1, self.d + 1)),
+            band_minors=self._minors(ring, self.rows, self.cols),
             trace=X.trace(),
             trace_A=(H @ A @ H).trace() + pi.scale(2),
             antisym=AJm - (Jm @ A.T),
@@ -300,7 +330,7 @@ class Chart:
         exprs = _solve_expressions(eq.B1, eq.A, eq.B2, eq.Je, eq.Jm)
         rel = []
         for (rows, cols), expr in zip(self._solve_blocks(), exprs):
-            rel += (self._sub(eq.X, rows, cols) - expr).entries()
+            rel += (self._matrix(self.ring, rows, cols) - expr).entries()
         return rel
 
     # -- the named ideals ------------------------------------------------------------
@@ -361,11 +391,6 @@ class Chart:
         rectangle, over k[band variables, pi]."""
         return self._cached("reduced", self._build_reduced)
 
-    def _band_matrix(self, ring, cols):
-        """The band rows of X restricted to ``cols``, over a band ring."""
-        return PolyMatrix(ring, [[ring.var(xname(i, j)) for j in cols]
-                                 for i in self.rows])
-
     def _build_reduced(self):
         rr = self.reduced_ring
         minors = self.reduced_minors_ideal()
@@ -408,14 +433,14 @@ class Chart:
         a, b = len(self.rows), len(self.cols)
         summands, loose = red._summands or ((), ())
         if summands != (minors,) or len(loose) != 1 or \
-                list(minors.gens) != self._band_matrix(rr, self.cols).minors2():
+                list(minors.gens) != self._minors(rr, self.rows, self.cols):
             return False
         weights = tuple(pi_weights(rr))
         leads = [max(g._d) for g in minors.gens]
         n_m = monomial_numerator(rr, leads, weights, budget)
         if n_m != _kernel_numerator(a, b, False):
             return False
-        corner = lambda i, s: max(rr.var(xname(self.rows[i], self.cols[s]))._d)
+        corner = lambda i, s: rr._units[rr.index(xname(self.rows[i], self.cols[s]))]
         main = corner(0, 0) + corner(a - 1, b - 1)
         anti = corner(0, b - 1) + corner(a - 1, 0)
         f = dict(loose[0]._d)
@@ -456,18 +481,17 @@ class Chart:
         block of I'' (see ``ideals.ideal_sum``), and the ideal the
         B1JB2-symmetric lemma tests its band-only targets in."""
         return self._cached("reduced-minors", lambda: Ideal(
-            self.reduced_ring, self._band_matrix(self.reduced_ring,
-                                                 self.cols).minors2()))
+            self.reduced_ring, self._minors(self.reduced_ring, self.rows, self.cols)))
 
     def trace_quadric(self, ring):
         """The quadric t_r with t_r + 2*pi the hypersurface equation:
         1/2 Tr(P Y C Y^t) for Y the band rectangle, P the block of G1 on the
         band rows and C the block of G0 on the columns, i.e. half the sum of
         x[a][f]*x[b][g] over the G1-pairs (a, b) and the G0-pairs (f, g)."""
-        Y = self._band_matrix(ring, self.cols)
-        P = self._gram_block(ring, 1, self.rows, self.rows)
-        C = self._gram_block(ring, 0, self.cols, self.cols)
-        return (P @ Y @ C @ Y.T).trace().scale(Fraction(1, 2))
+        half = ring.field.coerce(Fraction(1, 2))
+        return _written(ring, [(half, xname(a, f), xname(b, g))
+                               for a, b in self._pairs(1, self.rows)
+                               for f, g in self._pairs(0, self.cols)])
 
     def substitution_map(self):
         """Images of every X variable in the reduced ring (same parity).
@@ -481,9 +505,9 @@ class Chart:
 
     def _build_substitution(self):
         rr = self.reduced_ring
-        band = self._band_matrix(rr, self.cols)
-        B1 = self._band_matrix(rr, self._left)
-        B2 = self._band_matrix(rr, self._right)
+        band = self._matrix(rr, self.rows, self.cols)
+        B1 = self._matrix(rr, self.rows, self._left)
+        B2 = self._matrix(rr, self.rows, self._right)
         Je = self._gram_block(rr, 0, self._right, self._left)
         Jm = self._gram_block(rr, 1, self.mid, self.mid)
         A_img = B2 @ Je @ B1.T @ Jm
@@ -541,36 +565,28 @@ class Chart:
         """
         return self._cached("components", self._build_components)
 
-    def _half_form(self, ring, k, idx):
-        """The upper triangle of the G_k block on ``idx``, diagonal halved:
-        U with u^t U u = q(u) = 1/2 u^t G_k u, as a constant matrix."""
-        G = self._gram_block(ring, k, idx, idx)
-        half = lambda i, j: G[i, j] if i < j else ring.zero() if i > j \
-            else G[i, i].scale(Fraction(1, 2))
-        return PolyMatrix(ring, [[half(i, j) for j in range(len(idx))]
-                                 for i in range(len(idx))])
-
     def _build_components(self):
-        ring = self.fiber_ring
-        var = lambda i, j: ring.var(xname(i, j))
-        Y = self._band_matrix(ring, self.cols)
+        ring, x = self.fiber_ring, xname
+        var = lambda i, j: ring.var(x(i, j))
         linear = lambda gens: Ideal(ring, gens)
-        minors = Y.minors2()    # a quadric component: its quadrics, then these
-        quadric = lambda gens: Ideal(ring, gens + minors)
-        U = self._half_form(ring, 1, self.rows)
-        W = self._half_form(ring, 0, self.cols)
-        # q_u(f, g) for all columns f, g and q_w(i, t) for all band rows i, t
-        row_quadric = (Y.T @ U @ Y).entries()
-        col_quadric = (Y @ W @ Y.T).entries()
+        minors = self._minors(ring, self.rows, self.cols)
+        quadric = lambda gens: Ideal(ring, gens + minors)   # quadrics, then minors
+        U = self._form(ring.field, 1, self.rows)
+        W = self._form(ring.field, 0, self.cols)
+        # q_u(f, g) = (Y^t U Y)[f][g] and q_w(i, t) = (Y W Y^t)[i][t], Y = band
+        row_quadric = [_written(ring, [(c, x(i, f), x(j, g)) for c, i, j in U])
+                       for f in self.cols for g in self.cols]
+        col_quadric = [_written(ring, [(c, x(i, f), x(t, g)) for c, f, g in W])
+                       for i in self.rows for t in self.rows]
         first_row = self.rows[0]
         # a form on two indices that pairs them with each other is a product
         # of two linear forms
-        if U.nrows == 2 and U[0, 1]:
+        if len(self.rows) == 2 and U[0][1:] == tuple(self.rows):
             a, b = self.rows
             return [("I1", linear([var(a, s) for s in self.cols]), xname(b, 1)),
                     ("I2", linear([var(b, s) for s in self.cols]), xname(a, 1)),
                     ("I3", quadric(col_quadric), xname(b, 1))]
-        if W.nrows == 2 and W[0, 1]:
+        if len(self.cols) == 2 and W[0][1:] == tuple(self.cols):
             f, g = self.cols
             return [("I1", linear([var(i, f) for i in self.rows]), xname(first_row, g)),
                     ("I2", linear([var(i, g) for i in self.rows]), xname(first_row, f)),
@@ -588,16 +604,16 @@ class Chart:
         col_ring = Ring([xname(i, s) for s in self.cols for i in self.rows],
                         self.field, GRLEX)
         forms = []
-        for name, k, idx, names, ring, other in (
-                ("row", 1, self.rows, u, self.fiber_ring, self.cols),
-                ("column", 0, self.cols, w, col_ring, self.rows)):
-            U = self._half_form(uw, k, idx)
-            vec = PolyMatrix(uw, [[uw.var(nm)] for nm in names])
-            # the rank of q is that of the span of its partials (char != 2)
-            rank = len(reduce_basis(uw, ((U + U.T) @ vec).entries()))
-            forms.append((name, GroebnerBasis(uw, [(vec.T @ U @ vec)[0, 0]]), rank,
+        for name, k, idx, v, ring, other in (
+                ("row", 1, self.rows, "u%d", self.fiber_ring, self.cols),
+                ("column", 0, self.cols, "w%d", col_ring, self.rows)):
+            form = self._form(uw.field, k, idx)
+            q = _written(uw, [(c, v % i, v % j) for c, i, j in form])
+            # rank q = rank of its partials dq/dv_i = v_j, G_k(i, j) = 1 (char != 2)
+            partials = [uw.var(v % j) for _, j in self._pairs(k, idx)]
+            forms.append((name, GroebnerBasis(uw, [q]), len(reduce_basis(uw, partials)),
                           ring, _kernel_numerator(len(idx), len(other), True)))
-        return [uw.monomial({ui: 1, ws: 1}) for ui in u for ws in w], forms
+        return [a + b for a in uw._units[:len(u)] for b in uw._units[len(u):]], forms
 
     def certify_component(self, ideal, budget=None):
         """Certify a special-fiber component from its generators alone:

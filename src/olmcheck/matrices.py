@@ -1,9 +1,9 @@
 """Small dense matrices with polynomial entries.
 
-Just enough linear algebra to write the chart relations the way they are
-stated: products, transposes, traces, constant matrices such as the Gram
-blocks, diagonal masks.  Sizes are at most d x d for the chart's d, and
-the opt-in test sweep builds charts up to d = 12, so nothing is tuned.
+Just enough linear algebra to write the chart's full-ring relations, its
+solve expressions and its substitution map the way they are stated:
+products, transposes, traces, constant matrices such as the Gram blocks,
+diagonal masks.  Sizes are at most d x d (d <= 12 in the opt-in sweep).
 """
 
 
@@ -26,17 +26,12 @@ class PolyMatrix:
     def entries(self):
         return [p for row in self.rows for p in row]
 
-    def transpose(self):
-        return PolyMatrix(self.ring,
-                          [[self.rows[i][j] for i in range(self.nrows)]
-                           for j in range(self.ncols)])
-
     @property
     def T(self):
-        return self.transpose()
+        return PolyMatrix(self.ring, [list(col) for col in zip(*self.rows)])
 
     def __matmul__(self, other):
-        if other.ncols and self.ncols != other.nrows:
+        if self.ncols != other.nrows:
             raise ValueError("shape mismatch %dx%d @ %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
         zero = self.ring.zero()
@@ -55,14 +50,15 @@ class PolyMatrix:
         return PolyMatrix(self.ring, out)
 
     def __add__(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch %dx%d and %dx%d"
+                             % (self.nrows, self.ncols, other.nrows, other.ncols))
         return PolyMatrix(self.ring,
                           [[a + b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        return PolyMatrix(self.ring,
-                          [[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
+        return self + other.scale(-1)
 
     def scale(self, c):
         """Multiply every entry by a scalar or polynomial."""
@@ -71,21 +67,7 @@ class PolyMatrix:
     def trace(self):
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
-        acc = self.ring.zero()
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def minors2(self):
-        """All 2x2 minors, rows i<t and columns j<s, in row-major order."""
-        out = []
-        for i in range(self.nrows):
-            for t in range(i + 1, self.nrows):
-                for j in range(self.ncols):
-                    for s in range(j + 1, self.ncols):
-                        out.append(self.rows[i][j] * self.rows[t][s]
-                                   - self.rows[i][s] * self.rows[t][j])
-        return out
+        return sum((self.rows[i][i] for i in range(self.nrows)), self.ring.zero())
 
 
 def constant_matrix(ring, data):
@@ -95,6 +77,5 @@ def constant_matrix(ring, data):
 
 def diagonal(ring, values):
     zero = ring.zero()
-    n = len(values)
-    return PolyMatrix(ring, [[values[i] if i == j else zero for j in range(n)]
-                             for i in range(n)])
+    return PolyMatrix(ring, [[v if i == j else zero for j in range(len(values))]
+                             for i, v in enumerate(values)])

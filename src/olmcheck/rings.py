@@ -74,8 +74,12 @@ class Ring:
         deg_shifts = [shift for shift, _, _ in self._deg_fields]
         self._top_deg = deg_shifts[0] if deg_shifts else None
         self._low_deg = deg_shifts[1] if len(deg_shifts) > 1 else None
-        # pi packed, its exponent field and the degree fields that count it
-        self._pi = self.monomial({"pi": 1}) if "pi" in self._index else None
+        # each variable packed once: its exponent field and its block's degree
+        units = [1 << shift for shift in self._exp_shift]
+        for shift, lo, hi in self._deg_fields:
+            units[lo:hi] = [u | 1 << shift for u in units[lo:hi]]
+        self._units = tuple(units)
+        self._pi = self._units[-1] if "pi" in self._index else None
 
     def __repr__(self):
         return "Ring(%d vars, %r, %r)" % (self.nvars, self.field, self.order)
@@ -179,8 +183,7 @@ class Ring:
         return self.const(1)
 
     def var(self, name):
-        m = self.monomial({name: 1})
-        return Polynomial(self, {m: self.field.one})
+        return Polynomial(self, {self._units[self.index(name)]: self.field.one})
 
     def gens(self):
         return [self.var(nm) for nm in self.names]

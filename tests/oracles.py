@@ -2,20 +2,21 @@
 
 Everything here is deliberately naive: extended Euclid for modular
 inverses, dense Gaussian elimination over Fraction for degree-bounded ideal
-membership, direct index formulas for the block matrix products, the unit
-antidiagonal J_m written out by index rather than read off a Gram matrix,
-and a search over variable subsets for the dimension of a leading-term
-ideal.  S-polynomials (Buchberger's criterion), the division identity,
-determinants by cofactor expansion and regularity by the colon ideal are
-plain polynomial arithmetic on the public types.  None of it shares code
-with the engine paths it certifies.
+membership and ranks, direct index formulas for the block matrix products,
+the unit antidiagonal J_m written out by index rather than read off a Gram
+matrix, the chart's minors, trace quadric and quadratic forms as products
+of polynomial matrices, and a search over variable subsets for the
+dimension of a leading-term ideal.  S-polynomials (Buchberger's
+criterion), the division identity, determinants by cofactor expansion and
+regularity by the colon ideal are plain polynomial arithmetic on the
+public types.  None of it shares code with the engine paths it certifies.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from olmcheck.errors import EmptyVariety, InvalidInput
-from olmcheck.matrices import PolyMatrix
+from olmcheck.matrices import PolyMatrix, constant_matrix
 
 
 def egcd(a, b):
@@ -130,6 +131,22 @@ def member_up_to_degree(f, gens, max_deg):
     return solve_exact(rows, rhs) is not None
 
 
+def matrix_rank(rows):
+    """Rank over Q of a matrix of rationals, by Gaussian elimination."""
+    m = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def independent_set_dimension(ring, lead_monomials):
     """Krull dimension read off leading monomials by brute force: the size
     of a largest set S of variables such that no leading monomial has its
@@ -155,6 +172,43 @@ def antidiag(ring, m):
     one, zero = ring.one(), ring.zero()
     return PolyMatrix(ring, [[one if i + j == m - 1 else zero for j in range(m)]
                              for i in range(m)])
+
+
+def minors2(matrix):
+    """All 2x2 minors of a PolyMatrix, rows i<t and columns j<s, in
+    row-major order, by polynomial products."""
+    rows = matrix.rows
+    return [rows[i][j] * rows[t][s] - rows[i][s] * rows[t][j]
+            for i, t in combinations(range(matrix.nrows), 2)
+            for j, s in combinations(range(matrix.ncols), 2)]
+
+
+def half_form(ring, G, idx):
+    """The upper triangle of the Gram matrix G on the 1-based indices
+    ``idx``, diagonal halved, as a constant matrix: U with
+    v^t U v = 1/2 v^t G v."""
+    return constant_matrix(ring, [
+        [G[i - 1][j - 1] if a < b else Fraction(G[i - 1][i - 1], 2) if a == b else 0
+         for b, j in enumerate(idx)] for a, i in enumerate(idx)])
+
+
+def chart_quadrics(chart, ring):
+    """The chart's band quadrics over ``ring`` as products of polynomial
+    matrices, Y the band rectangle: the minors of Y, the trace quadric
+    1/2 Tr(P Y C Y^t) (P the G1 block on the band rows, C the G0 block on
+    the columns), and the entries of Y^t U Y and Y W Y^t for U, W the half
+    forms of G1 on the rows and G0 on the columns."""
+    G0, G1 = chart.gram()
+    Y = PolyMatrix(ring, [[ring.var("x[%d][%d]" % (i, j)) for j in chart.cols]
+                          for i in chart.rows])
+    block = lambda G, idx: constant_matrix(
+        ring, [[G[i - 1][j - 1] for j in idx] for i in idx])
+    P, C = block(G1, chart.rows), block(G0, chart.cols)
+    U, W = half_form(ring, G1, chart.rows), half_form(ring, G0, chart.cols)
+    return {"minors": minors2(Y),
+            "trace": (P @ Y @ C @ Y.T).trace().scale(Fraction(1, 2)),
+            "row": (Y.T @ U @ Y).entries(), "column": (Y @ W @ Y.T).entries(),
+            "U": U, "W": W}
 
 
 def random_poly(ring, rng, max_deg=3, max_terms=4):

@@ -32,7 +32,7 @@ from olmcheck.ideals import Ideal
 from olmcheck.orders import GRLEX, LEX
 from olmcheck.rings import Ring
 from olmcheck.verify import EngineConfig, LEMMA_CHECKS, verify_check
-from oracles import random_poly, recombine, s_polynomial
+from oracles import minors2, random_poly, recombine, s_polynomial
 
 CFG_P = EngineConfig(modulus=32003)
 CFG_Q = EngineConfig(modulus=0)
@@ -71,7 +71,7 @@ def test_criterion_2_lemma_suite_with_mutations():
     # the mutation obligations live in test_verify.test_lemma_mutations_fail;
     # re-run the cheapest one here so this criterion is self-contained
     mut = Chart(6, 2, PrimeField(32003))
-    mut._cache["intermediate"] = Ideal(mut.ring, mut.x_matrix().minors2())
+    mut._cache["intermediate"] = Ideal(mut.ring, minors2(mut.x_matrix()))
     res = verify_check("X2-in-Iprime", mut, CFG_P)
     assert res.status == "fail"
     print("CRITERION 2 mutation flips to FAIL: PASS")

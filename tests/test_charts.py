@@ -8,13 +8,15 @@ from olmcheck.charts import Chart, gram_matrices, xname
 from olmcheck.errors import InvalidChart, NotApplicable
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.ideals import Ideal, krull_dimension, subring_part
-from olmcheck.matrices import constant_matrix
+from olmcheck.matrices import PolyMatrix, constant_matrix
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring, cast
-from oracles import antidiag, b2_j_b1t_entry, constant_term, s_polynomial
+from oracles import (antidiag, b2_j_b1t_entry, chart_quadrics, constant_term,
+                     half_form, matrix_rank, minors2, s_polynomial)
 from oracles import det as oracle_det
 
 ALL_CASES = [(6, 2), (8, 4), (5, 3), (7, 3), (6, 3), (5, 2), (6, 4), (8, 3), (7, 4)]
+SWEEP = [(d, l) for d in range(5, 10) for l in range(2, d - 1)]
 
 
 def test_invalid_charts_rejected():
@@ -210,6 +212,53 @@ def test_opposite_parity_traces():
     assert t == expect
 
 
+@pytest.mark.parametrize("modulus", [0, 32003])
+def test_quadrics_match_their_matrix_products(modulus):
+    # the minors, the trace quadric, the component quadrics and the forms
+    # q_u, q_w, which the chart writes term by term from the Gram pairings,
+    # equal their definitions as products of polynomial matrices, term for
+    # term and in generator order
+    terms = lambda polys: [g.terms() for g in polys]
+    for d, l in SWEEP:
+        c = Chart(d, l, PrimeField(modulus) if modulus else QQ)
+        where = (d, l, modulus)
+        eq = c._equations()
+        X = c.x_matrix()
+        assert terms(eq.minors) == terms(minors2(X)), where
+        assert terms(eq.band_minors) == terms(
+            minors2(c._matrix(c.ring, c.rows, c.cols))), where
+        rr = c.reduced_ring
+        red = chart_quadrics(c, rr)
+        assert terms(c.reduced_minors_ideal().gens) == terms(red["minors"]), where
+        assert terms(c.reduced_ideal().gens) == terms(
+            [red["trace"] + rr.var("pi").scale(2)] + red["minors"]), where
+        fib = chart_quadrics(c, c.fiber_ring)
+        assert c.trace_quadric(c.fiber_ring).terms() == fib["trace"].terms(), where
+        # a form on two indices that pairs them splits: its side gives two
+        # linear components and the other form's quadrics give I3
+        U, W = fib["U"], fib["W"]
+        want = ({"I3": "column"} if U.nrows == 2 and U[0, 1] else
+                {"I3": "row"} if W.nrows == 2 and W[0, 1] else
+                {"I1": "row", "I2": "column"})
+        comps = {label: ideal for label, ideal, _ in c.component_ideals()}
+        for label, form in want.items():
+            quadrics = [g for g in fib[form] if g] + fib["minors"]
+            assert terms(comps[label].gens) == terms(quadrics), where + (label,)
+        images, forms = c._forms()
+        uw = forms[0][1].ring
+        u = ["u%d" % i for i in c.rows]
+        w = ["w%d" % s for s in c.cols]
+        assert images == [uw.monomial({ui: 1, ws: 1}) for ui in u for ws in w]
+        for (name, q, rank, _, _), k, idx, names in zip(
+                forms, (1, 0), (c.rows, c.cols), (u, w)):
+            H = half_form(uw, c.gram()[k], idx)
+            vec = PolyMatrix(uw, [[uw.var(nm)] for nm in names])
+            assert terms(q) == terms([(vec.T @ H @ vec)[0, 0]]), where + (name,)
+            # the partials of q are (H + H^t) v
+            assert rank == matrix_rank([[constant_term(e) for e in row]
+                                        for row in (H + H.T).rows]), where + (name,)
+
+
 def test_trace_factors_on_rank_one_matrices():
     """On x[i][j] -> u_i * w_j the trace quadric is exactly 2 q_u q_w.
 
@@ -271,10 +320,9 @@ def test_substitution_kills_solve_relations_and_band_family():
         for field in (QQ, PrimeField(32003)):
             c = Chart(d, l, field)
             phi = c.substitution_map()
-            X = c.x_matrix()
-            A = c._sub(X, c.mid, c.mid)
-            B1 = c._sub(X, c.mid, range(1, c.e + 1))
-            B2 = c._sub(X, c.mid, range(d - c.e + 1, d + 1))
+            A = c._matrix(c.ring, c.mid, c.mid)
+            B1 = c._matrix(c.ring, c.mid, range(1, c.e + 1))
+            B2 = c._matrix(c.ring, c.mid, range(d - c.e + 1, d + 1))
             Je, Jm = antidiag(c.ring, c.e), antidiag(c.ring, len(c.mid))
             band = ((B2 @ Je @ B1.T) - (A @ Jm)).entries()
             for g in c.solve_relations() + band:

@@ -6,7 +6,7 @@ from olmcheck.fields import QQ
 from olmcheck.matrices import PolyMatrix, constant_matrix, diagonal
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring
-from oracles import antidiag, det
+from oracles import antidiag, det, minors2
 
 
 def _ring():
@@ -38,11 +38,11 @@ def test_minors2_count_and_values():
     R = _ring()
     a, b, c, d = R.gens()
     M = PolyMatrix(R, [[a, b], [c, d]])
-    minors = M.minors2()
+    minors = minors2(M)
     assert len(minors) == 1
     assert minors[0] == a * d - b * c
     wide = PolyMatrix(R, [[a, b, c], [b, c, d]])
-    assert len(wide.minors2()) == 3
+    assert len(minors2(wide)) == 3
 
 
 def test_det_matches_minor_for_2x2_and_known_3x3():
@@ -77,3 +77,22 @@ def test_shape_errors():
         M.trace()
     with pytest.raises(ValueError):
         PolyMatrix(R, [[R.one()], [R.one(), R.zero()]])
+
+
+def test_sums_and_products_check_shapes():
+    # a 2x2 plus a 1x3 matrix used to zip down to 1x2, and a 1x3 times a
+    # 2x0 product skipped its check because the right factor has no column
+    R = _ring()
+    a, b, c, d = R.gens()
+    square = PolyMatrix(R, [[a, b], [c, d]])
+    row = PolyMatrix(R, [[a, b, c]])
+    for x, y in ((square, row), (row, square)):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x - y
+    with pytest.raises(ValueError):
+        row @ PolyMatrix(R, [[], []])
+    assert (square + square.T)[0, 1] == b + c
+    assert (square - square)[1, 1].is_zero()
+    assert (row @ PolyMatrix(R, [[], [], []])).rows == [[]]

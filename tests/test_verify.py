@@ -18,10 +18,11 @@ from olmcheck.errors import BudgetExceeded
 from olmcheck.fields import PrimeField, QQ
 from olmcheck.groebner import Budget, GroebnerBasis, buchberger
 from olmcheck.ideals import Ideal, ideal_sum
+from olmcheck.matrices import PolyMatrix
 from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
                              chart_report, expected_component_count, run_suite,
                              verify_check)
-from oracles import is_regular_element
+from oracles import half_form, is_regular_element, minors2
 
 CFG = EngineConfig(modulus=32003)
 
@@ -311,7 +312,7 @@ def _minors_as_special(c):
     in every component, but cut out a variety of dimension d-1, and are not
     the generators of I'' at pi = 0 the certificate speaks for."""
     ring = c.fiber_ring
-    c._cache["special"] = Ideal(ring, c._band_matrix(ring, c.cols).minors2())
+    c._cache["special"] = Ideal(ring, minors2(c._matrix(ring, c.rows, c.cols)))
 
 
 def test_special_fiber_numerator_mutation_fails():
@@ -414,7 +415,7 @@ def test_special_fiber_verdict_matches_the_intersection():
     # I1 of (8,4) cut down to the band minors: I_s no longer lies in it
     weakened = Chart(8, 4, QQ)
     ring = weakened.fiber_ring
-    band = set(weakened._band_matrix(ring, weakened.cols).minors2())
+    band = set(minors2(weakened._matrix(ring, weakened.rows, weakened.cols)))
     comps = weakened.component_ideals()
     label, ideal, v = comps[0]
     weakened._cache["components"] = [
@@ -533,6 +534,24 @@ def test_special_fiber_runs_no_buchberger(modulus, monkeypatch):
     assert len(charts) == 20 and not runs
 
 
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_reduced_ring_work_forms_no_matrix_product(modulus, monkeypatch):
+    # M'', I'', the certificate of I'', the components and the reduced-ring
+    # checks write their equations term by term from the Gram pairings
+    def refuse(self, other):
+        raise AssertionError("a polynomial matrix product")
+    monkeypatch.setattr(PolyMatrix, "__matmul__", refuse)
+    cfg = EngineConfig(modulus=modulus)
+    for d, l in [(5, 3), (6, 2), (6, 3), (8, 4)]:
+        c = _chart(d, l, modulus)
+        assert c.reduced_minors_ideal().gens and c.reduced_ideal().gens
+        assert c.degeneration()
+        assert len(c.component_ideals()) == expected_component_count(c)
+        for name in ("dimensions", "flatness", "special-fiber"):
+            res = verify_check(name, c, cfg)
+            assert res.status == "pass", (d, l, name, res.witness)
+
+
 def test_component_mutations_are_plain_ideals():
     # a quadric component is a plain ideal, its quadrics then the band
     # minors; the mutations that drop or add a generator are plain ideals
@@ -540,7 +559,7 @@ def test_component_mutations_are_plain_ideals():
     c = _chart()
     ring = c.fiber_ring
     label, ideal, v = c.component_ideals()[2]
-    minors = tuple(c._band_matrix(ring, c.cols).minors2())
+    minors = tuple(minors2(c._matrix(ring, c.rows, c.cols)))
     k = len(ideal.gens) - len(minors)
     assert ideal._summands is None and k > 0 and ideal.gens[k:] == minors
     assert not isinstance(c.certify_component(ideal), dict)
@@ -569,9 +588,9 @@ def test_component_certificate_mutations_fail(modulus):
     # quadrics map into (q_u), but k[u, w]/(q_u) is no domain
     c = _chart(6, 2, modulus)
     ring = c.fiber_ring
-    Y = c._band_matrix(ring, c.cols)
-    U = c._half_form(ring, 1, c.rows)
-    _replaced(c, 2, Ideal(ring, (Y.T @ U @ Y).entries() + Y.minors2()))
+    Y = c._matrix(ring, c.rows, c.cols)
+    U = half_form(ring, c.gram()[1], c.rows)
+    _replaced(c, 2, Ideal(ring, (Y.T @ U @ Y).entries() + minors2(Y)))
     assert witness(c) == {"subcheck": "component-rank", "component": "I3",
                           "form": "row", "rank": 2}
     # I1 of (8,4) without its first quadric: the leads fall short
@@ -693,14 +712,14 @@ def _names_of(g):
 def test_lemma_mutations_fail():
     # X2-in-Iprime: the minors alone do not absorb X^2
     c = _chart()
-    c._cache["intermediate"] = Ideal(c.ring, c.x_matrix().minors2())
+    c._cache["intermediate"] = Ideal(c.ring, minors2(c.x_matrix()))
     res = verify_check("X2-in-Iprime", c, CFG)
     assert res.status == "fail" and "offending" in res.witness
 
     # antisym and the bilinear relation need more than minors + traces
     for name in ("antisym", "S0-relation"):
         c = _chart()
-        keep = c.x_matrix().minors2() + \
+        keep = minors2(c.x_matrix()) + \
             [g for g in c.intermediate_ideal().gens if g.total_degree() == 1]
         c._cache["intermediate"] = Ideal(c.ring, keep)
         res = verify_check(name, c, CFG)
@@ -710,7 +729,7 @@ def test_lemma_mutations_fail():
     # columns {2, 5, 6}
     c = _chart()
     rr = c.reduced_ring
-    c._cache["reduced-minors"] = Ideal(rr, c._band_matrix(rr, [2, 5, 6]).minors2())
+    c._cache["reduced-minors"] = Ideal(rr, minors2(c._matrix(rr, c.rows, [2, 5, 6])))
     res = verify_check("B1JB2-symmetric", c, CFG)
     assert res.status == "fail"
 
@@ -747,7 +766,7 @@ def test_witness_prints_as_build_prints():
     # X^2[1][1] leaves the minors: its witness is the chart's text (grlex on
     # the row-major names), not the block order of the full chart ring
     c = _chart()
-    c._cache["intermediate"] = Ideal(c.ring, c.x_matrix().minors2())
+    c._cache["intermediate"] = Ideal(c.ring, minors2(c.x_matrix()))
     res = verify_check("X2-in-Iprime", c, CFG)
     assert res.witness["offending"] == "X^2[1][1]"
     text = res.witness["generator"]
