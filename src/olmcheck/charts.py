@@ -38,9 +38,10 @@ it factors as 2*q_u(u)*q_w(w).  The special fiber then decomposes along q_u
 and q_w, which is exactly what the component builder emits; a form on two
 indices that pairs them with each other (two band rows, or columns {1, d})
 splits into linear factors, which produces the three-component boundary
-cases.  Each Gram block is a partial permutation, so the 2x2 minors and all
-these quadrics are written term by term from its pairs (``_written``); only
-the full-ring relations and the substitution map are matrix products.
+cases.  G0 + pi*G1 is a permutation matrix, so every equation the chart
+states as a matrix product (the 2x2 minors, the relation families, the
+solve expressions, the substitution map and these quadrics) is written term
+by term from its pairs (``_written``); no polynomial matrix is multiplied.
 """
 
 from fractions import Fraction
@@ -52,9 +53,9 @@ from .errors import InvalidChart, NotApplicable
 from .fields import QQ
 from .groebner import GroebnerBasis, reduce_basis
 from .ideals import Ideal, ideal_sum, monomial_numerator, pi_weights
-from .matrices import PolyMatrix, constant_matrix, diagonal
+from .matrices import PolyMatrix
 from .orders import GRLEX, Block
-from .rings import Ring, cast, specialize_pi
+from .rings import Polynomial, Ring, cast, monomial_map, specialize_pi
 
 
 def xname(i, j):
@@ -88,24 +89,31 @@ def gram_matrices(d, l):
 FIBER_PI = {"special": 0, "generic": 1, "arithmetic": None}
 
 
-def _image(g, images, target):
-    """g under the monomial map x_k -> images[k], packed in ``target``."""
-    out = {}
-    for m, c in g._d.items():
-        key = sum(map(int.__mul__, g.ring.exponents(m), images))
-        out[key] = target.field.add(out.get(key, target.field.zero), c)
-    return target.from_dict(out)
-
-
 def _written(ring, terms):
-    """The quadric sum c*p*q over its terms (c, p, q), p and q variable names:
-    each term packed as the sum of their units, c added where terms meet."""
-    unit, index, add = ring._units, ring._index, ring.field.add
+    """The sum of c * v1 * ... * vk over its terms (c, v1, ..., vk), c
+    nonzero and the v variable names: each term packed as the sum of their
+    units, c added where terms meet.  Raises ValueError when a term
+    overflows a packed field."""
+    unit, field, guard = ring._unit_of, ring.field, ring.guard_mask
     d = {}
-    for c, p, q in terms:
-        m = unit[index[p]] + unit[index[q]]
-        d[m] = add(d[m], c) if m in d else c
-    return ring.from_dict(d)
+    for c, *names in terms:
+        m = 0
+        for v in names:
+            m += unit[v]
+        if m & guard:
+            raise ValueError("term exponent overflows the packed field")
+        if m in d:
+            c = field.add(d[m], c)
+            if field.is_zero(c):
+                del d[m]
+                continue
+        d[m] = c
+    return Polynomial(ring, d)
+
+
+def _family(ring, rows, cols, terms):
+    """The rows x cols matrix whose (i, j) entry is written from terms(i, j)."""
+    return PolyMatrix(ring, [[_written(ring, terms(i, j)) for j in cols] for i in rows])
 
 
 def _validate(d, l):
@@ -115,19 +123,6 @@ def _validate(d, l):
         raise InvalidChart("need d >= 5, got d=%d" % d)
     if not 1 < l < d - 1:
         raise InvalidChart("need 1 < l < d-1, got l=%d for d=%d" % (l, d))
-
-
-def _solve_expressions(B1, A, B2, Je, Jm):
-    """What E1, E2, E3, E4, O1, O2 equal on the chart: -1/2 Je Bk^t Jm M.
-
-    ``solve_relations`` subtracts them from the blocks of X; the substitution
-    map reads them with A replaced by its image B2 Je B1^t Jm.
-    """
-    half = B1.ring.field.coerce(Fraction(1, 2))
-    L1 = Je @ B1.T @ Jm
-    L2 = Je @ B2.T @ Jm
-    return [(L @ M).scale(-half)
-            for L, M in ((L2, B1), (L2, B2), (L1, B1), (L1, B2), (L2, A), (L1, A))]
 
 
 def _kernel_numerator(a, b, quadric):
@@ -166,9 +161,15 @@ class Chart:
         # bottom rows of the E and O blocks
         self._left = list(range(1, self.e + 1))
         self._right = list(range(d - self.e + 1, d + 1))
+        # G0 + pi*G1 is a permutation matrix: row i of G_k X is row
+        # _partner[i] of X, for k = 1 on the band rows and k = 0 elsewhere
+        self._partner = {i: row.index(1) + 1 for G in self._gram
+                         for i, row in enumerate(G, 1) if 1 in row}
 
-        names = [xname(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]
-        bnames = [xname(i, j) for i in self.rows for j in self.cols]
+        # x[i][j] is the name of the entry (i, j) of X, 1-based
+        self._x = x = [[xname(i, j) for j in range(d + 1)] for i in range(d + 1)]
+        names = [x[i][j] for i in range(1, d + 1) for j in range(1, d + 1)]
+        bnames = [x[i][j] for i in self.rows for j in self.cols]
         # the chart equations solve each non-band entry for a polynomial in
         # the band variables; with the non-band block first, each of those
         # generators leads with the entry it solves for
@@ -190,41 +191,29 @@ class Chart:
     def x_matrix(self):
         return self._matrix(self.ring, range(1, self.d + 1), range(1, self.d + 1))
 
-    def pi(self):
-        return self.ring.var("pi")
-
     def gram(self):
         return gram_matrices(self.d, self.l)
 
     def _matrix(self, ring, rows, cols):
         """X on rows x cols, its entries variables of ``ring``."""
-        return PolyMatrix(ring, [[ring.var(xname(i, j)) for j in cols] for i in rows])
+        return PolyMatrix(ring, [[ring.var(self._x[i][j]) for j in cols] for i in rows])
 
-    def _blocks(self, ring):
-        """B1, A, B2 (and Q for opposite parity) from the middle rows of X."""
-        B1 = self._matrix(ring, self.mid, self._left)
-        B2 = self._matrix(ring, self.mid, self._right)
-        A = self._matrix(ring, self.mid, self.mid)
-        Q = None if self.same_parity else self._matrix(ring, self.mid, [self.center])
-        return B1, A, B2, Q
-
-    def _solve_blocks(self):
-        """(rows, cols) of E1, E2, E3, E4, O1, O2, in the order of
-        ``_solve_expressions``."""
-        lo, hi = self._left, self._right
-        return ((lo, lo), (lo, hi), (hi, lo), (hi, hi), (lo, self.mid), (hi, self.mid))
+    def _solved(self, c, entry):
+        """{(i, j): terms} over E1, E2, E3, E4, O1, O2, in that order, of
+        c * J_e B^t J_m M, B = B2 on the left rows and B1 on the right ones
+        and M = B1, B2 or A: the sum over the band rows k of x[p(k)][p(i)]
+        times each term (names) of entry(k, j), the (k, j) entry of M.  With
+        c = -1/2 these are what the blocks equal on the chart."""
+        x, p, lo, hi = self._x, self._partner, self._left, self._right
+        return {(i, j): [(c, x[p[k]][p[i]], *t) for k in self.rows for t in entry(k, j)]
+                for rows, cols in ((lo, lo), (lo, hi), (hi, lo), (hi, hi),
+                                   (lo, self.mid), (hi, self.mid))
+                for i in rows for j in cols}
 
     def _equations(self):
-        """The chart's matrix system in the full ring, built once: X, its
-        blocks, pi, the J matrices, and every relation family that more than
-        one generator list or lemma reads."""
+        """The chart's relation families in the full ring, built once: every
+        family that more than one generator list or lemma reads."""
         return self._cached("equations", self._build_equations)
-
-    def _gram_block(self, ring, k, rows, cols):
-        """G_k (k = 0 or 1) on the given rows x columns, as a constant matrix
-        over ``ring``.  Every pairing the chart uses is one of these blocks."""
-        G = self._gram[k]
-        return constant_matrix(ring, [[G[i - 1][j - 1] for j in cols] for i in rows])
 
     def _pairs(self, k, idx):
         """G_k on idx x idx as the partial permutation it is: its (i, j), by row."""
@@ -238,37 +227,45 @@ class Chart:
     def _minors(self, ring, rows, cols):
         """The 2x2 minors x_ij x_ts - x_is x_tj of X, rows i < t and columns
         j < s in row-major order, over ``ring``."""
-        one, minus = ring.field.one, ring.field.neg(ring.field.one)
-        return [_written(ring, ((one, xname(i, j), xname(t, s)),
-                                (minus, xname(i, s), xname(t, j))))
+        x, one, minus = self._x, ring.field.one, ring.field.neg(ring.field.one)
+        return [_written(ring, ((one, x[i][j], x[t][s]), (minus, x[i][s], x[t][j])))
                 for i, t in combinations(rows, 2) for j, s in combinations(cols, 2)]
 
     def _build_equations(self):
-        ring = self.ring
-        X = self.x_matrix()
-        B1, A, B2, Q = self._blocks(ring)
-        pi = self.pi()
-        G0, G1 = self._gram
-        S0X = constant_matrix(ring, G0) @ X
-        S1X = constant_matrix(ring, G1) @ X
-        lin = S0X + S1X.scale(pi)          # (S0 + pi S1) X
-        Je = self._gram_block(ring, 0, self._right, self._left)
-        Jm = self._gram_block(ring, 1, self.mid, self.mid)
-        # the band rows among the middle ones: all of them for same parity,
-        # all but the center row for opposite parity
-        H = diagonal(ring, [ring.const(int(i in self.rows)) for i in self.mid])
-        AJm = A @ Jm
+        """X^2, the minors, Tr(X), Tr(HAH) + 2 pi, the antisymmetry family
+        A J_m - J_m A^t and the band family B2 J_e B1^t - A J_m (both masked
+        to the band rows by H), and the relations X^t S0 X - 2 pi (S0 + pi S1) X
+        and X^t S1 X + 2 (S0 + pi S1) X, S_k = G_k, each written term by term
+        from the pairing p = ``_partner``."""
+        ring, x, p, band = self.ring, self._x, self._partner, set(self.rows)
+        field, one, two = ring.field, ring.field.one, ring.field.coerce(2)
+        every, mid = range(1, self.d + 1), self.mid
+        # (X^t G_k X)[i][j], k = 1 for the band rows t, and the factors of
+        # ((S0 + pi S1) X)[i][j]
+        bilinear = lambda i, j, k: [(one, x[t][i], x[p[t]][j]) for t in every
+                                    if (t in band) == k]
+        lin = lambda i, j: ("pi", x[p[i]][j]) if i in band else (x[p[i]][j],)
+        # H masks the middle rows to the band rows (all of them for same
+        # parity); for opposite parity the band family is
+        # 2 H(B2 J_e B1^t - A J_m)H + H Q Q^t H, Q the center column
+        c, q = (one, []) if self.same_parity else (two, [self.center])
+        masked = lambda terms: lambda i, j: terms(i, j) if i in band and j in band else ()
         return SimpleNamespace(
-            X=X, B1=B1, A=A, B2=B2, Q=Q, pi=pi, Je=Je, Jm=Jm, H=H,
-            square=X @ X,
-            minors=self._minors(ring, range(1, self.d + 1), range(1, self.d + 1)),
+            square=_family(ring, every, every,
+                           lambda i, j: [(one, x[i][k], x[k][j]) for k in every]),
+            minors=self._minors(ring, every, every),
             band_minors=self._minors(ring, self.rows, self.cols),
-            trace=X.trace(),
-            trace_A=(H @ A @ H).trace() + pi.scale(2),
-            antisym=AJm - (Jm @ A.T),
-            band=(B2 @ Je @ B1.T) - AJm,
-            rel0=(X.T @ S0X) - lin.scale(pi.scale(2)),
-            rel1=(X.T @ S1X) + lin.scale(2))
+            trace=_written(ring, [(one, x[i][i]) for i in every]),
+            trace_A=_written(ring, [(one, x[i][i]) for i in self.rows] + [(two, "pi")]),
+            antisym=_family(ring, mid, mid, masked(
+                lambda i, j: [(one, x[i][p[j]]), (field.neg(one), x[j][p[i]])])),
+            band=_family(ring, mid, mid, masked(
+                lambda i, j: [(c, x[i][p[s]], x[j][s]) for s in self._left]
+                + [(field.neg(c), x[i][p[j]])] + [(one, x[i][t], x[j][t]) for t in q])),
+            rel0=_family(ring, every, every, lambda i, j: bilinear(i, j, False)
+                         + [(field.neg(two), "pi", *lin(i, j))]),
+            rel1=_family(ring, every, every, lambda i, j: bilinear(i, j, True)
+                         + [(two, *lin(i, j))]))
 
     # -- generator families ---------------------------------------------------------
 
@@ -293,12 +290,7 @@ class Chart:
         four parity cases: I has dimension d-1 and I cap k[band, pi] = I''.
         """
         eq = self._equations()
-        gens = [eq.trace, eq.trace_A]
-        if self.same_parity:
-            return gens + eq.antisym.entries() + eq.band.entries()
-        H = eq.H
-        core = (H @ eq.band @ H).scale(2) + (H @ eq.Q @ eq.Q.T @ H)
-        return gens + (H @ eq.antisym @ H).entries() + core.entries()
+        return [eq.trace, eq.trace_A] + eq.antisym.entries() + eq.band.entries()
 
     def intermediate_generators(self):
         """The halfway ideal I' of the same-parity reduction."""
@@ -326,12 +318,10 @@ class Chart:
         """
         if not self.same_parity:
             raise NotApplicable("the printed solve relations assume same parity")
-        eq = self._equations()
-        exprs = _solve_expressions(eq.B1, eq.A, eq.B2, eq.Je, eq.Jm)
-        rel = []
-        for (rows, cols), expr in zip(self._solve_blocks(), exprs):
-            rel += (self._matrix(self.ring, rows, cols) - expr).entries()
-        return rel
+        ring, x = self.ring, self._x
+        solved = self._solved(ring.field.coerce(Fraction(1, 2)), lambda k, j: [(x[k][j],)])
+        return [_written(ring, [(ring.field.one, x[i][j])] + terms)
+                for (i, j), terms in solved.items()]
 
     # -- the named ideals ------------------------------------------------------------
 
@@ -440,7 +430,7 @@ class Chart:
         n_m = monomial_numerator(rr, leads, weights, budget)
         if n_m != _kernel_numerator(a, b, False):
             return False
-        corner = lambda i, s: rr._units[rr.index(xname(self.rows[i], self.cols[s]))]
+        corner = lambda i, s: rr._unit_of[self._x[self.rows[i]][self.cols[s]]]
         main = corner(0, 0) + corner(a - 1, b - 1)
         anti = corner(0, b - 1) + corner(a - 1, 0)
         f = dict(loose[0]._d)
@@ -489,7 +479,8 @@ class Chart:
         band rows and C the block of G0 on the columns, i.e. half the sum of
         x[a][f]*x[b][g] over the G1-pairs (a, b) and the G0-pairs (f, g)."""
         half = ring.field.coerce(Fraction(1, 2))
-        return _written(ring, [(half, xname(a, f), xname(b, g))
+        x = self._x
+        return _written(ring, [(half, x[a][f], x[b][g])
                                for a, b in self._pairs(1, self.rows)
                                for f, g in self._pairs(0, self.cols)])
 
@@ -504,24 +495,18 @@ class Chart:
         return self._cached("phi", self._build_substitution)
 
     def _build_substitution(self):
-        rr = self.reduced_ring
-        band = self._matrix(rr, self.rows, self.cols)
-        B1 = self._matrix(rr, self.rows, self._left)
-        B2 = self._matrix(rr, self.rows, self._right)
-        Je = self._gram_block(rr, 0, self._right, self._left)
-        Jm = self._gram_block(rr, 1, self.mid, self.mid)
-        A_img = B2 @ Je @ B1.T @ Jm
+        rr, x, p, mid = self.reduced_ring, self._x, self._partner, self.mid
+        field = rr.field
+        # (B2 J_e B1^t J_m)[i][j]: x[i][p(s)] x[p(j)][s] over the left columns s
+        a_image = lambda i, j: [(x[i][p[s]], x[p[j]][s]) for s in self._left]
         images = {"pi": rr.var("pi")}
-        for bi, i in enumerate(self.rows):
-            for bj, j in enumerate(self.cols):
-                images[xname(i, j)] = band[bi, bj]
-            for bj, j in enumerate(self.mid):
-                images[xname(i, j)] = A_img[bi, bj]
-        exprs = _solve_expressions(B1, A_img, B2, Je, Jm)
-        for (rows, cols), expr in zip(self._solve_blocks(), exprs):
-            for bi, i in enumerate(rows):
-                for bj, j in enumerate(cols):
-                    images[xname(i, j)] = expr[bi, bj]
+        for i in self.rows:
+            images.update((x[i][j], rr.var(x[i][j])) for j in self.cols)
+            images.update((x[i][j], _written(rr, [(field.one, *t) for t in a_image(i, j)]))
+                          for j in mid)
+        solved = self._solved(field.neg(field.coerce(Fraction(1, 2))),
+                              lambda k, j: a_image(k, j) if j in mid else [(x[k][j],)])
+        images.update((x[i][j], _written(rr, terms)) for (i, j), terms in solved.items())
         return images
 
     # -- fibers and components ----------------------------------------------------------
@@ -566,33 +551,33 @@ class Chart:
         return self._cached("components", self._build_components)
 
     def _build_components(self):
-        ring, x = self.fiber_ring, xname
-        var = lambda i, j: ring.var(x(i, j))
+        ring, x = self.fiber_ring, self._x
+        var = lambda i, j: ring.var(x[i][j])
         linear = lambda gens: Ideal(ring, gens)
         minors = self._minors(ring, self.rows, self.cols)
         quadric = lambda gens: Ideal(ring, gens + minors)   # quadrics, then minors
         U = self._form(ring.field, 1, self.rows)
         W = self._form(ring.field, 0, self.cols)
         # q_u(f, g) = (Y^t U Y)[f][g] and q_w(i, t) = (Y W Y^t)[i][t], Y = band
-        row_quadric = [_written(ring, [(c, x(i, f), x(j, g)) for c, i, j in U])
+        row_quadric = [_written(ring, [(c, x[i][f], x[j][g]) for c, i, j in U])
                        for f in self.cols for g in self.cols]
-        col_quadric = [_written(ring, [(c, x(i, f), x(t, g)) for c, f, g in W])
+        col_quadric = [_written(ring, [(c, x[i][f], x[t][g]) for c, f, g in W])
                        for i in self.rows for t in self.rows]
         first_row = self.rows[0]
         # a form on two indices that pairs them with each other is a product
         # of two linear forms
         if len(self.rows) == 2 and U[0][1:] == tuple(self.rows):
             a, b = self.rows
-            return [("I1", linear([var(a, s) for s in self.cols]), xname(b, 1)),
-                    ("I2", linear([var(b, s) for s in self.cols]), xname(a, 1)),
-                    ("I3", quadric(col_quadric), xname(b, 1))]
+            return [("I1", linear([var(a, s) for s in self.cols]), x[b][1]),
+                    ("I2", linear([var(b, s) for s in self.cols]), x[a][1]),
+                    ("I3", quadric(col_quadric), x[b][1])]
         if len(self.cols) == 2 and W[0][1:] == tuple(self.cols):
             f, g = self.cols
-            return [("I1", linear([var(i, f) for i in self.rows]), xname(first_row, g)),
-                    ("I2", linear([var(i, g) for i in self.rows]), xname(first_row, f)),
-                    ("I3", quadric(row_quadric), xname(first_row, 1))]
-        return [("I1", quadric(row_quadric), xname(first_row, 1)),
-                ("I2", quadric(col_quadric), xname(first_row, 1))]
+            return [("I1", linear([var(i, f) for i in self.rows]), x[first_row][g]),
+                    ("I2", linear([var(i, g) for i in self.rows]), x[first_row][f]),
+                    ("I3", quadric(row_quadric), x[first_row][1])]
+        return [("I1", quadric(row_quadric), x[first_row][1]),
+                ("I2", quadric(col_quadric), x[first_row][1])]
 
     def _forms(self):
         """psi(x_is) = u_i w_s as packed monomials of k[u, w], and for q_u
@@ -601,7 +586,7 @@ class Chart:
         u = ["u%d" % i for i in self.rows]
         w = ["w%d" % s for s in self.cols]
         uw = Ring(u + w, self.field, GRLEX)
-        col_ring = Ring([xname(i, s) for s in self.cols for i in self.rows],
+        col_ring = Ring([self._x[i][s] for s in self.cols for i in self.rows],
                         self.field, GRLEX)
         forms = []
         for name, k, idx, v, ring, other in (
@@ -640,7 +625,7 @@ class Chart:
         outside = {}
         for name, q, rank, order_ring, numerator in forms:
             outside[name] = next((g for g in ideal.gens
-                                  if not q.contains(_image(g, images, q.ring))), None)
+                                  if not q.contains(monomial_map(g, images, q.ring))), None)
             if outside[name] is None:
                 break
         else:

@@ -1,9 +1,10 @@
 """Small dense matrices with polynomial entries.
 
-Just enough linear algebra to write the chart's full-ring relations, its
-solve expressions and its substitution map the way they are stated:
-products, transposes, traces, constant matrices such as the Gram blocks,
-diagonal masks.  Sizes are at most d x d (d <= 12 in the opt-in sweep).
+The chart writes its equations term by term from the Gram pairings and
+keeps each relation family in a ``PolyMatrix`` only as a container, so a
+lemma target is tagged by its entry.  Products, transposes, sums and traces
+are here for the tests, whose oracles state the same families as matrix
+products.  Sizes are at most d x d (d <= 12 in the opt-in sweep).
 """
 
 
@@ -69,13 +70,3 @@ class PolyMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self.rows[i][i] for i in range(self.nrows)), self.ring.zero())
 
-
-def constant_matrix(ring, data):
-    """Matrix of ring constants from an int matrix."""
-    return PolyMatrix(ring, [[ring.const(v) for v in row] for row in data])
-
-
-def diagonal(ring, values):
-    zero = ring.zero()
-    return PolyMatrix(ring, [[v if i == j else zero for j in range(len(values))]
-                             for i, v in enumerate(values)])

@@ -11,6 +11,7 @@ convention, the last and therefore least variable wherever it occurs.
 
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import TableMismatch, MissingImage
 from .fields import QQ
@@ -83,6 +84,14 @@ class Ring:
 
     def __repr__(self):
         return "Ring(%d vars, %r, %r)" % (self.nvars, self.field, self.order)
+
+    @cached_property
+    def _unit_of(self):       # each variable's packed unit by name
+        return dict(zip(self.names, self._units))
+
+    @cached_property
+    def _var_at(self):        # the variable whose guard bit has bit length n
+        return {shift + FIELD_BITS: i for i, shift in enumerate(self._exp_shift)}
 
     def index(self, name):
         try:
@@ -417,13 +426,41 @@ def cast(f, target):
     Raises KeyError when a variable of f is missing from ``target`` and
     ValueError when a monomial overflows the target's packed fields.
     """
+    return monomial_map(f, list(map(target._unit_of.get, f.ring.names)), target)
+
+
+def monomial_map(f, images, target):
+    """f under the map sending variable k of its ring to the packed monomial
+    images[k] of ``target`` (None: no image), coefficients coerced into the
+    target's field and added where images meet; each monomial is read by
+    the nonzero exponent fields of its support (see ``orders``) alone.
+    Raises KeyError when a variable of f has no image and ValueError when
+    an image overflows a packed field of ``target``."""
     ring, field = f.ring, target.field
+    low, support, var_at = ring._exp_low, ring._exp_guard, ring._var_at
+    guard, mask = target.guard_mask, (1 << FIELD_BITS) - 1
+    terms = f._d.items()
+    if field != ring.field:
+        terms = [(m, c) for m, c in zip(f._d, map(field.coerce, f._d.values()))
+                 if not field.is_zero(c)]
     out = {}
-    for m, c in f._d.items():
-        c = field.coerce(c)
-        if not field.is_zero(c):
-            exps = {nm: e for nm, e in zip(ring.names, ring.exponents(m)) if e}
-            out[target.monomial(exps)] = c
+    for m, c in terms:
+        key, s = 0, (m + low) & support
+        while s:
+            n = s.bit_length()
+            s ^= 1 << (n - 1)
+            image = images[var_at[n]]
+            if image is None:
+                raise KeyError("no variable %r in ring" % (ring.names[var_at[n]],))
+            key += (m >> (n - FIELD_BITS) & mask) * image
+        if key & guard:
+            raise ValueError("image monomial overflows the packed field")
+        if key in out:
+            c = field.add(out[key], c)
+            if field.is_zero(c):
+                del out[key]
+                continue
+        out[key] = c
     return Polynomial(target, out)
 
 

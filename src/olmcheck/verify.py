@@ -26,10 +26,11 @@ import math
 import time
 from dataclasses import dataclass
 
-from .charts import Chart
+from .charts import Chart, _family
 from .errors import BudgetExceeded
 from .fields import coefficient_field
 from .groebner import Budget
+from .matrices import PolyMatrix
 from .ideals import (dimension_and_degree, hilbert_numerator,
                      inhomogeneous_generator, pi_weights, subring_part)
 from .rings import Polynomial, cast
@@ -134,18 +135,26 @@ def _tagged_entries(tag, mat):
     return out
 
 
-def _theta_asym(eq):
-    theta = eq.B1 @ eq.Je @ eq.B2.T
-    return _tagged_entries("theta-asym", theta - theta.T)
+def _theta_asym(chart):
+    """theta - theta^t, theta = B1 J_e B2^t: theta[i][j] is the sum of
+    x[i][p(r)] x[j][r] over the right columns r, p the chart's pairing."""
+    x, p, right, field = chart._x, chart._partner, chart._right, chart.field
+    one, minus = field.one, field.neg(field.one)
+    return _tagged_entries("theta-asym", _family(
+        chart.ring, chart.mid, chart.mid,
+        lambda i, j: [(one, x[i][p[r]], x[j][r]) for r in right]
+        + [(minus, x[j][p[r]], x[i][r]) for r in right]))
 
 
-def _a_relations(eq):
-    two_pi = eq.pi.scale(2)
-    targets = []
-    for tag, M in (("AtJB1", eq.B1), ("AtJB2", eq.B2), ("AtJA", eq.A)):
-        targets += _tagged_entries(
-            tag, (eq.A.T @ eq.Jm @ M) + (eq.Jm @ M).scale(two_pi))
-    return targets
+def _a_relations(chart):
+    """A^t J_m M + 2 pi J_m M for M = B1, B2, A: entry (i, s) is the sum of
+    x[p(k)][i] x[k][s] over the band rows k, plus 2 pi x[p(i)][s], which is
+    entry (i, s) of the S1 relation X^t S1 X + 2 (S0 + pi S1) X."""
+    rel1 = chart._equations().rel1
+    return [t for tag, cols in (("AtJB1", chart._left), ("AtJB2", chart._right),
+                                ("AtJA", chart.mid))
+            for t in _tagged_entries(tag, PolyMatrix(chart.ring, [
+                [rel1[i - 1, s - 1] for s in cols] for i in chart.mid]))]
 
 
 _LEMMA_PARITY = "lemma suite is for same-parity charts"
@@ -153,12 +162,12 @@ _LEMMA_PARITY = "lemma suite is for same-parity charts"
 
 def _lemma(name, ideal_of, targets_of):
     """The table row of one of the seven reduction lemmas, a membership
-    check: every target read off ``chart._equations()`` lies in the chart's
-    ideal.  Both are read through the chart instance, so a replaced method
-    or a cached ideal is what the check sees; a target in another ring is
-    cast to the ideal's."""
+    check: every target ``targets_of(chart)`` lies in the chart's ideal.
+    Both are read through the chart instance, so a replaced method or a
+    cached ideal is what the check sees; a target in another ring is cast
+    to the ideal's."""
     def body(chart, budget):
-        targets = targets_of(chart._equations())
+        targets = targets_of(chart)
         ideal = ideal_of(chart)
         for tag, g in targets:
             if g.ring is not ideal.ring:
@@ -312,28 +321,30 @@ def expected_component_count(chart):
     return 2
 
 
+# the seven reduction lemmas: name -> (the ideal, its tagged targets), each
+# read off the chart.  The entries of theta - theta^t have band variables
+# only, so B1JB2-symmetric tests them in M'' over k[band, pi], whose basis
+# the certificate of I'' gives.
+_LEMMAS = {
+    "X2-in-Iprime": (lambda c: c.intermediate_ideal(),
+                     lambda c: _tagged_entries("X^2", c._equations().square)),
+    "antisym": (lambda c: c.intermediate_ideal(),
+                lambda c: _tagged_entries("AJ-JAt", c._equations().antisym)),
+    "B1JB2-symmetric": (lambda c: c.reduced_minors_ideal(), _theta_asym),
+    "S0-relation": (lambda c: c.intermediate_ideal(),
+                    lambda c: _tagged_entries("S0-rel", c._equations().rel0)),
+    "trace-in-ideal": (lambda c: c.iprime_sans_trace_ideal(),
+                       lambda c: [("Tr(X)", c._equations().trace)]),
+    "A-relations": (lambda c: c.solve_plus_band_ideal(), _a_relations),
+    "minors-reduce": (lambda c: c.solve_plus_reduced_ideal(),
+                      lambda c: [("minor[%d]" % k, g)
+                                 for k, g in enumerate(c._equations().minors)]),
+}
+
 # name -> (body, parity), in report order.  A body (chart, budget) returns
-# (status, witness); ``_gate`` reads parity.  The entries of theta - theta^t
-# have band variables only, so B1JB2-symmetric tests them in M'' over
-# k[band, pi], whose basis the certificate of I'' gives.
+# (status, witness); ``_gate`` reads parity.
 _CHECKS = {
-    "X2-in-Iprime": _lemma("X2-in-Iprime", lambda c: c.intermediate_ideal(),
-                           lambda eq: _tagged_entries("X^2", eq.square)),
-    "antisym": _lemma("antisym", lambda c: c.intermediate_ideal(),
-                      lambda eq: _tagged_entries("AJ-JAt", eq.antisym)),
-    "B1JB2-symmetric": _lemma("B1JB2-symmetric",
-                              lambda c: c.reduced_minors_ideal(), _theta_asym),
-    "S0-relation": _lemma("S0-relation", lambda c: c.intermediate_ideal(),
-                          lambda eq: _tagged_entries("S0-rel", eq.rel0)),
-    "trace-in-ideal": _lemma("trace-in-ideal",
-                             lambda c: c.iprime_sans_trace_ideal(),
-                             lambda eq: [("Tr(X)", eq.trace)]),
-    "A-relations": _lemma("A-relations", lambda c: c.solve_plus_band_ideal(),
-                          _a_relations),
-    "minors-reduce": _lemma("minors-reduce",
-                            lambda c: c.solve_plus_reduced_ideal(),
-                            lambda eq: [("minor[%d]" % k, g)
-                                        for k, g in enumerate(eq.minors)]),
+    **{name: _lemma(name, *row) for name, row in _LEMMAS.items()},
     "reduction": (_reduction, "substitution map is printed for same-parity "
                               "charts only"),
     "dimensions": (_dimensions, None),
@@ -341,8 +352,7 @@ _CHECKS = {
     "special-fiber": (_special_fiber, None),
 }
 CHECK_NAMES = tuple(_CHECKS)
-LEMMA_CHECKS = tuple(name for name, (_, parity) in _CHECKS.items()
-                     if parity == _LEMMA_PARITY)
+LEMMA_CHECKS = tuple(_LEMMAS)
 
 
 def _gate(parity, chart, cfg):

@@ -4,7 +4,8 @@ Everything here is deliberately naive: extended Euclid for modular
 inverses, dense Gaussian elimination over Fraction for degree-bounded ideal
 membership and ranks, direct index formulas for the block matrix products,
 the unit antidiagonal J_m written out by index rather than read off a Gram
-matrix, the chart's minors, trace quadric and quadratic forms as products
+matrix, the chart's minors, trace quadric, quadratic forms, relation
+families, solve relations, substitution map and lemma targets as products
 of polynomial matrices, and a search over variable subsets for the
 dimension of a leading-term ideal.  S-polynomials (Buchberger's
 criterion), the division identity, determinants by cofactor expansion and
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from olmcheck.errors import EmptyVariety, InvalidInput
-from olmcheck.matrices import PolyMatrix, constant_matrix
+from olmcheck.matrices import PolyMatrix
 
 
 def egcd(a, b):
@@ -167,6 +168,17 @@ def b2_j_b1t_entry(d, e, i, j):
     return [((i, d - e + c), (j, e + 1 - c)) for c in range(1, e + 1)]
 
 
+def constant_matrix(ring, data):
+    """Matrix of ring constants from an int matrix."""
+    return PolyMatrix(ring, [[ring.const(v) for v in row] for row in data])
+
+
+def diagonal(ring, values):
+    zero = ring.zero()
+    return PolyMatrix(ring, [[v if i == j else zero for j in range(len(values))]
+                             for i, v in enumerate(values)])
+
+
 def antidiag(ring, m):
     """The unit antidiagonal J_m."""
     one, zero = ring.one(), ring.zero()
@@ -209,6 +221,88 @@ def chart_quadrics(chart, ring):
             "trace": (P @ Y @ C @ Y.T).trace().scale(Fraction(1, 2)),
             "row": (Y.T @ U @ Y).entries(), "column": (Y @ W @ Y.T).entries(),
             "U": U, "W": W}
+
+
+def _solve_expressions(B1, A, B2, Je, Jm):
+    """What E1, E2, E3, E4, O1, O2 equal on the chart: -1/2 Je Bk^t Jm M."""
+    half = B1.ring.field.coerce(Fraction(1, 2))
+    L1 = Je @ B1.T @ Jm
+    L2 = Je @ B2.T @ Jm
+    return [(L @ M).scale(-half)
+            for L, M in ((L2, B1), (L2, B2), (L1, B1), (L1, B2), (L2, A), (L1, A))]
+
+
+def chart_equations(chart):
+    """The chart's full-ring equations as products of polynomial matrices,
+    the way they are stated, with the blocks B1, A, B2 (and the center
+    column Q for opposite parity) on the middle rows of X, J_e = G0 on the
+    right x left outer columns, J_m = G1 on the middle rows and H the mask
+    of the band rows among them: the relation families (masked by H for
+    opposite parity), and for same parity the solve relations, the
+    substitution images (A -> B2 J_e B1^t J_m) and the targets of the seven
+    reduction lemmas, by lemma name, with their tags."""
+    ring, d = chart.ring, chart.d
+    G0, G1 = chart.gram()
+    X = chart.x_matrix()
+    left, right, mid = range(1, chart.e + 1), range(d - chart.e + 1, d + 1), chart.mid
+    block = lambda ring, G, rows, cols: constant_matrix(
+        ring, [[G[i - 1][j - 1] for j in cols] for i in rows])
+    B1, A, B2 = (chart._matrix(ring, mid, cols) for cols in (left, mid, right))
+    pi = ring.var("pi")
+    S0X = constant_matrix(ring, G0) @ X
+    S1X = constant_matrix(ring, G1) @ X
+    lin = S0X + S1X.scale(pi)          # (S0 + pi S1) X
+    Je, Jm = block(ring, G0, right, left), block(ring, G1, mid, mid)
+    H = diagonal(ring, [ring.const(int(i in chart.rows)) for i in mid])
+    AJm = A @ Jm
+    antisym, band = AJm - (Jm @ A.T), (B2 @ Je @ B1.T) - AJm
+    if not chart.same_parity:
+        Q = chart._matrix(ring, mid, [chart.center])
+        antisym = H @ antisym @ H
+        band = (H @ band @ H).scale(2) + (H @ Q @ Q.T @ H)
+    eq = {"square": X @ X, "trace": X.trace(),
+          "trace_A": (H @ A @ H).trace() + pi.scale(2),
+          "antisym": antisym, "band": band,
+          "rel0": (X.T @ S0X) - lin.scale(pi.scale(2)),
+          "rel1": (X.T @ S1X) + lin.scale(2)}
+    if not chart.same_parity:
+        return eq
+    blocks = ((left, left), (left, right), (right, left), (right, right),
+              (left, mid), (right, mid))
+    eq["solve"] = [g for (rows, cols), expr in zip(
+        blocks, _solve_expressions(B1, A, B2, Je, Jm))
+        for g in (chart._matrix(ring, rows, cols) - expr).entries()]
+    theta = B1 @ Je @ B2.T
+    eq["lemmas"] = {
+        "X2-in-Iprime": tagged("X^2", eq["square"]),
+        "antisym": tagged("AJ-JAt", antisym),
+        "B1JB2-symmetric": tagged("theta-asym", theta - theta.T),
+        "S0-relation": tagged("S0-rel", eq["rel0"]),
+        "trace-in-ideal": [("Tr(X)", eq["trace"])],
+        "A-relations": [t for tag, M in (("AtJB1", B1), ("AtJB2", B2), ("AtJA", A))
+                        for t in tagged(tag, (A.T @ Jm @ M) + (Jm @ M).scale(pi.scale(2)))],
+        "minors-reduce": [("minor[%d]" % k, g) for k, g in enumerate(minors2(X))]}
+    rr = chart.reduced_ring
+    B1, B2 = chart._matrix(rr, chart.rows, left), chart._matrix(rr, chart.rows, right)
+    Je, Jm = block(rr, G0, right, left), block(rr, G1, mid, mid)
+    A_img = B2 @ Je @ B1.T @ Jm
+    band = chart._matrix(rr, chart.rows, chart.cols)
+    phi = {"pi": rr.var("pi")}
+    for a, i in enumerate(chart.rows):
+        for M, cols in ((band, chart.cols), (A_img, mid)):
+            phi.update(("x[%d][%d]" % (i, j), M[a, b]) for b, j in enumerate(cols))
+    for (rows, cols), M in zip(blocks, _solve_expressions(B1, A_img, B2, Je, Jm)):
+        for a, i in enumerate(rows):
+            phi.update(("x[%d][%d]" % (i, j), M[a, b]) for b, j in enumerate(cols))
+    eq["phi"] = phi
+    return eq
+
+
+def tagged(tag, matrix):
+    """The nonzero entries of a matrix, each with its tag and 1-based
+    position."""
+    return [("%s[%d][%d]" % (tag, i + 1, j + 1), g)
+            for i, row in enumerate(matrix.rows) for j, g in enumerate(row) if g]
 
 
 def random_poly(ring, rng, max_deg=3, max_terms=4):

@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from olmcheck.charts import Chart, gram_matrices, xname
+from olmcheck.charts import Chart, _written, gram_matrices, xname
 from olmcheck.errors import InvalidChart, NotApplicable
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.ideals import Ideal, krull_dimension, subring_part
-from olmcheck.matrices import PolyMatrix, constant_matrix
-from olmcheck.orders import GRLEX
+from olmcheck.matrices import PolyMatrix
+from olmcheck.orders import GRLEX, MAX_EXPONENT
 from olmcheck.rings import Ring, cast
-from oracles import (antidiag, b2_j_b1t_entry, chart_quadrics, constant_term,
-                     half_form, matrix_rank, minors2, s_polynomial)
+from olmcheck.verify import _LEMMAS
+from oracles import (antidiag, b2_j_b1t_entry, chart_equations, chart_quadrics,
+                     constant_matrix, constant_term, half_form, matrix_rank,
+                     minors2, s_polynomial)
 from oracles import det as oracle_det
 
 ALL_CASES = [(6, 2), (8, 4), (5, 3), (7, 3), (6, 3), (5, 2), (6, 4), (8, 3), (7, 4)]
@@ -257,6 +259,59 @@ def test_quadrics_match_their_matrix_products(modulus):
             # the partials of q are (H + H^t) v
             assert rank == matrix_rank([[constant_term(e) for e in row]
                                         for row in (H + H.T).rows]), where + (name,)
+
+
+def _typed(polys):
+    """Each polynomial's terms, in order, with their coefficients' types."""
+    return [[(m, c, type(c)) for m, c in g.terms()] for g in polys]
+
+
+@pytest.mark.parametrize("modulus", [0, 32003])
+def test_equations_match_their_matrix_products(modulus):
+    # every full-ring family, the generator lists built from them, the
+    # solve relations, the substitution images and the lemma targets with
+    # their tags, which the chart writes term by term from the Gram
+    # pairings, equal their definitions as products of polynomial matrices,
+    # term for term with coefficient types and in generator order
+    for d, l in SWEEP:
+        c = Chart(d, l, PrimeField(modulus) if modulus else QQ)
+        where = (d, l, modulus)
+        eq, want = c._equations(), chart_equations(c)
+        for name in ("square", "antisym", "band", "rel0", "rel1"):
+            got = getattr(eq, name)
+            assert (got.nrows, got.ncols) == (want[name].nrows, want[name].ncols)
+            assert _typed(got.entries()) == _typed(want[name].entries()), where + (name,)
+        for name in ("trace", "trace_A"):
+            assert _typed([getattr(eq, name)]) == _typed([want[name]]), where + (name,)
+        minors = minors2(c.x_matrix())
+        assert _typed(c.naive_generators()) == _typed(
+            want["square"].entries() + minors + want["rel0"].entries()
+            + want["rel1"].entries()), where
+        assert _typed(c.additional_generators()) == _typed(
+            [want["trace"], want["trace_A"]] + want["antisym"].entries()
+            + want["band"].entries()), where
+        if not c.same_parity:
+            continue
+        assert _typed(c.solve_relations()) == _typed(want["solve"]), where
+        phi = c.substitution_map()
+        assert list(phi) == list(want["phi"]), where
+        assert _typed(phi.values()) == _typed(want["phi"].values()), where
+        assert all(g.ring is c.reduced_ring for g in phi.values())
+        for name, (_, targets_of) in _LEMMAS.items():
+            got, ref = targets_of(c), want["lemmas"][name]
+            assert [tag for tag, _ in got] == [tag for tag, _ in ref], where + (name,)
+            assert _typed(g for _, g in got) == _typed(g for _, g in ref), where + (name,)
+
+
+def test_written_terms_check_the_packed_fields():
+    ring = Ring(["a", "b", "pi"], QQ, GRLEX)
+    one, minus = ring.field.one, ring.field.neg(ring.field.one)
+    assert _written(ring, [(one, "a", "pi", "pi"), (one, "pi", "a", "pi"),
+                           (minus, "b"), (one,)]) == ring.parse("2*a*pi^2 - b + 1")
+    assert _written(ring, [(one, "a", "b"), (minus, "b", "a")]).is_zero()
+    assert _written(ring, [(one,) + ("a",) * MAX_EXPONENT]) == ring.var("a") ** MAX_EXPONENT
+    with pytest.raises(ValueError):
+        _written(ring, [(one,) + ("a",) * (MAX_EXPONENT + 1)])
 
 
 def test_trace_factors_on_rank_one_matrices():

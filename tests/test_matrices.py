@@ -3,10 +3,10 @@
 import pytest
 
 from olmcheck.fields import QQ
-from olmcheck.matrices import PolyMatrix, constant_matrix, diagonal
+from olmcheck.matrices import PolyMatrix
 from olmcheck.orders import GRLEX
 from olmcheck.rings import Ring
-from oracles import antidiag, det, minors2
+from oracles import antidiag, constant_matrix, det, diagonal, minors2
 
 
 def _ring():

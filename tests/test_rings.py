@@ -8,8 +8,8 @@ import pytest
 
 from olmcheck.errors import MissingImage, TableMismatch
 from olmcheck.fields import QQ, PrimeField
-from olmcheck.orders import GRLEX, LEX, Block
-from olmcheck.rings import Ring, cast, parse_polynomial, specialize_pi
+from olmcheck.orders import GRLEX, LEX, MAX_EXPONENT, Block
+from olmcheck.rings import Ring, cast, monomial_map, parse_polynomial, specialize_pi
 from oracles import random_poly
 
 
@@ -340,3 +340,32 @@ def test_cast_between_rings():
     assert cast(f, T) == T.parse("x*y - 2")
     with pytest.raises(KeyError):
         cast(R.var("z") + 1, T)
+
+
+def test_cast_and_monomial_map_unpack_no_monomial(monkeypatch):
+    # both read each monomial off its nonzero exponent fields; neither
+    # unpacks an exponent vector nor packs one, and both keep their errors
+    R = Ring(["a", "b", "c"], QQ, Block(1))
+    S = Ring(["c", "b", "a"], QQ, GRLEX)
+    U = Ring(["u", "w"], QQ, GRLEX)
+    f, g = R.parse("2*a^3*b - 1/2*c^2 + 5"), R.parse("a + c")
+    big = R.monomial([MAX_EXPONENT, MAX_EXPONENT, 0])   # fits under Block(1)
+    half = R.monomial([MAX_EXPONENT // 2 + 1, 0, 0])
+    u, w, uw = U.monomial([1, 0]), U.monomial([0, 1]), U.monomial([1, 1])
+    want = S.parse("2*a^3*b - 1/2*c^2 + 5"), U.parse("2*u^4*w + 9/2"), U.parse("u + w")
+    monkeypatch.setattr(Ring, "monomial", None)
+    monkeypatch.setattr(Ring, "exponents", None)
+    assert cast(f, S) == want[0] and cast(cast(f, S), R) == f
+    # a -> u, b -> uw, c -> 1: c^2 meets the constant and they add
+    assert monomial_map(f, [u, uw, 0], U) == want[1]
+    with pytest.raises(KeyError, match="'c'"):
+        cast(f, Ring(["a", "b"], QQ, GRLEX))
+    with pytest.raises(KeyError, match="'b'"):
+        monomial_map(f, [u, None, w], U)
+    assert monomial_map(g, [u, None, w], U) == want[2]
+    # a field overflows only in the target: degree 2 * MAX_EXPONENT under
+    # grlex, and a^(2^14) -> u^(2^15)
+    with pytest.raises(ValueError):
+        cast(R.from_dict({big: QQ.one}), S)
+    with pytest.raises(ValueError):
+        monomial_map(R.from_dict({half: QQ.one}), [2 * u, w, w], U)

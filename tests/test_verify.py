@@ -13,7 +13,7 @@ import re
 import pytest
 
 from olmcheck import groebner, ideals, verify
-from olmcheck.charts import Chart
+from olmcheck.charts import FIBER_PI, Chart
 from olmcheck.errors import BudgetExceeded
 from olmcheck.fields import PrimeField, QQ
 from olmcheck.groebner import Budget, GroebnerBasis, buchberger
@@ -536,8 +536,10 @@ def test_special_fiber_runs_no_buchberger(modulus, monkeypatch):
 
 @pytest.mark.parametrize("modulus", [32003, 0])
 def test_reduced_ring_work_forms_no_matrix_product(modulus, monkeypatch):
-    # M'', I'', the certificate of I'', the components and the reduced-ring
-    # checks write their equations term by term from the Gram pairings
+    # M'', I'', the certificate of I'', the components, the full-ring
+    # equations, the solve relations, the substitution map and the lemma
+    # targets are written term by term from the Gram pairings: every check
+    # passes, and ``build`` renders every fiber, with no matrix product
     def refuse(self, other):
         raise AssertionError("a polynomial matrix product")
     monkeypatch.setattr(PolyMatrix, "__matmul__", refuse)
@@ -547,9 +549,14 @@ def test_reduced_ring_work_forms_no_matrix_product(modulus, monkeypatch):
         assert c.reduced_minors_ideal().gens and c.reduced_ideal().gens
         assert c.degeneration()
         assert len(c.component_ideals()) == expected_component_count(c)
-        for name in ("dimensions", "flatness", "special-fiber"):
+        names = CHECK_NAMES if (d, l) in [(5, 3), (6, 2)] else \
+            ("dimensions", "flatness", "special-fiber")
+        for name in names:
             res = verify_check(name, c, cfg)
             assert res.status == "pass", (d, l, name, res.witness)
+    for d, l in [(6, 2), (5, 2)]:
+        for fiber in FIBER_PI:
+            assert _chart(d, l, modulus).to_json(fiber)["ideals"]["full"]
 
 
 def test_component_mutations_are_plain_ideals():
