@@ -41,11 +41,13 @@ splits into linear factors, which produces the three-component boundary
 cases.  G0 + pi*G1 is a permutation matrix, so every equation the chart
 states as a matrix product (the 2x2 minors, the relation families, the
 solve expressions, the substitution map and these quadrics) is written term
-by term from its pairs (``_written``); no polynomial matrix is multiplied.
+by term from its pairs, each term packed from its variables and the terms
+summed by ``Ring.collect``; no polynomial matrix is multiplied.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from math import comb
 from types import SimpleNamespace
 
@@ -55,7 +57,7 @@ from .groebner import GroebnerBasis, reduce_basis
 from .ideals import Ideal, ideal_sum, monomial_numerator, pi_weights
 from .matrices import PolyMatrix
 from .orders import GRLEX, Block
-from .rings import Polynomial, Ring, cast, monomial_map, specialize_pi
+from .rings import Ring, cast, monomial_map, specialize_pi
 
 
 def xname(i, j):
@@ -92,23 +94,14 @@ FIBER_PI = {"special": 0, "generic": 1, "arithmetic": None}
 def _written(ring, terms):
     """The sum of c * v1 * ... * vk over its terms (c, v1, ..., vk), c
     nonzero and the v variable names: each term packed as the sum of their
-    units, c added where terms meet.  Raises ValueError when a term
-    overflows a packed field."""
-    unit, field, guard = ring._unit_of, ring.field, ring.guard_mask
-    d = {}
+    units and summed by ``Ring.collect``."""
+    unit, packed = ring._unit_of, []
     for c, *names in terms:
         m = 0
         for v in names:
             m += unit[v]
-        if m & guard:
-            raise ValueError("term exponent overflows the packed field")
-        if m in d:
-            c = field.add(d[m], c)
-            if field.is_zero(c):
-                del d[m]
-                continue
-        d[m] = c
-    return Polynomial(ring, d)
+        packed.append((m, c))
+    return ring.collect(packed)
 
 
 def _family(ring, rows, cols, terms):
@@ -168,20 +161,27 @@ class Chart:
 
         # x[i][j] is the name of the entry (i, j) of X, 1-based
         self._x = x = [[xname(i, j) for j in range(d + 1)] for i in range(d + 1)]
-        names = [x[i][j] for i in range(1, d + 1) for j in range(1, d + 1)]
         bnames = [x[i][j] for i in self.rows for j in self.cols]
-        # the chart equations solve each non-band entry for a polynomial in
-        # the band variables; with the non-band block first, each of those
-        # generators leads with the entry it solves for
-        band = set(bnames)
-        free = [nm for nm in names if nm not in band]
-        self.ring = Ring(free + bnames + ["pi"], field, Block(len(free)))
-        # ``render`` sorts and prints generators in the grlex text of the
-        # row-major names, whatever ring they live in
-        self._text_ring = Ring(names + ["pi"], field, GRLEX)
         self.reduced_ring = Ring(bnames + ["pi"], field, GRLEX)
         self.fiber_ring = Ring(bnames, field, GRLEX)
         self._cache = {}
+
+    @cached_property
+    def ring(self):
+        """The full ring, on the entries of X and pi.  The chart equations
+        solve each non-band entry for a polynomial in the band variables;
+        with the non-band block first, each of those generators leads with
+        the entry it solves for."""
+        names = self.reduced_ring.names
+        band = set(names)
+        free = [nm for row in self._x[1:] for nm in row[1:] if nm not in band]
+        return Ring(free + list(names), self.field, Block(len(free)))
+
+    @cached_property
+    def _text_ring(self):
+        """``render`` sorts and prints generators in the grlex text of the
+        row-major names, whatever ring they live in."""
+        return Ring([nm for row in self._x[1:] for nm in row[1:]] + ["pi"], self.field, GRLEX)
 
     def __repr__(self):
         return "Chart(d=%d, l=%d, %s, %r)" % (self.d, self.l, self.case, self.field)
@@ -433,11 +433,11 @@ class Chart:
         corner = lambda i, s: rr._unit_of[self._x[self.rows[i]][self.cols[s]]]
         main = corner(0, 0) + corner(a - 1, b - 1)
         anti = corner(0, b - 1) + corner(a - 1, 0)
-        f = dict(loose[0]._d)
-        c = f.pop(main, None)
-        if c is None or f.get(anti) != c:
+        t = loose[0]._d
+        c = t.get(main)
+        if c is None or t.get(anti) != c:
             return False
-        f[anti] = rr.field.add(c, c)
+        f = rr.collect(chain(t.items(), [(main, rr.field.neg(c)), (anti, c)]))._d
         omega = [(i in (0, a - 1)) + (s in (0, b - 1))
                  for i in range(a) for s in range(b)] + [0]
         for m in f:
@@ -459,9 +459,11 @@ class Chart:
 
     def reduced_fiber(self, fiber):
         """The chart's fiber ideal ("special" or "generic", built now if it
-        is not cached) when its generators are those of I'' at its pi,
-        compared by value, else None: a fiber the certificate speaks for."""
-        want = self.specialize(self.reduced_ideal(), fiber)
+        is not cached) when its generators are those of I'' at its pi
+        (specialized once and kept), compared by value, else None: a fiber
+        the certificate speaks for."""
+        want = self._cached("reduced-" + fiber, lambda: self.specialize(
+            self.reduced_ideal(), fiber))
         ideal = self._cached(fiber, lambda: want)
         return ideal if ideal.gens == want.gens else None
 
@@ -655,9 +657,11 @@ class Chart:
         for g in ideal.gens:
             # the key is the same for scalar multiples
             first.setdefault(tuple(g.monic().terms()), g)
-        kept = sorted(first.values(),
-                      key=lambda g: (g.total_degree(), self._text(g)))
-        fiber_ideal = self.specialize(Ideal(ideal.ring, kept), fiber)
+        kept = sorted(((g.total_degree(), self._text(g)), g) for g in first.values())
+        source = Ideal(ideal.ring, [g for _, g in kept])
+        fiber_ideal = self.specialize(source, fiber)
+        if fiber_ideal is source:       # nothing specialized: print each once
+            return [text for (_, text), _ in kept]
         return [self._text(g) for g in fiber_ideal.gens]
 
     def to_json(self, fiber="arithmetic"):

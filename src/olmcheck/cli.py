@@ -30,7 +30,7 @@ from .groebner import Budget, buchberger
 from .orders import order_from_name
 from .rings import Ring
 from .verify import (CHECK_NAMES, DEFAULT_SUITE, EngineConfig, chart_report,
-                     run_suite, usable_seconds, verify_check)
+                     run_suite, usable_seconds)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

@@ -14,8 +14,9 @@ bit, so
 
 because any per-field underflow in the subtraction sets that field's guard
 bit.  Products of monomials are integer additions, and an overflowing field
-shows as a set guard bit in the sum; polynomial multiplication raises
-ValueError on it.
+shows as a set guard bit in the sum; ``Ring.collect``, which sums the terms
+of every polynomial built outside the Groebner engine, raises ValueError on
+it.
 
 The same guard bits give the per-field max of two words in a few word
 operations (Monagan & Pearce, CASC 2007):

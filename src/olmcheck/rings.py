@@ -12,6 +12,7 @@ convention, the last and therefore least variable wherever it occurs.
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .errors import TableMismatch, MissingImage
 from .fields import QQ
@@ -165,19 +166,42 @@ class Ring:
         return m
 
     def mono_str(self, m):
+        """m as text, read off its support bits (see ``orders``) in
+        variable order."""
+        names, var_at, mask = self.names, self._var_at, (1 << FIELD_BITS) - 1
         parts = []
-        for i, e in enumerate(self.exponents(m)):
-            if e == 1:
-                parts.append(self.names[i])
-            elif e > 1:
-                parts.append("%s^%d" % (self.names[i], e))
-        return "*".join(parts) if parts else "1"
+        s = (m + self._exp_low) & self._exp_guard
+        while s:
+            n = s.bit_length()
+            s ^= 1 << (n - 1)
+            e = m >> (n - FIELD_BITS) & mask
+            parts.append(names[var_at[n]] if e == 1 else "%s^%d" % (names[var_at[n]], e))
+        return "*".join(parts) or "1"
 
     # -- element constructors ------------------------------------------------
 
     def from_dict(self, d):
         field = self.field
         return Polynomial(self, {m: c for m, c in d.items() if not field.is_zero(c)})
+
+    def collect(self, terms):
+        """The sum of (packed monomial, nonzero coefficient) pairs: every
+        polynomial builder outside the Groebner engine sums its terms here.
+        Coefficients are added where monomials meet and a sum that cancels
+        is dropped; a monomial with a guard bit set overflows a packed field
+        and raises ValueError."""
+        add, is_zero, guard = self.field.add, self.field.is_zero, self.guard_mask
+        d = {}
+        for m, c in terms:
+            if m in d:
+                c = add(d[m], c)
+                if is_zero(c):
+                    del d[m]
+                    continue
+            elif m & guard:
+                raise ValueError("monomial overflows the packed field")
+            d[m] = c
+        return Polynomial(self, d)
 
     def zero(self):
         return Polynomial(self, {})
@@ -257,15 +281,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
-        field = self.ring.field
-        d = dict(self._d)
-        for m, c in other._d.items():
-            acc = field.add(d.get(m, field.zero), c)
-            if field.is_zero(acc):
-                d.pop(m, None)
-            else:
-                d[m] = acc
-        return Polynomial(self.ring, d)
+        return self.ring.collect(chain(self._d.items(), other._d.items()))
 
     __radd__ = __add__
 
@@ -285,23 +301,12 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        field = self.ring.field
+        mul = self.ring.field.mul
         a, b = self._d, other._d
         if len(a) > len(b):
             a, b = b, a
-        guard = self.ring.guard_mask
-        out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = m1 + m2
-                if m & guard:
-                    raise ValueError("product exponent overflows the packed field")
-                acc = field.add(out.get(m, field.zero), field.mul(c1, c2))
-                if field.is_zero(acc):
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        return Polynomial(self.ring, out)
+        return self.ring.collect((m1 + m2, mul(c1, c2)) for m1, c1 in a.items()
+                                 for m2, c2 in b.items())
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -352,43 +357,27 @@ class Polynomial:
         ring; every variable actually appearing in ``self`` needs an image.
         Constants are carried over through the target's field.
         """
-        if target is None:
-            for img in images.values():
-                target = img.ring
-                break
-            if target is None:
-                target = self.ring
         ring = self.ring
-        power_cache = {}
+        if target is None:
+            target = next((img.ring for img in images.values()), ring)
+        powers = {}
 
-        def var_power(i, e):
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                name = ring.names[i]
-                if name not in images:
-                    raise MissingImage("no image for variable %r" % (name,))
-                img = images[name]
-                if img.ring is not target:
-                    raise TableMismatch("image of %r lives in a different ring" % (name,))
-                got = img ** e
-                power_cache[key] = got
-            return got
-
-        field = target.field
-        out = {}
-        for m, c in self.terms():
+        def image(m, c):
             part = target.const(c)
             for i, e in enumerate(ring.exponents(m)):
-                if e:
-                    part = part * var_power(i, e)
-            for k, v in part._d.items():
-                acc = field.add(out.get(k, field.zero), v)
-                if field.is_zero(acc):
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return Polynomial(target, out)
+                if not e:
+                    continue
+                if (i, e) not in powers:
+                    name = ring.names[i]
+                    if name not in images:
+                        raise MissingImage("no image for variable %r" % (name,))
+                    if images[name].ring is not target:
+                        raise TableMismatch("image of %r lives in a different ring" % (name,))
+                    powers[i, e] = images[name] ** e
+                part = part * powers[i, e]
+            return part._d.items()
+
+        return target.collect(chain.from_iterable(image(m, c) for m, c in self.terms()))
 
     # -- text form --------------------------------------------------------------
 
@@ -431,20 +420,19 @@ def cast(f, target):
 
 def monomial_map(f, images, target):
     """f under the map sending variable k of its ring to the packed monomial
-    images[k] of ``target`` (None: no image), coefficients coerced into the
-    target's field and added where images meet; each monomial is read by
-    the nonzero exponent fields of its support (see ``orders``) alone.
-    Raises KeyError when a variable of f has no image and ValueError when
-    an image overflows a packed field of ``target``."""
+    images[k] of ``target`` (None: no image), each monomial read off the
+    nonzero exponent fields of its support (see ``orders``), coefficients
+    coerced into the target's field and the terms that stay nonzero summed
+    by ``Ring.collect``.  Raises KeyError when a variable of f has no image
+    and ValueError when an image overflows a packed field of ``target``."""
     ring, field = f.ring, target.field
     low, support, var_at = ring._exp_low, ring._exp_guard, ring._var_at
-    guard, mask = target.guard_mask, (1 << FIELD_BITS) - 1
-    terms = f._d.items()
+    mask = (1 << FIELD_BITS) - 1
+    d = f._d
     if field != ring.field:
-        terms = [(m, c) for m, c in zip(f._d, map(field.coerce, f._d.values()))
-                 if not field.is_zero(c)]
-    out = {}
-    for m, c in terms:
+        d = {m: c for m, c in zip(d, map(field.coerce, d.values())) if not field.is_zero(c)}
+    keys = []
+    for m in d:
         key, s = 0, (m + low) & support
         while s:
             n = s.bit_length()
@@ -453,15 +441,8 @@ def monomial_map(f, images, target):
             if image is None:
                 raise KeyError("no variable %r in ring" % (ring.names[var_at[n]],))
             key += (m >> (n - FIELD_BITS) & mask) * image
-        if key & guard:
-            raise ValueError("image monomial overflows the packed field")
-        if key in out:
-            c = field.add(out[key], c)
-            if field.is_zero(c):
-                del out[key]
-                continue
-        out[key] = c
-    return Polynomial(target, out)
+        keys.append(key)
+    return target.collect(zip(keys, d.values()))
 
 
 def specialize_pi(f, value, target):
@@ -471,8 +452,8 @@ def specialize_pi(f, value, target):
     pi's exponent is the lowest field of every layout and the degree fields
     that count it sit above it, so a monomial loses its pi by subtracting
     e * (packed pi) and shifting out one field.  At pi = 0 only the pi-free
-    terms are kept; at pi = 1 every coefficient is kept and terms that meet
-    are added.
+    terms are kept; at pi = 1 every term is kept and ``Ring.collect`` adds
+    the terms that meet.
     """
     ring = f.ring
     if (ring.names[-1:] != ("pi",) or target.names != ring.names[:-1]
@@ -480,21 +461,9 @@ def specialize_pi(f, value, target):
         raise TableMismatch("target must be the source ring without pi")
     if value not in (0, 1):
         raise ValueError("pi specializes to 0 or 1, got %r" % (value,))
-    field, unit = ring.field, ring._pi
-    mask = (1 << FIELD_BITS) - 1
-    out = {}
-    for m, c in f._d.items():
-        e = m & mask
-        if e and not value:
-            continue
-        key = (m - e * unit) >> FIELD_BITS
-        if key in out:
-            c = field.add(out[key], c)
-            if field.is_zero(c):
-                del out[key]
-                continue
-        out[key] = c
-    return Polynomial(target, out)
+    unit, mask = ring._pi, (1 << FIELD_BITS) - 1
+    d = f._d if value else {m: c for m, c in f._d.items() if not m & mask}
+    return target.collect(zip([(m - (m & mask) * unit) >> FIELD_BITS for m in d], d.values()))
 
 
 _TOKEN = re.compile(
@@ -528,7 +497,7 @@ def parse_polynomial(ring, text):
     if not toks:
         raise ValueError("empty polynomial text")
     field = ring.field
-    result = {}
+    terms = []
     pos = 0
     sign = 1
     n = len(toks)
@@ -576,10 +545,7 @@ def parse_polynomial(ring, text):
         if need_factor:
             raise ValueError("missing factor in %r" % (text,))
         m = ring.monomial(exps)
-        acc = field.add(result.get(m, field.zero), coeff)
-        if field.is_zero(acc):
-            result.pop(m, None)
-        else:
-            result[m] = acc
+        if not field.is_zero(coeff):      # a 0*x term, or 7*x mod 7
+            terms.append((m, coeff))
         sign = 1
-    return Polynomial(ring, result)
+    return ring.collect(terms)

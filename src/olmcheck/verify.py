@@ -209,7 +209,7 @@ def _reduction(chart, budget):
         if not full.contains(cast(g, chart.ring), budget):
             return "fail", {"subcheck": "reduced-lift", "generator": _clip(chart, g)}
     phi = chart.substitution_map()
-    for nm in chart._text_ring.names:     # row-major, then pi
+    for nm in [nm for row in chart._x[1:] for nm in row[1:]] + ["pi"]:   # row-major
         diff = chart.ring.var(nm) - cast(phi[nm], chart.ring)
         if not full.contains(diff, budget):
             return "fail", {"subcheck": "section", "variable": nm}

@@ -369,3 +369,66 @@ def test_cast_and_monomial_map_unpack_no_monomial(monkeypatch):
         cast(R.from_dict({big: QQ.one}), S)
     with pytest.raises(ValueError):
         monomial_map(R.from_dict({half: QQ.one}), [2 * u, w, w], U)
+
+
+def _collect_cases():
+    """builder -> (cancel, overflow, vanish).  ``cancel`` and ``vanish``
+    return (got, want): terms that cancel over Q, and a coefficient that
+    is nonzero over Q but 0 in F_7.  ``overflow`` builds a term past a
+    packed field; None where the builder cannot make one (a sum keeps its
+    monomials, and dropping pi only lowers fields)."""
+    from olmcheck.charts import _written
+    Q = Ring(["x", "y", "pi"], QQ, GRLEX)
+    F = Ring(["x", "y", "pi"], PrimeField(7), GRLEX)
+    Qs, Fs = Ring(["x", "y"], QQ, GRLEX), Ring(["x", "y"], PrimeField(7), GRLEX)
+    U = Ring(["u", "w"], QQ, GRLEX)
+    u, w = U.monomial([1, 0]), U.monomial([0, 1])
+    one, minus = QQ.one, QQ.coerce(-1)
+    return {
+        "_written": (
+            lambda: (_written(Q, [(one, "x", "y"), (minus, "y", "x"), (one, "pi")]),
+                     Q.parse("pi")),
+            lambda: _written(Q, [(one,) + ("x",) * (MAX_EXPONENT + 1)]),
+            lambda: (_written(F, [(3, "x"), (4, "x"), (1, "y")]), F.parse("y"))),
+        "monomial_map": (
+            lambda: (monomial_map(Q.parse("x - y + pi"), [u, u, w], U), U.parse("w")),
+            lambda: monomial_map(Q.parse("x^16384"), [2 * u, u, w], U),
+            lambda: (cast(Q.parse("7*x + y"), F), F.parse("y"))),
+        "specialize_pi": (
+            lambda: (specialize_pi(Q.parse("x*pi - x + y"), 1, Qs), Qs.parse("y")),
+            None,
+            lambda: (specialize_pi(F.parse("3*x*pi + 4*x + y"), 1, Fs), Fs.parse("y"))),
+        "add": (
+            lambda: (Q.parse("x + y") + Q.parse("-x"), Q.parse("y")),
+            None,
+            lambda: (F.parse("3*x + y") + F.parse("4*x"), F.parse("y"))),
+        "mul": (
+            lambda: (Q.parse("x + y") * Q.parse("x - y"), Q.parse("x^2 - y^2")),
+            lambda: Q.parse("x^20000") * Q.parse("x^20000"),
+            lambda: (F.parse("x + 3") * F.parse("x + 4"), F.parse("x^2 + 5"))),
+        "substitute": (
+            lambda: (Q.parse("x - y").substitute({"x": U.var("u"), "y": U.var("u")}),
+                     U.zero()),
+            lambda: Q.parse("x^2").substitute({"x": U.var("u") ** 20000}),
+            lambda: (Q.parse("7*x + y").substitute({"x": F.var("x"), "y": F.var("y")}),
+                     F.parse("y"))),
+        "parse_polynomial": (
+            lambda: (parse_polynomial(Q, "x + y - x"), Q.parse("y")),
+            lambda: parse_polynomial(Q, "x^20000*y^20000"),
+            lambda: (parse_polynomial(F, "7*x + y + 3*pi + 4*pi"), F.parse("y"))),
+    }
+
+
+@pytest.mark.parametrize("builder", list(_collect_cases()))
+def test_every_builder_keeps_the_collect_rules(builder):
+    # each builder sums its terms through Ring.collect: a sum that cancels
+    # is dropped, a zero in the target field is dropped, and a term past a
+    # packed field raises
+    cancel, overflow, vanish = _collect_cases()[builder]
+    for case in (cancel, vanish):
+        got, want = case()
+        assert got == want
+        assert not any(got.ring.field.is_zero(c) for c in got._d.values())
+    if overflow is not None:
+        with pytest.raises(ValueError, match="overflows the packed field"):
+            overflow()
