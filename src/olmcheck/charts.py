@@ -47,7 +47,7 @@ summed by ``Ring.collect``; no polynomial matrix is multiplied.
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import comb
 from types import SimpleNamespace
 
@@ -57,7 +57,7 @@ from .groebner import GroebnerBasis, reduce_basis
 from .ideals import Ideal, ideal_sum, monomial_numerator, pi_weights
 from .matrices import PolyMatrix
 from .orders import GRLEX, Block
-from .rings import Ring, cast, monomial_map, specialize_pi
+from .rings import Polynomial, Ring, RingMap, cast, monomial_map, specialize_pi
 
 
 def xname(i, j):
@@ -250,11 +250,16 @@ class Chart:
         # 2 H(B2 J_e B1^t - A J_m)H + H Q Q^t H, Q the center column
         c, q = (one, []) if self.same_parity else (two, [self.center])
         masked = lambda terms: lambda i, j: terms(i, j) if i in band and j in band else ()
+        # the band minors are the minors of X on the band rows and columns,
+        # the same objects
+        pairs = list(combinations(every, 2))
+        minors = dict(zip(product(pairs, pairs), self._minors(ring, every, every)))
         return SimpleNamespace(
             square=_family(ring, every, every,
                            lambda i, j: [(one, x[i][k], x[k][j]) for k in every]),
-            minors=self._minors(ring, every, every),
-            band_minors=self._minors(ring, self.rows, self.cols),
+            minors=list(minors.values()),
+            band_minors=[minors[r, c] for r in combinations(self.rows, 2)
+                         for c in combinations(self.cols, 2)],
             trace=_written(ring, [(one, x[i][i]) for i in every]),
             trace_A=_written(ring, [(one, x[i][i]) for i in self.rows] + [(two, "pi")]),
             antisym=_family(ring, mid, mid, masked(
@@ -318,10 +323,17 @@ class Chart:
         """
         if not self.same_parity:
             raise NotApplicable("the printed solve relations assume same parity")
+        return list(self._solve().values())
+
+    def _solve(self):
+        """{(i, j): the solve relation of x[i][j]}, built once."""
+        return self._cached("solve", self._build_solve)
+
+    def _build_solve(self):
         ring, x = self.ring, self._x
         solved = self._solved(ring.field.coerce(Fraction(1, 2)), lambda k, j: [(x[k][j],)])
-        return [_written(ring, [(ring.field.one, x[i][j])] + terms)
-                for (i, j), terms in solved.items()]
+        return {(i, j): _written(ring, [(ring.field.one, x[i][j])] + terms)
+                for (i, j), terms in solved.items()}
 
     # -- the named ideals ------------------------------------------------------------
 
@@ -383,9 +395,11 @@ class Chart:
 
     def _build_reduced(self):
         rr = self.reduced_ring
-        minors = self.reduced_minors_ideal()
-        trace = self.trace_quadric(rr) + rr.var("pi").scale(2)
-        return ideal_sum(rr, [minors], [trace])
+        return ideal_sum(rr, [self.reduced_minors_ideal()], [self._trace(rr)])
+
+    def _trace(self, ring):
+        """t_r + 2*pi over ``ring``."""
+        return self.trace_quadric(ring) + ring.var("pi").scale(2)
 
     def degeneration(self, budget=None):
         """Certify I'' by its Groebner degeneration; True when it holds.
@@ -511,6 +525,122 @@ class Chart:
         images.update((x[i][j], _written(rr, terms)) for (i, j), terms in solved.items())
         return images
 
+    # -- the chart as the kernel of one map --------------------------------------------
+
+    @cached_property
+    def _uw(self):
+        """k[u, w, pi]: u_i for the band rows, w_s for the columns."""
+        return Ring(["u%d" % i for i in self.rows] + ["w%d" % s for s in self.cols]
+                    + ["pi"], self.field, GRLEX)
+
+    @cached_property
+    def _psi(self):
+        """psi on k[band, pi]: x_is -> u_i w_s, pi -> pi."""
+        uw = self._uw
+        return RingMap(self.reduced_ring, [uw.var("u%d" % i) * uw.var("w%d" % s)
+                                           for i in self.rows for s in self.cols]
+                       + [uw.var("pi")], uw)
+
+    def _schedule(self):
+        """Each non-band variable with the generators the chart builds to
+        solve it, c x + h with c a constant, in an order in which h has
+        only band variables, pi and earlier variables: the entries of A from
+        the band family, then the rows outside the band from the S1
+        relation or the solve relations."""
+        eq, x, p, mid = self._equations(), self._x, self._partner, self.mid
+        solve = self._solve() if self.same_parity else {}
+        every = range(1, self.d + 1)
+        return [(x[i][p[j]], [eq.band[mid.index(i), mid.index(j)]])
+                for i in self.rows for j in self.rows] + \
+            [(x[r][j], [eq.rel1[p[r] - 1, j - 1]] + ([solve[r, j]] if solve else []))
+             for r in every if r not in self.rows for j in every]
+
+    def kernel(self, ideal, budget=None):
+        """Certify a full-ring chart ideal K, or M'', as the kernel of one
+        map into k[u, w, pi]: that map, a ``RingMap``, or a dict naming the
+        step that failed.  Kept per ideal; meets the deadline first, even
+        when kept, and once per generator it reads or evaluates.
+
+        Phi sends x_is on the band to u_i w_s, pi to -psi(t_r)/2 and each
+        non-band variable to its solved image:
+        (T) in ``_schedule`` order each non-band x has a generator of K, by
+            value, c x + h with c a nonzero constant and h in band
+            variables, pi and the variables before x; Phi(x) = -Phi(h)/c;
+        (Z) Phi(g) = 0 for every generator g of K;
+        (C) I'' lies in K by value: the band minors are generators of K,
+            and t_r + 2 pi is Tr(A) + 2 pi less the generators of (T) that
+            solve the diagonal of A, each divided by its c;
+        (S) ``degeneration`` holds, so M'' = ker psi.
+        Then K = ker Phi: (T) makes g = g' mod K with g' in k[band, pi];
+        dividing g' by t_r/2 + pi leaves r in k[band] with psi(r) = Phi(g),
+        so Phi(g) = 0 puts r in M'' and g in I'' + K = K.  M'' itself is
+        certified as ker psi by (S) once its generators are the band
+        minors (C).  Maps with equal images are one map, so their products
+        are built once."""
+        if budget is not None:
+            budget.deadline()
+        known = self._cached("kernels", list)
+        for k, phi in known:
+            if k is ideal:
+                return phi
+        phi = self._certify(ideal, budget)
+        known.append((ideal, phi))
+        return phi
+
+    def _certify(self, ideal, budget):
+        if not self.degeneration(budget):
+            return {"step": "S"}
+        rr, psi = self.reduced_ring, self._psi
+        if ideal.ring is rr:
+            return psi if list(ideal.gens) == self._minors(rr, self.rows, self.cols) \
+                else {"step": "C"}
+        ring, field = self.ring, self.field
+        ids = {id(g) for g in ideal.gens}
+        held = lambda g: id(g) in ids or g in ideal.gens    # the same object, else by value
+        free = ring.nvars - rr.nvars
+        images = [None] * free + psi.images[:-1] + \
+            [psi(self.trace_quadric(rr)).scale(field.neg(field.coerce(Fraction(1, 2))))]
+        maps = self._cached("maps", list)
+        shared = maps[0] if maps else None
+        phi = shared or RingMap(ring, images, psi.target)
+        low, support, units = ring._exp_low, ring._exp_guard, ring._units
+        known = sum((u + low) & support for u in units[free:])
+        diagonal, solved, done = {self._x[i][i] for i in self.rows}, [], set()
+        for name, candidates in self._schedule():
+            if budget is not None:
+                budget.deadline()
+            k = ring.index(name)
+            g = next((g for g in candidates if id(g) in ids), None) or \
+                next((g for g in candidates if held(g)), None)
+            c = None if g is None or images[k] is not None else g._d.get(units[k])
+            if c is None or any((m + low) & support & ~known for m in g._d if m != units[k]):
+                return {"step": "T", "variable": name}
+            c = field.neg(field.inv(c))
+            h = Polynomial(ring, {m: v for m, v in g._d.items() if m != units[k]})
+            images[k] = phi(h).scale(c)
+            if phi is shared and shared.images[k] != images[k]:
+                phi = RingMap(ring, images, psi.target)
+            known |= (units[k] + low) & support
+            done.add(id(g))     # c Phi(x) + Phi(h) = 0: (Z) holds for g
+            if name in diagonal:
+                solved.append((g, c))
+        if None in images:
+            return {"step": "T", "variable": ring.names[images.index(None)]}
+        eq = self._equations()
+        trace = ring.collect(chain(eq.trace_A._d.items(), *(
+            ((m, field.mul(v, c)) for m, v in g._d.items()) for g, c in solved)))
+        if not (held(eq.trace_A) and all(map(held, eq.band_minors))
+                and trace == self._trace(ring)):
+            return {"step": "C"}
+        for g in ideal.gens:
+            if budget is not None:
+                budget.deadline()
+            if id(g) not in done and not phi.kills(g):
+                return {"step": "Z", "generator": g}
+        if phi is not shared:
+            maps.append(phi)
+        return phi
+
     # -- fibers and components ----------------------------------------------------------
 
     def specialize(self, ideal, fiber):
@@ -582,12 +712,10 @@ class Chart:
                 ("I2", quadric(col_quadric), x[first_row][1])]
 
     def _forms(self):
-        """psi(x_is) = u_i w_s as packed monomials of k[u, w], and for q_u
+        """psi(x_is) = u_i w_s as packed monomials of k[u, w, pi], and for q_u
         and q_w: (name, {q} as a basis, rank of q, the ring whose grlex
         interreduces a component on q, its closed-form numerator)."""
-        u = ["u%d" % i for i in self.rows]
-        w = ["w%d" % s for s in self.cols]
-        uw = Ring(u + w, self.field, GRLEX)
+        uw, a = self._uw, len(self.rows)
         col_ring = Ring([self._x[i][s] for s in self.cols for i in self.rows],
                         self.field, GRLEX)
         forms = []
@@ -600,7 +728,7 @@ class Chart:
             partials = [uw.var(v % j) for _, j in self._pairs(k, idx)]
             forms.append((name, GroebnerBasis(uw, [q]), len(reduce_basis(uw, partials)),
                           ring, _kernel_numerator(len(idx), len(other), True)))
-        return [a + b for a in uw._units[:len(u)] for b in uw._units[len(u):]], forms
+        return [u + w for u in uw._units[:a] for w in uw._units[a:-1]], forms
 
     def certify_component(self, ideal, budget=None):
         """Certify a special-fiber component from its generators alone:

@@ -360,24 +360,7 @@ class Polynomial:
         ring = self.ring
         if target is None:
             target = next((img.ring for img in images.values()), ring)
-        powers = {}
-
-        def image(m, c):
-            part = target.const(c)
-            for i, e in enumerate(ring.exponents(m)):
-                if not e:
-                    continue
-                if (i, e) not in powers:
-                    name = ring.names[i]
-                    if name not in images:
-                        raise MissingImage("no image for variable %r" % (name,))
-                    if images[name].ring is not target:
-                        raise TableMismatch("image of %r lives in a different ring" % (name,))
-                    powers[i, e] = images[name] ** e
-                part = part * powers[i, e]
-            return part._d.items()
-
-        return target.collect(chain.from_iterable(image(m, c) for m, c in self.terms()))
+        return RingMap(ring, [images.get(nm) for nm in ring.names], target)(self)
 
     # -- text form --------------------------------------------------------------
 
@@ -424,14 +407,16 @@ def monomial_map(f, images, target):
     nonzero exponent fields of its support (see ``orders``), coefficients
     coerced into the target's field and the terms that stay nonzero summed
     by ``Ring.collect``.  Raises KeyError when a variable of f has no image
-    and ValueError when an image overflows a packed field of ``target``."""
+    and ValueError when an image overflows a packed field of ``target``:
+    e * images[k] overflows when e times its largest field does, and the
+    running sum of such guard-free words when a guard bit turns up."""
     ring, field = f.ring, target.field
     low, support, var_at = ring._exp_low, ring._exp_guard, ring._var_at
-    mask = (1 << FIELD_BITS) - 1
+    mask, guard = (1 << FIELD_BITS) - 1, target.guard_mask
     d = f._d
     if field != ring.field:
         d = {m: c for m, c in zip(d, map(field.coerce, d.values())) if not field.is_zero(c)}
-    keys = []
+    keys, top = [], {}      # top: each image's largest field, read when e > 1
     for m in d:
         key, s = 0, (m + low) & support
         while s:
@@ -440,9 +425,100 @@ def monomial_map(f, images, target):
             image = images[var_at[n]]
             if image is None:
                 raise KeyError("no variable %r in ring" % (ring.names[var_at[n]],))
-            key += (m >> (n - FIELD_BITS) & mask) * image
+            e = m >> (n - FIELD_BITS) & mask
+            if e > 1:
+                if n not in top:
+                    top[n] = max(image >> k & mask
+                                 for k in range(0, image.bit_length() or 1, FIELD_BITS))
+                if e * top[n] > MAX_EXPONENT:
+                    raise ValueError("monomial overflows the packed field")
+            key += e * image
+            if key & guard:
+                raise ValueError("monomial overflows the packed field")
         keys.append(key)
     return target.collect(zip(keys, d.values()))
+
+
+class RingMap:
+    """The ring map from ``source`` to ``target`` sending variable k to
+    images[k], a polynomial of ``target`` (None: no image), coefficients
+    coerced into the target's field.  The image of a monomial is built once,
+    as the image of the monomial without its least variable times that
+    variable's image, and kept, so every polynomial the map is applied to
+    shares the products of the monomials it has in common with the others.
+    ``images`` may be filled in while the map is in use: a kept product
+    only involves variables that had an image when it was built.
+
+    Applying it raises MissingImage for a variable with no image,
+    TableMismatch for an image in another ring and ValueError when a
+    product overflows a packed field of ``target``.  ``kills`` tells
+    whether a polynomial maps to zero, and remembers each one that does."""
+
+    def __init__(self, source, images, target):
+        self.source, self.target, self.images = source, target, images
+        self._memo = {0: {0: target.field.one}}
+        self._zeros = {}
+
+    def _monomial(self, m):
+        memo = self._memo
+        if m in memo:
+            return memo[m]
+        ring, target = self.source, self.target
+        low, support, var_at, units = ring._exp_low, ring._exp_guard, ring._var_at, ring._units
+        path = []
+        while m not in memo:
+            s = (m + low) & support
+            k = var_at[(s & -s).bit_length()]
+            path.append((m, k))
+            m -= units[k]
+        d, mul, one, guard = memo[m], target.field.mul, target.field.one, target.guard_mask
+        for m, k in reversed(path):
+            image = self.images[k]
+            if image is None:
+                raise MissingImage("no image for variable %r" % (ring.names[k],))
+            if image.ring is not target:
+                raise TableMismatch("image of %r lives in a different ring"
+                                    % (ring.names[k],))
+            e = image._d
+            if len(d) > 1 and len(e) > 1:
+                d = target.collect((a + b, mul(c, v)) for a, c in d.items()
+                                   for b, v in e.items())._d
+            elif d and e:   # a term times a polynomial: its terms shifted and scaled
+                if len(d) > 1:
+                    d, e = e, d
+                (a, c), = d.items()
+                d = {a + b: v for b, v in e.items()} if c == one else \
+                    {a + b: mul(c, v) for b, v in e.items()}
+                if any(b & guard for b in d):
+                    raise ValueError("monomial overflows the packed field")
+            else:
+                d = {}
+            memo[m] = d
+        return d
+
+    def __call__(self, f):
+        if f.ring is not self.source:
+            raise TableMismatch("polynomial from a different ring")
+        field = self.target.field
+        coerce = field.coerce if field != f.ring.field else None
+        mul, one, image = field.mul, field.one, self._monomial
+        terms = []
+        for m, c in f._d.items():
+            if coerce is not None:
+                c = coerce(c)
+                if field.is_zero(c):
+                    continue
+            terms.extend(image(m).items() if c == one else
+                         ((a, mul(c, e)) for a, e in image(m).items()))
+        return self.target.collect(terms)
+
+    def kills(self, f):
+        if id(f) in self._zeros:
+            return True
+        if self(f):
+            return False
+        self._zeros[id(f)] = f      # kept alive, so its id is not reused
+        return True
 
 
 def specialize_pi(f, value, target):

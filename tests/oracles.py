@@ -10,7 +10,7 @@ of polynomial matrices, and a search over variable subsets for the
 dimension of a leading-term ideal.  S-polynomials (Buchberger's
 criterion), the division identity, determinants by cofactor expansion and
 regularity by the colon ideal are plain polynomial arithmetic on the
-public types.  None of it shares code with the engine paths it certifies.
+public types, and so is a ring map expanded term by term.  None of it shares code with the engine paths it certifies.
 """
 
 from fractions import Fraction
@@ -317,6 +317,22 @@ def random_poly(ring, rng, max_deg=3, max_terms=4):
         m = ring.monomial(exps)
         d[m] = ring.field.add(d.get(m, ring.field.zero), ring.field.coerce(c))
     return ring.from_dict(d)
+
+
+def expand_map(f, images, target):
+    """f under the ring map sending each variable name to its image in
+    ``images``, a polynomial of ``target``, expanded term by term: each
+    coefficient, coerced into the target's field, times its variables'
+    images one factor at a time by ``Polynomial.__mul__``."""
+    ring = f.ring
+    out = target.zero()
+    for m, c in f.terms():
+        term = target.const(c)
+        for name, e in zip(ring.names, ring.exponents(m)):
+            for _ in range(e):
+                term = term * images[name]
+        out = out + term
+    return out
 
 
 def constant_term(g):

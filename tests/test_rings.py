@@ -9,8 +9,9 @@ import pytest
 from olmcheck.errors import MissingImage, TableMismatch
 from olmcheck.fields import QQ, PrimeField
 from olmcheck.orders import GRLEX, LEX, MAX_EXPONENT, Block
-from olmcheck.rings import Ring, cast, monomial_map, parse_polynomial, specialize_pi
-from oracles import random_poly
+from olmcheck.rings import (Ring, RingMap, cast, monomial_map, parse_polynomial,
+                            specialize_pi)
+from oracles import expand_map, random_poly
 
 
 def _mono(ring, **exps):
@@ -231,6 +232,71 @@ def test_homomorphism_missing_image():
     R = Ring(["x", "y"], QQ, GRLEX)
     with pytest.raises(MissingImage):
         (R.var("x") * R.var("y")).substitute({"x": R.var("x")}, R)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(32003)], ids=repr)
+def test_ring_map_matches_the_term_by_term_expansion(field):
+    # the memoised map and substitute against Polynomial.__mul__ one factor
+    # at a time: images of several terms, of one term, a constant, zero, and
+    # a source ring whose order packs the least variable first
+    rng = random.Random(31)
+    T = Ring(["u", "v", "w"], field, GRLEX)
+    for order in (GRLEX, LEX, Block(2)):
+        R = Ring(["x", "y", "z", "pi"], field, order)
+        for _ in range(25):
+            images = {nm: random_poly(T, rng, max_deg=2, max_terms=3) for nm in R.names}
+            images[rng.choice(R.names)] = rng.choice(
+                [T.zero(), T.const(3), T.var("v").scale(2)])
+            Phi = RingMap(R, [images[nm] for nm in R.names], T)
+            for _ in range(4):
+                f = random_poly(R, rng, max_deg=4, max_terms=6)
+                want = expand_map(f, images, T)
+                assert Phi(f) == want and f.substitute(images, T) == want
+                assert Phi.kills(f) == want.is_zero()
+    # coefficients coerced from Q into F_7, where 7 vanishes
+    Q, F = Ring(["x", "y"], QQ, GRLEX), Ring(["y"], PrimeField(7), GRLEX)
+    f = Q.parse("7*x^2 + 2*x*y - 3")
+    images = {"x": F.parse("y + 1"), "y": F.parse("y")}
+    assert f.substitute(images, F) == expand_map(f, images, F) == F.parse("2*y^2 + 2*y - 3")
+
+
+def test_ring_map_fills_in_images_and_keeps_its_errors():
+    R = Ring(["x", "y", "z"], QQ, GRLEX)
+    T = Ring(["u"], QQ, GRLEX)
+    images = [None, T.parse("u + 1"), None]
+    Phi = RingMap(R, images, T)
+    assert Phi(R.parse("y^2 - 1")) == T.parse("u^2 + 2*u")
+    with pytest.raises(MissingImage, match="'x'"):
+        Phi(R.parse("x*y"))
+    images[0] = T.parse("u")    # filled in while in use
+    assert Phi(R.parse("x*y^2")) == T.parse("u^3 + 2*u^2 + u")
+    images[2] = Ring(["u"], QQ, GRLEX).var("u")
+    with pytest.raises(TableMismatch):
+        Phi(R.var("z"))
+    with pytest.raises(TableMismatch):
+        Phi(T.var("u"))
+    # a product past a packed field of the target raises, as __mul__ does
+    images[2] = T.var("u") ** 20000
+    with pytest.raises(ValueError, match="overflows the packed field"):
+        Phi(R.parse("z*x^20000"))
+
+
+def test_monomial_map_raises_on_an_overflowing_product():
+    # with no degree field in the source, a^20000*b^20000 packs, and each of
+    # a, b -> u^2 overflows u's field; three or four images that fit one by
+    # one overflow in their sum, one of them past a carry
+    R = Ring(["a", "b", "c", "d"], QQ, LEX)
+    U = Ring(["u"], QQ, GRLEX)
+    u, u2 = U.monomial([1]), U.monomial([2])
+    for text, images in (("a^20000*b^20000", [u2, u2, u, u]),
+                         ("a^16384", [u2, u, u, u]),
+                         ("a^12000*b^12000*c^12000", [u, u, u, u]),
+                         ("a^12000*b^12000*c^12000*d^12000", [u, u, u, u])):
+        with pytest.raises(ValueError, match="overflows the packed field"):
+            monomial_map(R.parse(text), images, U)
+    assert monomial_map(R.parse("a^10000*b^10000*c^10000"), [u, u, u, u], U) == \
+        U.parse("u^30000")
+    assert monomial_map(R.parse("a^16383"), [u2, u, u, u], U) == U.parse("u^32766")
 
 
 def test_specialize_pi_examples():

@@ -19,9 +19,10 @@ from olmcheck.fields import PrimeField, QQ
 from olmcheck.groebner import Budget, GroebnerBasis, buchberger
 from olmcheck.ideals import Ideal, ideal_sum
 from olmcheck.matrices import PolyMatrix
-from olmcheck.verify import (CHECK_NAMES, EngineConfig, LEMMA_CHECKS,
-                             chart_report, expected_component_count, run_suite,
-                             verify_check)
+from olmcheck.rings import RingMap
+from olmcheck.verify import (CHECK_NAMES, DEFAULT_SUITE, EngineConfig,
+                             LEMMA_CHECKS, chart_report,
+                             expected_component_count, run_suite, verify_check)
 from oracles import half_form, is_regular_element, minors2
 
 CFG = EngineConfig(modulus=32003)
@@ -90,8 +91,9 @@ def test_reduced_ring_checks_run_buchberger_on_no_fiber(monkeypatch):
 def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
     # the runner asks for the certificate once, before every check body, so
     # a whole report, the lemmas and reduction included, runs Buchberger on
-    # neither M'', a fiber of I'' nor a component; I'' itself runs once,
-    # for reduction (b), seeded with the basis of M''
+    # neither M'', a fiber of I'' nor a component; the lemmas and reduction
+    # evaluate into k[u, w, pi], so I'' and the full-ring ideals run none
+    # either
     runs = []
     monkeypatch.setattr(ideals, "buchberger",
                         lambda gens, budget=None: runs.append(list(gens))
@@ -102,8 +104,7 @@ def test_chart_report_runs_buchberger_on_no_minors_or_fiber(d, l, monkeypatch):
     comps = [ideal for _, ideal, _ in c.component_ideals()]
     for ideal in [minors, c.special_fiber_ideal(), c.generic_fiber_ideal()] + comps:
         assert list(ideal.gens) not in runs, ideal
-    gb = minors.groebner()
-    assert [run for run in runs if red.gens[0] in run] == [[gb, red.gens[0]]]
+    assert not runs and red._gb is None
     # so does every check alone, on a fresh chart
     for name in CHECK_NAMES:
         runs.clear()
@@ -862,6 +863,162 @@ def test_membership_loops_meet_the_deadline():
         body(c, Budget(seconds=1e-9))
 
 
+FULL_RING_CHECKS = LEMMA_CHECKS + ("reduction",)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a Buchberger run")
+
+
+def _forced(self, ideal, budget=None):
+    """Chart.kernel with every certificate failing: the Buchberger path."""
+    return {"step": "forced"}
+
+
+def _results(c, cfg=CFG, names=FULL_RING_CHECKS):
+    return [(r.name, r.status, r.witness) for r in chart_report(c, cfg, names).checks]
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_lemmas_and_reduction_run_no_buchberger(modulus, monkeypatch):
+    # every full-ring ideal the lemmas and reduction read is certified as
+    # the kernel of one map into k[u, w, pi], so not one Buchberger run is
+    # made, in a whole suite either
+    monkeypatch.setattr(ideals, "buchberger", _refuse)
+    monkeypatch.setattr(groebner, "buchberger", _refuse)
+    cfg = EngineConfig(modulus=modulus)
+    for d, l in [(5, 3), (6, 2)]:
+        c = _chart(d, l, modulus)
+        assert _results(c, cfg) == [(name, "pass", None) for name in FULL_RING_CHECKS]
+        kept = c._cache["kernels"]
+        assert len(kept) == 6 and all(isinstance(Phi, RingMap) for _, Phi in kept)
+        assert len(c._cache["maps"]) == 1       # one map, its products built once
+    assert run_suite(DEFAULT_SUITE, cfg).aggregate_pass
+
+
+def test_certified_checks_spent_budget_time_out(monkeypatch):
+    c = _chart(6, 2)
+    assert _results(c) == [(name, "pass", None) for name in FULL_RING_CHECKS]
+    # every certificate is kept now, and no check reads a basis
+    monkeypatch.setattr(ideals, "buchberger", _refuse)
+    spent = EngineConfig(modulus=32003, timeout=1e-9)
+    for name in FULL_RING_CHECKS:
+        res = verify_check(name, c, spent)
+        assert res.status == "timeout" and "budget" in res.witness, name
+        body, _ = verify._CHECKS[name]
+        with pytest.raises(BudgetExceeded, match="time budget"):
+            body(c, Budget(seconds=1e-9))
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_certified_checks_meet_the_deadline_before_each_evaluation(modulus,
+                                                                    monkeypatch):
+    # T's lookup and each image it builds, each generator Z evaluates, each
+    # target and each section test meet the deadline before they evaluate,
+    # so a budget spent at any deadline call makes the check time out
+    events = []
+    real = RingMap.__call__
+    monkeypatch.setattr(RingMap, "__call__",
+                        lambda self, f: events.append("eval") or real(self, f))
+
+    class Recording(Budget):
+        spend_at, calls = None, 0
+
+        def deadline(self):
+            events.append("deadline")
+            self.calls += 1
+            if self.calls == self.spend_at:
+                raise BudgetExceeded("time budget spent at call %d" % self.spend_at)
+
+    class Config(EngineConfig):
+        def budget(self):
+            return Recording()
+
+    c = _chart(6, 2, modulus)
+    assert _results(c, Config(modulus=modulus)) == \
+        [(name, "pass", None) for name in FULL_RING_CHECKS]
+    assert events.count("eval") > 300
+    assert all(a == "deadline" for a, b in zip(events, events[1:]) if b == "eval")
+    for name in FULL_RING_CHECKS:
+        events.clear()
+        assert verify_check(name, _chart(6, 2, modulus), Config(modulus=modulus)).status \
+            == "pass"
+        calls = events.count("deadline")
+        for k in sorted({1, 2, calls // 2, calls}):
+            Recording.spend_at = k
+            res = verify_check(name, _chart(6, 2, modulus), Config(modulus=modulus))
+            assert res.status == "timeout", (name, k)
+            assert res.witness == {"budget": "time budget spent at call %d" % k}
+        Recording.spend_at = None
+
+
+def _without_band_entry(c):
+    """I' without the band-family entry that solves x[3][4]."""
+    g = c._equations().band[0, 0]
+    c._cache["intermediate"] = _drop(c.intermediate_ideal(), lambda h: h == g)
+
+
+def _with_band_variable(c):
+    """I' with the band variable x[3][1] added: Phi(x[3][1]) = u3 w1."""
+    ideal = c.intermediate_ideal()
+    c._cache["intermediate"] = Ideal(c.ring, ideal.gens + (c.ring.var("x[3][1]"),))
+
+
+def _with_three_pi(c):
+    """I' with Tr(A) + 3 pi in place of Tr(A) + 2 pi."""
+    trace_A, pi = c._equations().trace_A, c.ring.var("pi")
+    c._cache["intermediate"] = Ideal(c.ring, [g + pi if g == trace_A else g
+                                              for g in c.intermediate_ideal().gens])
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+@pytest.mark.parametrize("tamper, step", [
+    (_without_band_entry, {"step": "T", "variable": "x[3][4]"}),
+    (_with_band_variable, {"step": "Z", "generator": "x[3][1]"}),
+    (_with_three_pi, {"step": "C"}),
+    (_shift_non_band_image, None)], ids=["T", "Z", "C", "section"])
+def test_certificate_mutations_keep_their_verdicts(tamper, step, modulus, monkeypatch):
+    # a tampered I' fails the certificate step named and falls back to
+    # Buchberger, with the verdicts and witnesses the Buchberger path gives;
+    # a wrong printed phi leaves I' and I certified, and reduction fails
+    # with the same section witness as on the Buchberger path
+    c = _chart(6, 2, modulus)
+    tamper(c)
+    got = c.kernel(c.intermediate_ideal())
+    if step is None:
+        assert isinstance(got, RingMap) and c.kernel(c.full_ideal()).images == got.images
+    else:
+        assert {k: str(v) for k, v in got.items()} == step
+    names = ("X2-in-Iprime", "antisym", "S0-relation", "reduction")
+    results = _results(c, names=names)
+    with monkeypatch.context() as m:
+        m.setattr(Chart, "kernel", _forced)
+        fresh = _chart(6, 2, modulus)
+        tamper(fresh)
+        assert _results(fresh, names=names) == results
+    # the lemmas still pass; I' is no longer I, or phi no section
+    assert [status for _, status, _ in results] == ["pass"] * 3 + ["fail"]
+    if step is None:
+        assert results[-1][2] == {"subcheck": "section", "variable": c.ring.names[0]}
+
+
+@pytest.mark.parametrize("modulus", [32003, 0])
+def test_certified_and_buchberger_paths_agree(modulus, monkeypatch):
+    # every same-parity chart with d <= 8: each lemma and reduction, once
+    # with every ideal certified and once with every certificate forced to
+    # fail, give the same verdicts and witnesses
+    charts = [(d, l) for d in range(5, 9) for l in range(2, d - 1) if (d - l) % 2 == 0]
+    cfg = EngineConfig(modulus=modulus, full_matrix_limit=8)
+    certified = {}
+    for d, l in charts:
+        c = _chart(d, l, modulus)
+        certified[d, l] = _results(c, cfg)
+        assert all(isinstance(Phi, RingMap) for _, Phi in c._cache["kernels"])
+    monkeypatch.setattr(Chart, "kernel", _forced)
+    assert len(charts) == 8
+    assert {(d, l): _results(_chart(d, l, modulus), cfg) for d, l in charts} == certified
+
+
 @pytest.mark.parametrize("bad", [0, -1, math.nan, math.inf, "5"])
 def test_engine_config_rejects_unusable_timeouts(bad):
     with pytest.raises(ValueError, match="got " + re.escape(repr(bad))):
@@ -884,8 +1041,8 @@ class _Metered(EngineConfig):
         return self.meter
 
 
-@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (12, 1555)),
-                                                 (6, 2, 32003, (44, 3046)),
+@pytest.mark.parametrize("d, l, modulus, work", [(5, 3, 32003, (0, 2)),
+                                                 (6, 2, 32003, (0, 3)),
                                                  (8, 4, 0, (0, 36))])
 def test_chart_report_work_is_fixed(d, l, modulus, work):
     # every Buchberger run of a whole report, each loose generator's
@@ -893,14 +1050,11 @@ def test_chart_report_work_is_fixed(d, l, modulus, work):
     # certify M'' and the components.  The certificate of I'', which the
     # runner asks for before the first check body, gives M'' its basis with
     # no run, and every fiber numerator, so no fiber basis is read; each
-    # component certifies its basis with no S-pair.  I'' (for reduction
-    # (b)) starts from the basis of M'', so no pair inside M'' is formed.
-    # Under the chart ring's block order each full-ring basis is the solved
-    # non-band variables plus a small basis over k[band, pi]; only I'
-    # without Tr(X) and solve-plus-reduced run from their generators, and
-    # the three ideals chained over them form no pair, though their loose
-    # generators take steps to reduce to zero.  (8,4) runs the reduced-ring
-    # checks only: no S-pair at all.
+    # component certifies its basis with no S-pair.  The lemmas and
+    # reduction certify their full-ring ideals as the kernel of one map and
+    # evaluate into k[u, w, pi], so no full-ring ideal and not I'' runs
+    # Buchberger: what is left are the interreductions.  (8,4) runs the
+    # reduced-ring checks only.
     cfg = _Metered(modulus=modulus)
     report = chart_report(_chart(d, l, modulus), cfg)
     assert report.passed()
